@@ -52,9 +52,10 @@ class RunConfig:
         self.seed = int(raw.get("seed", 0))
         self.whiten = bool(raw.get("whiten", True))
         self.shape = ShapeSpec.from_json(raw["shape"]) if raw.get("shape") else None
-        self.extra_shapes = {
-            int(k): ShapeSpec.from_json(v) for k, v in raw.get("extra_shapes", {}).items()
-        }
+        extra = raw.get("extra_shapes", {})
+        if not isinstance(extra, dict):
+            raise ConfigError("extra_shapes must map coefficient blocks to shapes")
+        self.extra_shapes = {int(k): ShapeSpec.from_json(v) for k, v in extra.items()}
         if self.shape is not None:
             if self.shape.bivariate and self.model not in (None, "fofr"):
                 raise ConfigError("bivariate shapes apply only to the fofr model")
@@ -140,15 +141,15 @@ def _read_cli_dataset(args):
     return read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
 
 
-def _cmd_fit(args, command: str) -> dict:
+def _cmd_fit(args) -> dict:
     config = _load_config(args.config, args.seed)
-    model = _FIT_MODELS[command]
+    model = _FIT_MODELS[args.command]
     data = _read_cli_dataset(args)
     payload: dict = {"model": model, "seed": config.seed}
+    spec = config.tensor() if model == "fofr" else config.basis()
+    if model != "fosr":
+        data = reconstruct_sparse(data, pve=config.pve)
     if model == "sofr":
-        spec = config.basis()
-        if data.x_curves is not None and not np.isfinite(data.x_curves).all():
-            data = reconstruct_sparse(data, pve=config.pve)
         fit = fit_sofr(data, spec, config.shape)
         grid = _report_grid(spec.domain)
         payload.update(
@@ -168,18 +169,15 @@ def _cmd_fit(args, command: str) -> dict:
             {"t": t, "estimate": v} for t, v in zip(payload["grid"], payload["beta_values"])
         ]
     elif model == "fofr":
-        tensor = config.tensor()
-        if data.x_curves is not None and not np.isfinite(data.x_curves).all():
-            data = reconstruct_sparse(data, pve=config.pve)
         fit = fit_functional(
-            data, "fofr", tensor=tensor, shape=config.shape, pve=config.pve,
+            data, "fofr", tensor=spec, shape=config.shape, pve=config.pve,
             whiten_fit=config.whiten,
         )
-        side = np.linspace(tensor.domain_s[0], tensor.domain_s[1], 50)
+        side = np.linspace(spec.domain_s[0], spec.domain_s[1], 50)
         surface = fit.beta1_fn(side, s=side)
         payload.update(
             {
-                "order": tensor.order,
+                "order": spec.order,
                 "beta0_coefs": fit.beta0_coefs.tolist(),
                 "beta1_coefs": fit.beta1_coefs.tolist(),
                 "surface_grid": side.tolist(),
@@ -187,7 +185,7 @@ def _cmd_fit(args, command: str) -> dict:
                 "rss_raw": fit.rss_raw,
                 "rss_whitened": fit.rss_whitened,
                 "ridge": fit.ridge_used,
-                "shape_report": _shape_report(fit.beta1_coefs, config.shape, tensor),
+                "shape_report": _shape_report(fit.beta1_coefs, config.shape, spec),
             }
         )
         band_rows = [
@@ -196,9 +194,6 @@ def _cmd_fit(args, command: str) -> dict:
             for j, t_val in enumerate(side)
         ]
     else:
-        spec = config.basis()
-        if model == "flcm" and data.x_curves is not None and not np.isfinite(data.x_curves).all():
-            data = reconstruct_sparse(data, pve=config.pve)
         fit = fit_functional(
             data, model, spec, shape=config.shape, pve=config.pve, whiten_fit=config.whiten
         )
@@ -271,13 +266,7 @@ def _cmd_test_shape(args) -> dict:
     tensor = config.tensor() if config.model == "fofr" else None
     spec = None if config.model == "fofr" else config.basis()
     report = bootstrap_shape_test(
-        data,
-        config.model,
-        spec,
-        config.shape,
-        draws=config.bootstrap,
-        seed=config.seed,
-        tensor=tensor,
+        data, config.model, spec, config.shape, config.bootstrap, config.seed, tensor=tensor
     )
     payload = {"model": config.model, **report.to_json()}
     rows = [{"draw": i, "statistic": s} for i, s in enumerate(report.bootstrap_stats)]
@@ -290,32 +279,20 @@ def _cmd_ci(args) -> dict:
         raise ConfigError("ci needs 'model' in the config")
     data = _read_cli_dataset(args)
     spec = config.basis()
+    common = {
+        "level": config.level,
+        "draws": config.draws,
+        "seed": config.seed,
+        "eval_grid": _report_grid(spec.domain),
+        "pve": config.pve,
+        "whiten_fit": config.whiten,
+    }
     if config.model == "qfosr":
-        band = qfosr_projection_ci(
-            data,
-            spec,
-            block=int(config.raw.get("block", 0)),
-            level=config.level,
-            draws=config.draws,
-            seed=config.seed,
-            extra_shapes=config.extra_shapes or None,
-            eval_grid=_report_grid(spec.domain),
-            pve=config.pve,
-            whiten_fit=config.whiten,
-        )
+        block = int(config.raw.get("block", 0))
+        extra = config.extra_shapes or None
+        band = qfosr_projection_ci(data, spec, block, extra_shapes=extra, **common)
     else:
-        band = projection_ci(
-            data,
-            config.model,
-            spec,
-            config.shape,
-            level=config.level,
-            draws=config.draws,
-            seed=config.seed,
-            eval_grid=_report_grid(spec.domain),
-            pve=config.pve,
-            whiten_fit=config.whiten,
-        )
+        band = projection_ci(data, config.model, spec, config.shape, **common)
     payload = {"model": config.model, "order": spec.order, **band.to_json()}
     rows = [
         {"t": t, "lower": lo, "upper": hi}
@@ -332,7 +309,7 @@ def _cmd_cv_order(args) -> dict:
     result = cv_select_order(
         data,
         config.model,
-        config.shape,
+        (config.extra_shapes or None) if config.model == "qfosr" else config.shape,
         candidates=config.candidates,
         folds=config.folds,
         seed=config.seed,
@@ -389,6 +366,17 @@ def _cmd_bench(args) -> dict:
     }
 
 
+_COMMANDS = {
+    **dict.fromkeys(_FIT_MODELS, _cmd_fit),
+    "fit-qfosr": _cmd_fit_qfosr,
+    "test-shape": _cmd_test_shape,
+    "ci": _cmd_ci,
+    "cv-order": _cmd_cv_order,
+    "simulate": _cmd_simulate,
+    "bench": _cmd_bench,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernfit",
@@ -437,20 +425,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _FIT_MODELS:
-            result = _cmd_fit(args, args.command)
-        elif args.command == "fit-qfosr":
-            result = _cmd_fit_qfosr(args)
-        elif args.command == "test-shape":
-            result = _cmd_test_shape(args)
-        elif args.command == "ci":
-            result = _cmd_ci(args)
-        elif args.command == "cv-order":
-            result = _cmd_cv_order(args)
-        elif args.command == "simulate":
-            result = _cmd_simulate(args)
-        else:
-            result = _cmd_bench(args)
+        result = _COMMANDS[args.command](args)
         json_path = result.get("json_path")
         if json_path is None:
             json_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.json")

@@ -1,4 +1,4 @@
-"""Linearly constrained least squares and weighted projections onto polyhedra.
+"""Linearly constrained least squares.
 
 The solver is a dual active-set method: the problem is reduced through the
 Cholesky factor of the Gram matrix to a least-distance program, which is
@@ -9,7 +9,6 @@ deterministic: ties in the dual pivoting resolve to the lowest index.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +150,7 @@ class ClsqSolver:
         h = gram + self.ridge * np.eye(p)
         try:
             self._chol = np.linalg.cholesky(h)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge policy prevents this
+        except np.linalg.LinAlgError as exc:  # indefinite input; the ridge only lifts PSD ones
             raise NumericalError(f"Gram matrix is not positive definite: {exc}") from None
         self.constraints = constraints
         if constraints is not None and constraints.n_rows > 0:
@@ -279,47 +278,3 @@ def solve_clsq(problem: QpProblem, tol: float = FEASIBILITY_TOL) -> QpSolution:
     """
     solver = ClsqSolver(problem.gram, problem.constraints, problem.ridge, tol=tol)
     return solver.solve(problem.rhs, problem.yty)
-
-
-def omega_factor(omega: np.ndarray) -> np.ndarray:
-    """Matrix S with S'S = omega, validating symmetric positive definiteness.
-
-    Small negative eigenvalues (roundoff) are clipped to 1e-12 * trace with a
-    warning; anything below -1e-10 * trace is an error.
-    """
-    omega = np.asarray(omega, dtype=float)
-    omega = 0.5 * (omega + omega.T)
-    try:
-        return np.linalg.cholesky(omega).T
-    except np.linalg.LinAlgError:
-        pass
-    evals, evecs = np.linalg.eigh(omega)
-    scale = max(float(np.trace(omega)), 1e-300)
-    if evals.min() < -1e-10 * scale:
-        raise NumericalError(
-            f"weight matrix is not positive semidefinite (min eigenvalue {evals.min():.3e})"
-        )
-    warnings.warn("weight matrix has near-zero eigenvalues; clipping to keep it SPD")
-    clipped = np.maximum(evals, 1e-12 * scale)
-    return (evecs * np.sqrt(clipped)) @ evecs.T
-
-
-def project_omega(
-    z: np.ndarray,
-    omega: np.ndarray,
-    constraints: ConstraintSystem | None,
-    tol: float = FEASIBILITY_TOL,
-) -> np.ndarray:
-    """Projection argmin_{A beta >= b} ||beta - z||^2 in the omega norm.
-
-    Already-feasible points are returned unchanged, which also makes the
-    projection idempotent.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    if constraints is None or constraints.n_rows == 0:
-        return z.copy()
-    if constraints.worst_violation(z) <= 0.0:
-        return z.copy()
-    factor = omega_factor(omega)
-    problem = QpProblem.from_design(factor, factor @ z, constraints)
-    return solve_clsq(problem, tol=tol).beta

@@ -345,25 +345,6 @@ def build_quantile_monotone(n_predictors: int, spec: BasisSpec) -> ConstraintSys
     return ConstraintSystem(rows, np.zeros(rows.shape[0]))
 
 
-def build_coefficient_bound(limit: float, spec: BasisSpec) -> ConstraintSystem:
-    """Rows enforcing sum_k |beta_k| <= limit via all 2^(N+1) sign patterns.
-
-    Off by default everywhere: the bound matters for asymptotic arguments,
-    not for fitting, and the row count explodes with the order. Exposed for
-    experimentation only.
-    """
-    if limit <= 0:
-        raise ConfigError("coefficient bound must be positive")
-    p = spec.order + 1
-    if p > 20:
-        raise ConfigError("coefficient bound refused above order 19 (2^(N+1) rows)")
-    signs = np.array(
-        [[1.0 if pattern >> k & 1 else -1.0 for k in range(p)] for pattern in range(1 << p)]
-    )
-    # sum_k s_k beta_k <= limit for every sign vector s, i.e. -s beta >= -limit
-    return ConstraintSystem(-signs, np.full(signs.shape[0], -float(limit)))
-
-
 def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:
     """Constraint system for ``shape`` on the coefficient vector of ``spec``."""
     if shape.kind == "combination":

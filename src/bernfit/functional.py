@@ -254,6 +254,16 @@ class FunctionalFit:
         mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.basis1)
         return mat @ self.beta1_coefs
 
+    def predict(self, data: FunctionalDataset) -> np.ndarray:
+        """Predicted response curves (subjects x grid) on the dataset's grid."""
+        pts = data.grid.points
+        beta0 = self.beta0_fn(pts)
+        if self.model == "fofr":
+            w = np.stack([fofr_design(x, data.grid, self.basis1, pts) for x in data.x_curves])
+            return beta0[None, :] + w @ self.beta1_coefs
+        covariate = data.x_scalar[:, None] if self.model == "fosr" else data.x_curves
+        return beta0[None, :] + covariate * self.beta1_fn(pts)[None, :]
+
 
 def build_design(
     data: FunctionalDataset,
@@ -329,6 +339,31 @@ def _raw_residuals(design: StackedDesign, beta: np.ndarray, n_points: int) -> np
     return out
 
 
+def _prewhiten(design: StackedDesign, data, pve, covariance=None, ridge: float = 0.0):
+    """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design.
+
+    A supplied ``covariance`` skips the step-1 solve and the FPCA.
+    """
+    cov = covariance
+    if cov is None:
+        step1 = _solve_stacked(design, None, ridge)
+        resid = _raw_residuals(design, step1.beta, data.grid.n_points)
+        cov = estimate_covariance(resid, data.grid, pve)
+    return design.whitened(cov, full_mask=data.is_dense("y")), cov
+
+
+def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None, ridge=0.0):
+    """Constrained solve on the pre-whitened design, or on the raw one.
+
+    Returns the solution and the covariance used (None without whitening);
+    the solution's ``rss`` is then the whitened or the raw residual sum.
+    """
+    cov = None
+    if whiten_fit:
+        design, cov = _prewhiten(design, data, pve, covariance, ridge)
+    return _solve_stacked(design, constraints, ridge), cov
+
+
 def fit_functional(
     data: FunctionalDataset,
     model: str,
@@ -348,54 +383,24 @@ def fit_functional(
     """
     design = build_design(data, model, spec=spec, tensor=tensor)
     basis1 = tensor if model == "fofr" else spec
-    constraint_spec = tensor if model == "fofr" else spec
     constraints = None
     if shape is not None:
-        base = build_constraints(shape, constraint_spec)
+        base = build_constraints(shape, basis1)
         constraints = base.padded(design.slice1.start, design.n_coefs)
-    m = data.grid.n_points
-    dense = data.is_dense("y")
-    cov = covariance
-    if whiten_fit:
-        if cov is None:
-            step1 = _solve_stacked(design, None, ridge)
-            resid = _raw_residuals(design, step1.beta, m)
-            cov = estimate_covariance(resid, data.grid, pve)
-        wdesign = design.whitened(cov, full_mask=dense)
-        sol = _solve_stacked(wdesign, constraints, ridge)
-        rss_whitened = sol.rss
-    else:
-        cov = None
-        sol = _solve_stacked(design, constraints, ridge)
-        rss_whitened = None
-    residual_matrix = _raw_residuals(design, sol.beta, m)
-    rss_raw = float(np.nansum(residual_matrix**2))
-    spec0 = BasisSpec(tensor.order_t, tensor.domain_t) if model == "fofr" else spec
+    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit, covariance, ridge)
+    residual_matrix = _raw_residuals(design, sol.beta, data.grid.n_points)
     return FunctionalFit(
         model=model,
-        basis0=spec0,
+        basis0=BasisSpec(tensor.order_t, tensor.domain_t) if model == "fofr" else spec,
         basis1=basis1,
         beta0_coefs=sol.beta[design.slice0],
         beta1_coefs=sol.beta[design.slice1],
         shape=shape,
         covariance=cov,
-        rss_raw=rss_raw,
-        rss_whitened=rss_whitened,
+        rss_raw=float(np.nansum(residual_matrix**2)),
+        rss_whitened=sol.rss if whiten_fit else None,
         residual_matrix=residual_matrix,
         ridge_used=sol.ridge,
-    )
-
-
-def fit_unconstrained_ols(
-    data: FunctionalDataset,
-    model: str,
-    spec: BasisSpec | None = None,
-    tensor: TensorBasisSpec | None = None,
-    ridge: float = 0.0,
-) -> FunctionalFit:
-    """Plain stacked least squares; the step-1 fit of the two-step procedure."""
-    return fit_functional(
-        data, model, spec=spec, tensor=tensor, shape=None, whiten_fit=False, ridge=ridge
     )
 
 

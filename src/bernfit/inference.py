@@ -27,7 +27,7 @@ from .clsq import ClsqSolver
 from .constraints import ShapeSpec, build_constraints
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
-from .functional import build_design, estimate_covariance
+from .functional import StackedDesign, _prewhiten, build_design
 from .sofr import sofr_design_matrix
 from .utils import spawn_rng
 
@@ -83,54 +83,88 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _scalar_ingredients(data: FunctionalDataset, spec: BasisSpec):
+    """Unconstrained SOFR estimate with its heteroskedasticity-robust sandwich."""
     design, block = sofr_design_matrix(data, spec)
-    y = data.y_scalar
     n = design.shape[0]
-    solver = ClsqSolver(design.T @ design, None)
-    beta_ur = solver.solve(design.T @ y).beta
-    resid = y - design @ beta_ur
-    omega = design.T @ design / n
+    gram = design.T @ design
+    beta_ur = ClsqSolver(gram, None).solve(design.T @ data.y_scalar).beta
+    resid = data.y_scalar - design @ beta_ur
+    omega = gram / n
     meat = design.T @ (design * resid[:, None] ** 2) / n
     omega_inv = np.linalg.inv(omega)
     delta_n = omega_inv @ meat @ omega_inv / n
-    return design, block, beta_ur, omega, delta_n
+    return beta_ur, omega, delta_n, block.start
 
 
-def _functional_ingredients(data, model, spec, tensor, pve, whiten_fit):
-    design = build_design(data, model, spec=spec, tensor=tensor)
-    n = len(design.blocks)
-    m = data.grid.n_points
-    blocks, responses = design.blocks, design.responses
+def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, whiten_fit):
+    """Unconstrained estimate of a stacked design with its draw covariance.
+
+    After pre-whitening the errors have unit covariance by construction, so
+    the model-based GLS covariance applies; on the raw design the errors stay
+    correlated within a curve and the subject-level sandwich is used.
+    """
     if whiten_fit:
-        gram, rhs, _, _ = design.gram_parts()
-        step1 = ClsqSolver(gram, None).solve(rhs).beta
-        resid = np.full((n, m), np.nan)
-        for i, (z, y, idx) in enumerate(zip(blocks, responses, design.obs_indices)):
-            resid[i, idx] = y - z @ step1
-        cov = estimate_covariance(resid, data.grid, pve)
-        wdesign = design.whitened(cov, full_mask=data.is_dense("y"))
-        blocks, responses = wdesign.blocks, wdesign.responses
-    gram = np.zeros((design.n_coefs, design.n_coefs))
-    rhs = np.zeros(design.n_coefs)
-    for z, y in zip(blocks, responses):
-        gram += z.T @ z
-        rhs += z.T @ y
-    solver = ClsqSolver(gram, None)
-    beta_ur = solver.solve(rhs).beta
+        design, _ = _prewhiten(design, data, pve)
+    n = len(design.blocks)
+    gram, rhs, _, _ = design.gram_parts()
+    beta_ur = ClsqSolver(gram, None).solve(rhs).beta
     omega = gram / n
     if whiten_fit:
-        # whitened errors have unit covariance by construction, so the
-        # model-based GLS covariance applies directly
-        delta_n = np.linalg.inv(gram)
-    else:
-        # raw path: errors stay correlated, fall back to the curve-level sandwich
-        meat = np.zeros_like(gram)
-        for z, y in zip(blocks, responses):
-            ze = z.T @ (y - z @ beta_ur)
-            meat += np.outer(ze, ze)
-        omega_inv = np.linalg.inv(omega)
-        delta_n = omega_inv @ (meat / n) @ omega_inv / n
-    return design, beta_ur, omega, delta_n
+        return beta_ur, omega, np.linalg.inv(gram)
+    meat = np.zeros_like(gram)
+    for z, y in zip(design.blocks, design.responses):
+        ze = z.T @ (y - z @ beta_ur)
+        meat += np.outer(ze, ze)
+    omega_inv = np.linalg.inv(omega)
+    return beta_ur, omega, omega_inv @ (meat / n) @ omega_inv / n
+
+
+def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndarray:
+    """Omega-norm projection of ``z`` onto the projector's constraint polyhedron.
+
+    Feasible points come back unchanged, which makes the projection
+    idempotent; otherwise argmin_{A beta >= b} (beta - z)' omega (beta - z)
+    is the constrained least-squares solution with Gram omega and rhs omega z.
+    """
+    cons = projector.constraints
+    if cons is None or cons.worst_violation(z) <= 0.0:
+        return z
+    return projector.solve(omega @ z).beta
+
+
+def _projection_band(
+    beta_ur, omega, delta_n, constraints, spec, offset, grid, level, draws, seed
+) -> CiBand:
+    """Draw around ``beta_ur``, project each draw, read off pointwise quantiles.
+
+    The band is for the coefficient function of ``spec`` whose coefficients
+    start at ``offset`` in the stacked vector.
+    """
+    projector = ClsqSolver(omega, constraints)
+    factor = _normal_factor(delta_n)
+    grid = np.asarray(grid, dtype=float)
+    basis = eval_basis_matrix(grid, spec)
+    block_slice = slice(offset, offset + spec.n_coefs)
+    curves = np.empty((draws, grid.size))
+    for b in range(draws):
+        z_b = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
+        curves[b] = basis @ _project(z_b, omega, projector)[block_slice]
+    alpha = 1.0 - level
+    return CiBand(
+        grid=grid,
+        lower=np.quantile(curves, alpha / 2.0, axis=0),
+        upper=np.quantile(curves, 1.0 - alpha / 2.0, axis=0),
+        level=level,
+        draws=draws,
+        seed=seed,
+    )
+
+
+def _check_band_args(level: float, draws: int) -> None:
+    if not 0.0 < level < 1.0:
+        raise ConfigError("level must be in (0, 1)")
+    if draws < 100:
+        raise ConfigError("use at least 100 draws")
 
 
 def projection_ci(
@@ -151,49 +185,24 @@ def projection_ci(
     With ``shape=None`` the projection is the identity and the band is the
     plain percentile band of the normal draws.
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must be in (0, 1)")
-    if draws < 100:
-        raise ConfigError("use at least 100 draws")
+    _check_band_args(level, draws)
     if model == "fofr" or isinstance(spec, TensorBasisSpec):
         raise ConfigError("confidence bands for bivariate coefficients are not supported")
     if model == "sofr":
-        design, block, beta_ur, omega, delta_n = _scalar_ingredients(data, spec)
-        total = design.shape[1]
-        offset = block.start
-        coef_spec = spec
+        beta_ur, omega, delta_n, offset = _scalar_ingredients(data, spec)
     elif model in ("fosr", "flcm"):
-        sdesign, beta_ur, omega, delta_n = _functional_ingredients(
-            data, model, spec, tensor, pve, whiten_fit
-        )
-        total = sdesign.n_coefs
-        offset = sdesign.slice1.start
-        coef_spec = spec
+        design = build_design(data, model, spec=spec, tensor=tensor)
+        beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
+        offset = design.slice1.start
     else:
         raise ConfigError(f"unknown model {model!r}")
-
     constraints = None
     if shape is not None:
-        constraints = build_constraints(shape, coef_spec).padded(offset, total)
-    projector = ClsqSolver(omega, constraints)
-    factor = _normal_factor(delta_n)
-
-    grid = np.asarray(eval_grid, dtype=float) if eval_grid is not None else data.grid.points
-    basis = eval_basis_matrix(grid, coef_spec)
-    curves = np.empty((draws, grid.size))
-    p = beta_ur.size
-    block_slice = slice(offset, offset + coef_spec.n_coefs)
-    for b in range(draws):
-        z_b = beta_ur + factor @ spawn_rng(seed, b).standard_normal(p)
-        if constraints is not None and constraints.worst_violation(z_b) > 0.0:
-            projected = projector.solve(omega @ z_b).beta
-        else:
-            projected = z_b
-        curves[b] = basis @ projected[block_slice]
-    alpha = 1.0 - level
-    lower = np.quantile(curves, alpha / 2.0, axis=0)
-    upper = np.quantile(curves, 1.0 - alpha / 2.0, axis=0)
-    return CiBand(grid=grid, lower=lower, upper=upper, level=level, draws=draws, seed=seed)
+        constraints = build_constraints(shape, spec).padded(offset, beta_ur.size)
+    grid = eval_grid if eval_grid is not None else data.grid.points
+    return _projection_band(
+        beta_ur, omega, delta_n, constraints, spec, offset, grid, level, draws, seed
+    )
 
 
 def qfosr_projection_ci(
@@ -217,61 +226,16 @@ def qfosr_projection_ci(
     """
     from .qfosr import build_qfosr_design, qfosr_constraints
 
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must be in (0, 1)")
-    if draws < 100:
-        raise ConfigError("use at least 100 draws")
+    _check_band_args(level, draws)
     design, _ = build_qfosr_design(data, spec)
-    n = len(design.blocks)
     j_count = data.z_scalars.shape[1]
     if not 0 <= block <= j_count:
         raise ConfigError(f"block must be in 0..{j_count}")
-    blocks, responses = design.blocks, design.responses
-    if whiten_fit:
-        gram, rhs, _, _ = design.gram_parts()
-        step1 = ClsqSolver(gram, None).solve(rhs).beta
-        resid = np.full((n, data.grid.n_points), np.nan)
-        for i, (z, y, idx) in enumerate(zip(blocks, responses, design.obs_indices)):
-            resid[i, idx] = y - z @ step1
-        cov = estimate_covariance(resid, data.grid, pve)
-        wdesign = design.whitened(cov, full_mask=data.is_dense("y"))
-        blocks, responses = wdesign.blocks, wdesign.responses
-    gram = np.zeros((design.n_coefs, design.n_coefs))
-    rhs = np.zeros(design.n_coefs)
-    for z, y in zip(blocks, responses):
-        gram += z.T @ z
-        rhs += z.T @ y
-    beta_ur = ClsqSolver(gram, None).solve(rhs).beta
-    omega = gram / n
-    delta_n = np.linalg.inv(gram) if whiten_fit else None
-    if delta_n is None:
-        meat = np.zeros_like(gram)
-        for z, y in zip(blocks, responses):
-            ze = z.T @ (y - z @ beta_ur)
-            meat += np.outer(ze, ze)
-        omega_inv = np.linalg.inv(omega)
-        delta_n = omega_inv @ (meat / n) @ omega_inv / n
+    beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
     constraints = qfosr_constraints(spec, j_count, extra_shapes)
-    projector = ClsqSolver(omega, constraints)
-    factor = _normal_factor(delta_n)
-    grid = np.asarray(eval_grid, dtype=float) if eval_grid is not None else data.grid.points
-    basis = eval_basis_matrix(grid, spec)
-    p_block = spec.n_coefs
-    block_slice = slice(block * p_block, (block + 1) * p_block)
-    curves = np.empty((draws, grid.size))
-    for b in range(draws):
-        z_b = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
-        if constraints.worst_violation(z_b) > 0.0:
-            z_b = projector.solve(omega @ z_b).beta
-        curves[b] = basis @ z_b[block_slice]
-    alpha = 1.0 - level
-    return CiBand(
-        grid=grid,
-        lower=np.quantile(curves, alpha / 2.0, axis=0),
-        upper=np.quantile(curves, 1.0 - alpha / 2.0, axis=0),
-        level=level,
-        draws=draws,
-        seed=seed,
+    grid = eval_grid if eval_grid is not None else data.grid.points
+    return _projection_band(
+        beta_ur, omega, delta_n, constraints, spec, block * spec.n_coefs, grid, level, draws, seed
     )
 
 
@@ -282,6 +246,36 @@ def _statistic(rss_c: float, rss_u: float) -> float:
             return float("inf")
         return 0.0
     return max(0.0, (rss_c - rss_u) / rss_u)
+
+
+def _bootstrap_test(gram, rhs, yty, constraints, resampler, draws: int, seed: int) -> TestReport:
+    """Residual bootstrap of T = (RSS_c - RSS_u) / RSS_u around the null fit.
+
+    ``resampler(beta_u, beta_c)`` returns a function of a generator that
+    rebuilds the moments (Z'y*, y*'y*) of one bootstrap response; both fits
+    are refactored once and re-solved per draw.
+    """
+    solver_u = ClsqSolver(gram, None)
+    solver_c = ClsqSolver(gram, constraints)
+    sol_u = solver_u.solve(rhs, yty)
+    sol_c = solver_c.solve(rhs, yty)
+    t_obs = _statistic(sol_c.rss, sol_u.rss)
+    moments = resampler(sol_u.beta, sol_c.beta)
+    stats_boot = np.empty(draws)
+    for b in range(draws):
+        rhs_star, yty_star = moments(spawn_rng(seed, b))
+        rss_u = solver_u.solve(rhs_star, yty_star).rss
+        rss_c = solver_c.solve(rhs_star, yty_star).rss
+        stats_boot[b] = _statistic(rss_c, rss_u)
+    p_value = float(np.count_nonzero(stats_boot >= t_obs)) / draws
+    return TestReport(
+        statistic=t_obs,
+        p_value=p_value,
+        rss_constrained=sol_c.rss,
+        rss_unconstrained=sol_u.rss,
+        bootstrap_stats=stats_boot,
+        seed=seed,
+    )
 
 
 def bootstrap_shape_test_scalar(
@@ -301,35 +295,21 @@ def bootstrap_shape_test_scalar(
         raise ConfigError("use at least 100 bootstrap draws")
     design, block = sofr_design_matrix(data, spec)
     y = data.y_scalar
-    gram = design.T @ design
-    constraints = build_constraints(shape_null, spec).padded(block.start, design.shape[1])
-    solver_u = ClsqSolver(gram, None)
-    solver_c = ClsqSolver(gram, constraints)
-
-    sol_u = solver_u.solve(design.T @ y, float(y @ y))
-    sol_c = solver_c.solve(design.T @ y, float(y @ y))
-    residuals = y - design @ sol_u.beta
-    fitted_null = design @ sol_c.beta
-    t_obs = _statistic(sol_c.rss, sol_u.rss)
-
     n = y.size
-    stats_boot = np.empty(draws)
-    for b in range(draws):
-        rng = spawn_rng(seed, b)
-        y_star = fitted_null + residuals[rng.integers(0, n, size=n)]
-        rhs = design.T @ y_star
-        yty = float(y_star @ y_star)
-        rss_u = solver_u.solve(rhs, yty).rss
-        rss_c = solver_c.solve(rhs, yty).rss
-        stats_boot[b] = _statistic(rss_c, rss_u)
-    p_value = float(np.count_nonzero(stats_boot >= t_obs)) / draws
-    return TestReport(
-        statistic=t_obs,
-        p_value=p_value,
-        rss_constrained=sol_c.rss,
-        rss_unconstrained=sol_u.rss,
-        bootstrap_stats=stats_boot,
-        seed=seed,
+    constraints = build_constraints(shape_null, spec).padded(block.start, design.shape[1])
+
+    def resampler(beta_u, beta_c):
+        residuals = y - design @ beta_u
+        fitted_null = design @ beta_c
+
+        def moments(rng):
+            y_star = fitted_null + residuals[rng.integers(0, n, size=n)]
+            return design.T @ y_star, float(y_star @ y_star)
+
+        return moments
+
+    return _bootstrap_test(
+        design.T @ design, design.T @ y, float(y @ y), constraints, resampler, draws, seed
     )
 
 
@@ -358,41 +338,28 @@ def bootstrap_shape_test_functional(
     constraints = build_constraints(shape_null, coef_spec).padded(
         design.slice1.start, design.n_coefs
     )
-    gram, rhs, yty, _ = design.gram_parts()
-    solver_u = ClsqSolver(gram, None)
-    solver_c = ClsqSolver(gram, constraints)
-    sol_u = solver_u.solve(rhs, yty)
-    sol_c = solver_c.solve(rhs, yty)
-    t_obs = _statistic(sol_c.rss, sol_u.rss)
-
-    n = len(design.blocks)
     z_blocks = design.blocks
-    resid_curves = [y - z @ sol_u.beta for z, y in zip(z_blocks, design.responses)]
-    fitted_null = [z @ sol_c.beta for z in z_blocks]
-    zt_list = [z.T for z in z_blocks]
+    n = len(z_blocks)
 
-    stats_boot = np.empty(draws)
-    for b in range(draws):
-        rng = spawn_rng(seed, b)
-        pick = rng.integers(0, n, size=n)
-        rhs_star = np.zeros(design.n_coefs)
-        yty_star = 0.0
-        for i in range(n):
-            y_star = fitted_null[i] + resid_curves[pick[i]]
-            rhs_star += zt_list[i] @ y_star
-            yty_star += float(y_star @ y_star)
-        rss_u = solver_u.solve(rhs_star, yty_star).rss
-        rss_c = solver_c.solve(rhs_star, yty_star).rss
-        stats_boot[b] = _statistic(rss_c, rss_u)
-    p_value = float(np.count_nonzero(stats_boot >= t_obs)) / draws
-    return TestReport(
-        statistic=t_obs,
-        p_value=p_value,
-        rss_constrained=sol_c.rss,
-        rss_unconstrained=sol_u.rss,
-        bootstrap_stats=stats_boot,
-        seed=seed,
-    )
+    def resampler(beta_u, beta_c):
+        resid_curves = [y - z @ beta_u for z, y in zip(z_blocks, design.responses)]
+        fitted_null = [z @ beta_c for z in z_blocks]
+        zt_list = [z.T for z in z_blocks]
+
+        def moments(rng):
+            pick = rng.integers(0, n, size=n)
+            rhs_star = np.zeros(design.n_coefs)
+            yty_star = 0.0
+            for i in range(n):
+                y_star = fitted_null[i] + resid_curves[pick[i]]
+                rhs_star += zt_list[i] @ y_star
+                yty_star += float(y_star @ y_star)
+            return rhs_star, yty_star
+
+        return moments
+
+    gram, rhs, yty, _ = design.gram_parts()
+    return _bootstrap_test(gram, rhs, yty, constraints, resampler, draws, seed)
 
 
 def bootstrap_shape_test(

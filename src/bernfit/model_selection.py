@@ -9,6 +9,7 @@ squares; the final refit at the chosen order is free to whiten.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,38 +55,20 @@ def _holdout_error(train, test, model, order, shape, tensor_domains) -> float:
     from .qfosr import fit_qfosr, predict_qfosr
     from .sofr import fit_sofr, predict_sofr
 
+    spec = BasisSpec(order, train.domain)
     if model == "sofr":
-        fit = fit_sofr(train, BasisSpec(order, train.domain), shape)
-        pred = predict_sofr(fit, test)
+        pred = predict_sofr(fit_sofr(train, spec, shape), test)
         return float(np.sum((test.y_scalar - pred) ** 2))
     if model == "qfosr":
-        fit = fit_qfosr(train, BasisSpec(order, train.domain), extra_shapes=shape, whiten_fit=False)
-        pred = predict_qfosr(fit, test)
-        mask = np.isfinite(test.y_curves)
-        return float(np.sum((test.y_curves[mask] - pred[mask]) ** 2))
-    if model == "fofr":
-        tensor = TensorBasisSpec(order, order, *(tensor_domains or (train.domain, train.domain)))
-        fit = fit_functional(train, "fofr", tensor=tensor, shape=shape, whiten_fit=False)
+        pred = predict_qfosr(fit_qfosr(train, spec, extra_shapes=shape, whiten_fit=False), test)
     else:
-        fit = fit_functional(train, model, BasisSpec(order, train.domain), shape, whiten_fit=False)
-    pts = test.grid.points
+        tensor = None
+        if model == "fofr":
+            domains = tensor_domains or (train.domain, train.domain)
+            tensor = TensorBasisSpec(order, order, *domains)
+        fit = fit_functional(train, model, spec, shape, tensor=tensor, whiten_fit=False)
+        pred = fit.predict(test)
     mask = np.isfinite(test.y_curves)
-    beta0 = fit.beta0_fn(pts)
-    if model == "fofr":
-        total = 0.0
-        from .basis import fofr_design
-
-        for i in range(test.n_subjects):
-            idx = np.flatnonzero(mask[i])
-            w = fofr_design(test.x_curves[i], test.grid, fit.basis1, pts[idx])
-            pred = beta0[idx] + w @ fit.beta1_coefs
-            total += float(np.sum((test.y_curves[i, idx] - pred) ** 2))
-        return total
-    beta1 = fit.beta1_fn(pts)
-    if model == "fosr":
-        pred = beta0[None, :] + test.x_scalar[:, None] * beta1[None, :]
-    else:
-        pred = beta0[None, :] + test.x_curves * beta1[None, :]
     return float(np.sum((test.y_curves[mask] - pred[mask]) ** 2))
 
 
@@ -107,6 +90,8 @@ def cv_select_order(
     """
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
+    if model == "qfosr" and shape is not None and not isinstance(shape, Mapping):
+        raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
     candidates = sorted(candidates) if candidates is not None else _default_candidates(model)
     if not candidates:
         raise ConfigError("no candidate orders supplied")

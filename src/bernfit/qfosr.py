@@ -20,7 +20,7 @@ from .basis import BasisSpec, eval_basis_matrix
 from .constraints import ConstraintSystem, build_constraints, build_quantile_monotone
 from .dataset import FunctionalDataset
 from .errors import DataError
-from .functional import CovarianceModel, StackedDesign, _solve_stacked, estimate_covariance
+from .functional import CovarianceModel, StackedDesign, _solve_two_step
 
 
 @dataclass
@@ -154,37 +154,20 @@ def fit_qfosr(
     effect.
     """
     design, rescale = build_qfosr_design(data, spec, monotone_tol)
-    n = len(design.blocks)
     j_count = data.z_scalars.shape[1]
-    p_block = spec.n_coefs
     constraints = qfosr_constraints(spec, j_count, extra_shapes)
-
-    blocks, responses, obs_indices = design.blocks, design.responses, design.obs_indices
-    pts = data.grid.points
-    dense = data.is_dense("y")
-    if whiten_fit:
-        step1 = _solve_stacked(design, None)
-        resid = np.full((n, pts.size), np.nan)
-        for i, (zb, y, idx) in enumerate(zip(blocks, responses, obs_indices)):
-            resid[i, idx] = y - zb @ step1.beta
-        cov = estimate_covariance(resid, data.grid, pve)
-        sol = _solve_stacked(design.whitened(cov, full_mask=dense), constraints)
-        rss_whitened = sol.rss
-    else:
-        cov = None
-        sol = _solve_stacked(design, constraints)
-        rss_whitened = None
+    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)
     rss_raw = 0.0
-    for zb, y in zip(blocks, responses):
+    for zb, y in zip(design.blocks, design.responses):
         rss_raw += float(np.sum((y - zb @ sol.beta) ** 2))
     return QfosrFit(
         basis=spec,
-        coef_blocks=sol.beta.reshape(j_count + 1, p_block),
+        coef_blocks=sol.beta.reshape(j_count + 1, spec.n_coefs),
         predictor_names=list(data.z_names),
         rescale=rescale,
         covariance=cov,
         rss_raw=rss_raw,
-        rss_whitened=rss_whitened,
+        rss_whitened=sol.rss if whiten_fit else None,
         ridge_used=sol.ridge,
     )
 

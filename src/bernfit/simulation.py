@@ -32,7 +32,7 @@ from .constraints import (
     combination,
 )
 from .dataset import FunctionalDataset
-from .errors import ConfigError
+from .errors import BernfitError, ConfigError
 from .utils import parallel_map, spawn_rng
 
 # stream roles within one replication
@@ -185,6 +185,7 @@ class MetricTable:
     coverage: np.ndarray = field(default_factory=lambda: np.empty(0))
     width: np.ndarray = field(default_factory=lambda: np.empty(0))
     rejections: np.ndarray = field(default_factory=lambda: np.empty(0))
+    replication_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     failures: int = 0
     seed: int = 0
 
@@ -229,10 +230,10 @@ class MetricTable:
             return {
                 "scenario": self.scenario,
                 "n": self.n,
-                "constrained_mean": s["imse_constrained_mean"],
-                "constrained_sd": s["imse_constrained_sd"],
-                "unconstrained_mean": s["imse_unconstrained_mean"],
-                "unconstrained_sd": s["imse_unconstrained_sd"],
+                "constrained_mean": s.get("imse_constrained_mean", ""),
+                "constrained_sd": s.get("imse_constrained_sd", ""),
+                "unconstrained_mean": s.get("imse_unconstrained_mean", ""),
+                "unconstrained_sd": s.get("imse_unconstrained_sd", ""),
                 "p_value_two_sample": s.get("p_value_two_sample", ""),
                 "p_value_paired": s.get("p_value_paired", ""),
             }
@@ -240,16 +241,18 @@ class MetricTable:
             return {
                 "scenario": self.scenario,
                 "n": self.n,
-                "coverage_mean": s["coverage_mean"],
-                "width_mean": s["width_mean"],
+                "coverage_mean": s.get("coverage_mean", ""),
+                "width_mean": s.get("width_mean", ""),
             }
-        return {"scenario": self.scenario, "n": self.n, "rejection_rate": s["rejection_rate"]}
+        rate = s.get("rejection_rate", "")
+        return {"scenario": self.scenario, "n": self.n, "rejection_rate": rate}
 
     def rows(self) -> list[dict]:
         rows = []
         reps = max(self.imse_constrained.size, self.coverage.size, self.rejections.size)
-        for r in range(reps):
-            row: dict = {"replication": r}
+        labels = self.replication_ids if self.replication_ids.size == reps else np.arange(reps)
+        for r, label in enumerate(labels):
+            row: dict = {"replication": int(label)}
             if self.imse_constrained.size:
                 row["imse_constrained"] = float(self.imse_constrained[r])
                 row["imse_unconstrained"] = float(self.imse_unconstrained[r])
@@ -333,20 +336,18 @@ def run_benchmark(
         )
         return int(report.p_value <= alpha)
 
-    results = []
-    failures = 0
-    for outcome in parallel_map(_Catcher(one_replication), range(spec.replications), threads):
-        if outcome is None:
-            failures += 1
-        else:
-            results.append(outcome)
-    table = MetricTable(scenario=spec.kind, n=spec.n, mode=mode, failures=failures, seed=spec.seed)
+    outcomes = parallel_map(_Catcher(one_replication), range(spec.replications), threads)
+    ok = [rep for rep, outcome in enumerate(outcomes) if outcome is not None]
+    results = [outcomes[rep] for rep in ok]
+    table = MetricTable(scenario=spec.kind, n=spec.n, mode=mode, seed=spec.seed)
+    table.replication_ids = np.asarray(ok, dtype=int)
+    table.failures = len(outcomes) - len(ok)
     if mode == "imse":
-        arr = np.asarray(results, dtype=float)
+        arr = np.asarray(results, dtype=float).reshape(-1, 2)
         table.imse_constrained = arr[:, 0]
         table.imse_unconstrained = arr[:, 1]
     elif mode == "coverage":
-        arr = np.asarray(results, dtype=float)
+        arr = np.asarray(results, dtype=float).reshape(-1, 2)
         table.coverage = arr[:, 0]
         table.width = arr[:, 1]
     else:
@@ -355,7 +356,11 @@ def run_benchmark(
 
 
 class _Catcher:
-    """Wrap a replication worker so isolated failures are counted, not fatal."""
+    """Wrap a replication worker so isolated failures are counted, not fatal.
+
+    Only the errors the CLI maps to exit codes count as replication
+    failures; anything else is a bug and propagates.
+    """
 
     def __init__(self, fn):
         self.fn = fn
@@ -363,5 +368,5 @@ class _Catcher:
     def __call__(self, rep):
         try:
             return self.fn(rep)
-        except Exception:  # noqa: BLE001 - benchmark reports failure counts
+        except (BernfitError, np.linalg.LinAlgError):
             return None

@@ -13,6 +13,7 @@ from bernfit import (
     NON_DECREASING,
     NON_NEGATIVE,
     BasisSpec,
+    ClsqSolver,
     ConstraintSystem,
     CovarianceModel,
     QpProblem,
@@ -26,12 +27,12 @@ from bernfit import (
     fixed_boundaries,
     generate_scenario,
     partial_convex,
-    project_omega,
     run_benchmark,
     solve_clsq,
 )
 from bernfit.basis import eval_basis_matrix
 from bernfit.constraints import NON_INCREASING
+from bernfit.inference import _project
 
 from helpers import enumerate_clsq
 
@@ -259,8 +260,9 @@ class TestAcceptance:
             omega = half @ half.T + 2 * np.eye(4)
             z = rng.normal(scale=2.0, size=4)
             feasible = np.cumsum(rng.uniform(0, 1, 4)) + rng.normal()
-            proj = project_omega(z, omega, system)
-            twice = project_omega(proj, omega, system)
+            projector = ClsqSolver(omega, system)
+            proj = _project(z, omega, projector)
+            twice = _project(proj, omega, projector)
             ok &= np.abs(proj - twice).max() <= 1e-10
             d_proj = proj - feasible
             d_z = z - feasible

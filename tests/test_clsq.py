@@ -1,4 +1,4 @@
-"""Tests for the constrained least-squares solver and weighted projection."""
+"""Tests for the constrained least-squares solver and the band's weighted projection."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,10 @@ from bernfit import (
     QpProblem,
     build_constraints,
     fixed_boundaries,
-    project_omega,
     solve_clsq,
 )
+
+from bernfit.inference import _project
 
 from helpers import enumerate_clsq, grid_search_projection_2d
 
@@ -146,23 +147,28 @@ class TestSolveClsq:
             assert fresh.rss == pytest.approx(reused.rss, abs=1e-9)
 
 
+def band_project(z, omega, system):
+    """The confidence band's projection step: omega-norm projection onto the polyhedron."""
+    return _project(np.asarray(z, dtype=float), omega, ClsqSolver(omega, system))
+
+
 class TestProjectOmega:
     def test_feasible_point_unchanged(self):
         system = build_constraints(NON_NEGATIVE, BasisSpec(2))
         z = np.array([0.5, 1.0, 2.0])
-        out = project_omega(z, np.eye(3), system)
+        out = band_project(z, np.eye(3), system)
         assert np.array_equal(out, z)
 
     def test_scalar_clip(self):
         system = build_constraints(NON_NEGATIVE, BasisSpec(0))
-        out = project_omega(np.array([-2.0]), np.eye(1), system)
+        out = band_project(np.array([-2.0]), np.eye(1), system)
         assert out[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_weighted_projection_against_grid_search(self):
         system = build_constraints(NON_DECREASING, BasisSpec(1))
         omega = np.diag([1.0, 4.0])
         z = np.array([1.0, 0.0])
-        out = project_omega(z, omega, system)
+        out = band_project(z, omega, system)
         assert np.allclose(out, [0.2, 0.2], atol=1e-8)
         oracle = grid_search_projection_2d(z, omega, system.a, system.b, -1.0, 2.0, 1e-3)
         assert np.abs(out - oracle).max() <= 2e-3
@@ -174,8 +180,8 @@ class TestProjectOmega:
         omega = omega_half @ omega_half.T + 5 * np.eye(5)
         for _ in range(20):
             z = rng.normal(scale=3.0, size=5)
-            once = project_omega(z, omega, system)
-            twice = project_omega(once, omega, system)
+            once = band_project(z, omega, system)
+            twice = band_project(once, omega, system)
             assert np.abs(once - twice).max() <= 1e-10
 
     def test_contraction_toward_feasible_points(self):
@@ -186,7 +192,7 @@ class TestProjectOmega:
             omega = omega_half @ omega_half.T + 2 * np.eye(4)
             z = rng.normal(scale=2.0, size=4)
             feasible = np.cumsum(rng.uniform(0, 1, 4)) + rng.normal()
-            projected = project_omega(z, omega, system)
+            projected = band_project(z, omega, system)
 
             def omega_norm(v):
                 return float(v @ omega @ v)
@@ -199,7 +205,7 @@ class TestProjectOmega:
         system = build_constraints(NON_NEGATIVE, BasisSpec(1))
         omega = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalError):
-            project_omega(np.array([-1.0, -1.0]), omega, system)
+            band_project(np.array([-1.0, -1.0]), omega, system)
 
 
 class TestScaleRobustness:

@@ -281,24 +281,6 @@ class TestQuantileMonotone:
                 assert slope.min() >= -1e-10
 
 
-class TestCoefficientBound:
-    def test_rows_encode_absolute_sum(self):
-        from bernfit.constraints import build_coefficient_bound
-
-        system = build_coefficient_bound(2.0, BasisSpec(2))
-        assert system.n_rows == 8
-        inside = np.array([0.5, -0.5, 0.5])  # |sum| = 1.5 <= 2
-        outside = np.array([1.5, -1.0, 0.5])  # absolute sum 3 > 2
-        assert system.worst_violation(inside) == 0.0
-        assert system.worst_violation(outside) == pytest.approx(1.0)
-
-    def test_large_order_refused(self):
-        from bernfit.constraints import build_coefficient_bound
-
-        with pytest.raises(ConfigError):
-            build_coefficient_bound(1.0, BasisSpec(25))
-
-
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "shape",

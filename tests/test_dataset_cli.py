@@ -232,6 +232,42 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["chosen"] in (2, 3, 4)
 
+    @pytest.mark.filterwarnings("ignore:predictors outside the training range")
+    def test_cv_order_qfosr_cli(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        pts = np.linspace(0, 1, 20)
+        n = 40
+        z = rng.uniform(0, 1, size=(n, 1))
+        q = pts[None, :] * (1.0 - 0.2 * z) + 0.01 * rng.uniform(0, 1, (n, 20)).cumsum(axis=1) / 20
+        from bernfit import FunctionalDataset, Grid
+
+        data = FunctionalDataset(
+            grid=Grid(pts), ids=[f"s{i}" for i in range(n)], y_curves=q, z_scalars=z, z_names=["age"]
+        )
+        data_path = tmp_path / "q.csv"
+        write_dataset(data, data_path, "wide_csv")
+        config = tmp_path / "config.json"
+        out = tmp_path / "cv.json"
+        argv = ["cv-order", "--data", str(data_path), "--config", str(config), "--out", str(out)]
+        settings = {"model": "qfosr", "candidates": [2, 3], "folds": 4}
+        config.write_text(json.dumps({**settings, "extra_shapes": {"1": {"kind": "non_increasing"}}}))
+        assert run_cli(argv) == 0
+        assert json.loads(out.read_text())["chosen"] in (2, 3)
+        # extra shapes given as a list instead of a block mapping
+        config.write_text(json.dumps({**settings, "extra_shapes": [{"kind": "non_increasing"}]}))
+        assert run_cli(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bench_with_no_successful_replication(self, tmp_path):
+        out = tmp_path / "bench.json"
+        code = run_cli(
+            ["bench", "--scenario", "B_sparse", "--n", "40", "--reps", "1", "--seed", "16",
+             "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["failures"] == 1 and payload["replications"] == 0
+
     def test_missing_file_is_clean_data_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"order": 3}))

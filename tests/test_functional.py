@@ -17,7 +17,6 @@ from bernfit.functional import (
     CovarianceModel,
     estimate_covariance,
     fit_functional,
-    fit_unconstrained_ols,
     reconstruct_sparse,
     whiten,
 )
@@ -40,7 +39,7 @@ def make_flcm_dataset(n=40, m=30, seed=0, noise=0.0, beta0=None, beta1=None, ord
 class TestUnconstrainedOls:
     def test_noiseless_recovery(self):
         data, spec, b0, b1 = make_flcm_dataset(noise=0.0)
-        fit = fit_unconstrained_ols(data, "flcm", spec)
+        fit = fit_functional(data, "flcm", spec, whiten_fit=False)
         assert np.abs(fit.beta0_coefs - b0).max() <= 1e-6
         assert np.abs(fit.beta1_coefs - b1).max() <= 1e-6
         assert np.nanmax(np.abs(fit.residual_matrix)) <= 1e-6
@@ -48,7 +47,7 @@ class TestUnconstrainedOls:
     def test_zero_covariate_engages_ridge(self):
         data, spec, b0, _ = make_flcm_dataset(noise=0.0)
         data.x_curves = np.zeros_like(data.x_curves)
-        fit = fit_unconstrained_ols(data, "flcm", spec)
+        fit = fit_functional(data, "flcm", spec, whiten_fit=False)
         assert fit.ridge_used > 0
         pts = data.grid.points
         basis = eval_basis_matrix(pts, spec)
@@ -65,7 +64,7 @@ class TestUnconstrainedOls:
         x = rng.normal(size=n)
         y = basis @ b0 + x[:, None] * (basis @ b1)
         data = FunctionalDataset(grid=Grid(pts), ids=list(range(n)), x_scalar=x, y_curves=y)
-        fit = fit_unconstrained_ols(data, "fosr", BasisSpec(order))
+        fit = fit_functional(data, "fosr", BasisSpec(order), whiten_fit=False)
         assert np.abs(fit.beta1_coefs - b1).max() <= 1e-8
 
     def test_fofr_noiseless_recovery(self):
@@ -84,7 +83,7 @@ class TestUnconstrainedOls:
             [basis0 @ b0 + fofr_design(x[i], grid, tensor, pts) @ surface.ravel() for i in range(n)]
         )
         data = FunctionalDataset(grid=grid, ids=list(range(n)), x_curves=x, y_curves=y)
-        fit = fit_unconstrained_ols(data, "fofr", tensor=tensor)
+        fit = fit_functional(data, "fofr", tensor=tensor, whiten_fit=False)
         assert np.abs(fit.beta1_coefs - surface.ravel()).max() <= 1e-5
 
 
@@ -147,11 +146,10 @@ class TestEstimateCovariance:
         # residual covariance of the concurrent-model scenario: two smooth
         # components with score variances 0.25 and 0.5625 plus a 0.25 nugget
         from bernfit import ScenarioSpec, generate_scenario
-        from bernfit.functional import fit_unconstrained_ols
 
         data = generate_scenario(ScenarioSpec("B", n=400, seed=21), 0)
         spec = BasisSpec(5)
-        fit = fit_unconstrained_ols(data, "flcm", spec)
+        fit = fit_functional(data, "flcm", spec, whiten_fit=False)
         cov = estimate_covariance(fit.residual_matrix, data.grid, pve=0.95)
         top2_share = cov.eigenvalues[:2].sum() / cov.eigenvalues.sum()
         assert top2_share >= 0.5

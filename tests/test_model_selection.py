@@ -17,6 +17,14 @@ from bernfit.basis import sofr_design
 from bernfit.dataset import FunctionalDataset
 
 
+def quantile_cv_dataset(n=60, m=30, seed=21):
+    rng = np.random.default_rng(seed)
+    pts = np.linspace(0, 1, m)
+    z = rng.uniform(0, 1, size=(n, 1))
+    q = pts[None, :] + z * 0.5 * pts[None, :] ** 2 + 0.01 * rng.uniform(0, 1, (n, m)).cumsum(axis=1) / m
+    return FunctionalDataset(grid=Grid(pts), ids=list(range(n)), y_curves=q, z_scalars=z, z_names=["v"])
+
+
 def sieve_sofr_dataset(order_true=3, n=80, m=40, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
     pts = np.linspace(0, 1, m)
@@ -101,16 +109,18 @@ class TestFunctionalCv:
     def test_qfosr_selection(self):
         # held-out folds legitimately contain predictor values outside the
         # training fold's min-max box
-        rng = np.random.default_rng(21)
-        pts = np.linspace(0, 1, 30)
-        n = 60
-        z = rng.uniform(0, 1, size=(n, 1))
-        q = pts[None, :] + z * 0.5 * pts[None, :] ** 2 + 0.01 * rng.uniform(0, 1, (n, 30)).cumsum(axis=1) / 30
-        data = FunctionalDataset(
-            grid=Grid(pts), ids=list(range(n)), y_curves=q, z_scalars=z, z_names=["v"]
-        )
+        data = quantile_cv_dataset()
         result = cv_select_order(data, "qfosr", None, candidates=[2, 3, 4], folds=4, seed=3)
         assert result.chosen in (2, 3, 4)
+
+    @pytest.mark.filterwarnings("ignore:predictors outside the training range")
+    def test_qfosr_extra_shapes_must_map_blocks(self):
+        data = quantile_cv_dataset()
+        shaped = cv_select_order(data, "qfosr", {1: NON_DECREASING}, [2, 3], folds=4, seed=3)
+        assert shaped.chosen in (2, 3)
+        # a bare shape has no coefficient block to act on
+        with pytest.raises(ConfigError):
+            cv_select_order(data, "qfosr", NON_DECREASING, candidates=[2, 3], folds=4, seed=3)
 
     def test_scenario_a_cv_average_near_four(self):
         # selection criterion tracks the magnitude reported for this design:

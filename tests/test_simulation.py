@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bernfit import ConfigError, ScenarioSpec, generate_scenario, imse, run_benchmark
+from bernfit import ConfigError, DataError, ScenarioSpec, generate_scenario, imse, run_benchmark
 from bernfit.simulation import orthonormal_polynomials
 
 
@@ -128,6 +128,34 @@ class TestRunBenchmark:
         threaded = run_benchmark(spec, mode="imse", threads=4)
         assert serial.imse_constrained.tobytes() == threaded.imse_constrained.tobytes()
         assert serial.imse_unconstrained.tobytes() == threaded.imse_unconstrained.tobytes()
+
+    def test_only_replication_failing_is_counted(self):
+        # this sparse draw leaves a pooled grid point unobserved, a data error
+        spec = ScenarioSpec("B_sparse", n=40, seed=16, replications=1)
+        for mode in ("imse", "coverage"):
+            table = run_benchmark(spec, mode=mode, ci_draws=100)
+            assert table.failures == 1
+            assert table.rows() == []
+            assert table.summary()["replications"] == 0
+            assert table.summary_row()["scenario"] == "B_sparse"
+
+    def test_rows_carry_true_replication_labels(self):
+        # replication 0 fails (as above); the survivors keep their own indices
+        table = run_benchmark(ScenarioSpec("B_sparse", n=40, seed=16, replications=3), mode="imse")
+        assert table.failures == 1
+        assert [row["replication"] for row in table.rows()] == [1, 2]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import bernfit.simulation as simulation
+
+        def broken(spec, replication):
+            if replication == 0:
+                raise DataError("unusable replication")
+            return 1 / 0
+
+        monkeypatch.setattr(simulation, "generate_scenario", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_benchmark(ScenarioSpec("B", n=20, seed=0, replications=2), mode="imse")
 
     def test_test_mode_requires_null(self):
         with pytest.raises(ConfigError):
