@@ -187,13 +187,17 @@ class ClsqSolver:
         rhs: np.ndarray,
         yty: float,
         iterations: int,
-    ) -> QpSolution:
+    ) -> tuple[QpSolution, bool]:
+        """Solution record, and whether beta meets A beta >= b to the scaled tolerance."""
         cons = self.constraints
         objective, rss = self._objective_parts(beta, rhs, yty)
+        feasible = True
         if cons is not None and cons.n_rows > 0:
             resid = cons.a @ beta - cons.b
             scale = 1.0 + float(np.abs(cons.b).max(initial=0.0))
             active = np.flatnonzero(np.abs(resid) <= self.tol * scale)
+            violation = np.where(cons.equality, np.abs(resid), -resid)
+            feasible = float(violation.max()) <= self.tol * scale
             # stationarity in the scaling 2 Z'(Z beta - y) + 2 ridge beta = A' lambda
             stat = 2.0 * (self.gram @ beta - rhs + self.ridge * beta) - cons.a.T @ (2.0 * mult)
             multipliers = 2.0 * mult
@@ -202,7 +206,7 @@ class ClsqSolver:
             multipliers = np.empty(0)
             stat = 2.0 * (self.gram @ beta - rhs + self.ridge * beta)
         kkt = float(np.abs(stat).max(initial=0.0))
-        return QpSolution(
+        solution = QpSolution(
             beta=beta,
             active_set=active,
             multipliers=multipliers,
@@ -212,6 +216,7 @@ class ClsqSolver:
             ridge=self.ridge,
             iterations=iterations,
         )
+        return solution, feasible
 
     def _fold_multipliers(self, lam_ext: np.ndarray) -> np.ndarray:
         mult = np.zeros(self.constraints.n_rows)
@@ -244,23 +249,31 @@ class ClsqSolver:
         beta_u, w = self._unconstrained(rhs)
         cons = self.constraints
         if cons is None or cons.n_rows == 0:
-            return self._finish(beta_u, np.empty(0), rhs, yty, 0)
+            return self._finish(beta_u, np.empty(0), rhs, yty, 0)[0]
         slack_u = self._a_ext @ beta_u - self._b_ext
         if slack_u.min(initial=0.0) >= 0.0:
-            return self._finish(beta_u, np.zeros(cons.n_rows), rhs, yty, 0)
+            return self._finish(beta_u, np.zeros(cons.n_rows), rhs, yty, 0)[0]
         h = self._b_ext - self._g_ext @ w
         u, lam_ext, iters = _ldp(self._g_ext, h, self.max_iter)
         beta = solve_triangular(self._chol.T, u + w, lower=False)
         mult = self._fold_multipliers(lam_ext)
-        sol = self._finish(beta, mult, rhs, yty, iters)
+        sol, feasible = self._finish(beta, mult, rhs, yty, iters)
         tol_kkt = self.tol * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        if sol.kkt_residual > tol_kkt:
+        # an ill-conditioned factor can leave the mapped-back LDP point outside
+        # the polyhedron; the KKT re-solve on the dual's active rows restores it
+        if sol.kkt_residual > tol_kkt or not feasible:
             polished = self._polish(lam_ext, rhs)
             if polished is not None:
                 beta_p, lam_p = polished
-                candidate = self._finish(beta_p, self._fold_multipliers(lam_p), rhs, yty, iters)
-                if candidate.kkt_residual < sol.kkt_residual:
-                    sol = candidate
+                mult_p = self._fold_multipliers(lam_p)
+                candidate, candidate_feasible = self._finish(beta_p, mult_p, rhs, yty, iters)
+                if candidate.kkt_residual < sol.kkt_residual or not feasible:
+                    sol, feasible = candidate, candidate_feasible
+            if not feasible:
+                raise NumericalError(
+                    f"constrained solve violates its constraints by more than {self.tol:.1e}",
+                    last_iterate=sol.beta,
+                )
             if sol.kkt_residual > tol_kkt * 100.0:
                 raise NumericalError(
                     f"constrained solve left a KKT residual of {sol.kkt_residual:.3e}",
@@ -272,9 +285,10 @@ class ClsqSolver:
 def solve_clsq(problem: QpProblem, tol: float = FEASIBILITY_TOL) -> QpSolution:
     """Solve one constrained least-squares problem.
 
-    The solution satisfies A beta >= b - tol componentwise (equality rows to
-    the same tolerance), has nonnegative multipliers on active inequalities,
-    and certifies stationarity through its KKT residual.
+    The solution satisfies A beta >= b - tol (1 + max|b|) componentwise
+    (equality rows to the same tolerance; otherwise NumericalError is
+    raised), has nonnegative multipliers on active inequalities, and
+    certifies stationarity through its KKT residual.
     """
     solver = ClsqSolver(problem.gram, problem.constraints, problem.ridge, tol=tol)
     return solver.solve(problem.rhs, problem.yty)

@@ -1,15 +1,18 @@
 """Tests for functional-response fitting, covariance estimation, and whitening."""
 
 import numpy as np
+import pytest
 
 from bernfit import (
     NON_DECREASING,
     NON_INCREASING,
     BasisSpec,
     Grid,
+    ScenarioSpec,
     TensorBasisSpec,
     bivariate_monotone,
     check_shape,
+    generate_scenario,
 )
 from bernfit.basis import eval_basis_matrix
 from bernfit.dataset import FunctionalDataset
@@ -218,6 +221,17 @@ class TestWhiten:
 
 
 class TestConstrainedGls:
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_fofr_certificate_holds_under_auto_ridge(self, seed):
+        # the near-singular order-6 tensor Gram engages the auto-ridge; the
+        # fit must still pass the 1e-8 shape certificate (it used to miss
+        # it by 2e-8 to 4e-8 on these seeds)
+        data = generate_scenario(ScenarioSpec("B", n=200, seed=seed), 0)
+        tensor = TensorBasisSpec(6, 6)
+        fit = fit_functional(data, "fofr", tensor=tensor, shape=bivariate_monotone())
+        assert fit.ridge_used > 0
+        assert check_shape(fit.beta1_coefs, bivariate_monotone(), spec=tensor).feasible
+
     def test_feasible_unconstrained_fit_unchanged(self):
         data, spec, b0, b1 = make_flcm_dataset(beta1=[2.0, 1.5, 1.0, 0.5], noise=0.05, seed=7)
         constrained = fit_functional(data, "flcm", spec, NON_INCREASING)
