@@ -252,8 +252,9 @@ def _bootstrap_test(gram, rhs, yty, constraints, resampler, draws: int, seed: in
     """Residual bootstrap of T = (RSS_c - RSS_u) / RSS_u around the null fit.
 
     ``resampler(beta_u, beta_c)`` returns a function of a generator that
-    rebuilds the moments (Z'y*, y*'y*) of one bootstrap response; both fits
-    are refactored once and re-solved per draw.
+    rebuilds the moments (Z'y*, y*'y*) of one bootstrap response; the
+    constrained and unconstrained solvers are factored once and re-solved
+    per draw.
     """
     solver_u = ClsqSolver(gram, None)
     solver_c = ClsqSolver(gram, constraints)
