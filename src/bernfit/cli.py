@@ -55,7 +55,13 @@ class RunConfig:
         extra = raw.get("extra_shapes", {})
         if not isinstance(extra, dict):
             raise ConfigError("extra_shapes must map coefficient blocks to shapes")
-        self.extra_shapes = {int(k): ShapeSpec.from_json(v) for k, v in extra.items()}
+        self.extra_shapes = {}
+        for key, value in extra.items():
+            try:
+                block = int(key)
+            except ValueError:
+                raise ConfigError(f"extra_shapes key {key!r} is not a coefficient block number") from None
+            self.extra_shapes[block] = ShapeSpec.from_json(value)
         if self.shape is not None:
             if self.shape.bivariate and self.model not in (None, "fofr"):
                 raise ConfigError("bivariate shapes apply only to the fofr model")

@@ -107,11 +107,10 @@ def cv_select_order(
     fold_assignment = np.empty(n, dtype=int)
     fold_assignment[perm] = np.arange(n) % folds
 
-    min_order_needed = 0
-    if shape is not None and model != "qfosr":
-        min_order_needed = shape.min_order()
-    elif model == "qfosr":
-        min_order_needed = 1
+    if model == "qfosr":
+        min_order_needed = max([1, *(s.min_order() for s in (shape or {}).values())])
+    else:
+        min_order_needed = shape.min_order() if shape is not None else 0
 
     scores: dict = {}
     skipped: dict = {}

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import BasisSpec, eval_basis_matrix
 from .constraints import ConstraintSystem, build_constraints, build_quantile_monotone
 from .dataset import FunctionalDataset
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .functional import CovarianceModel, StackedDesign, _solve_two_step
 
 
@@ -133,8 +133,11 @@ def qfosr_constraints(
     total = p_block * (n_predictors + 1)
     systems = [build_quantile_monotone(n_predictors, spec)]
     for block_index, shape in (extra_shapes or {}).items():
+        block = int(block_index)
+        if not 0 <= block <= n_predictors:
+            raise ConfigError(f"extra shape block {block} is outside 0..{n_predictors}")
         base = build_constraints(shape, spec)
-        systems.append(base.padded(int(block_index) * p_block, total))
+        systems.append(base.padded(block * p_block, total))
     return ConstraintSystem.vstack(systems).dedup()
 
 

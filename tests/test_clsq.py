@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernfit import (
     NON_DECREASING,
@@ -145,6 +147,62 @@ class TestSolveClsq:
             reused = solver.solve(z.T @ y, float(y @ y))
             assert np.allclose(fresh.beta, reused.beta, atol=1e-12)
             assert fresh.rss == pytest.approx(reused.rss, abs=1e-9)
+
+
+@st.composite
+def small_problems(draw):
+    """Small constrained problems: p <= 6, at most 8 rows, some equality rows,
+    some rank-deficient Grams (auto-ridge) and some with a contradictory pair of rows."""
+    p = draw(st.integers(1, 6))
+    n_eq = draw(st.integers(0, min(2, p - 1)))
+    n_ineq = draw(st.integers(1 - min(n_eq, 1), 8 - n_eq))
+    rank = draw(st.integers(1, p)) if draw(st.booleans()) else p
+    tight = draw(st.booleans())
+    infeasible = draw(st.sampled_from([None, "inequality", "equality"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(12, rank)) @ rng.normal(size=(rank, p))
+    y = rng.normal(size=12)
+    a = rng.normal(size=(n_eq + n_ineq, p))
+    # every row holds at a random point, the inequalities with slack 0 when tight
+    point = rng.normal(size=p)
+    slack = np.zeros(n_ineq) if tight else rng.uniform(0.0, 1.0, n_ineq)
+    b = a @ point - np.concatenate([np.zeros(n_eq), slack])
+    equality = np.arange(a.shape[0]) < n_eq
+    if infeasible is not None:
+        row = rng.normal(size=p)
+        a = np.vstack([a, row, -row])
+        b = np.concatenate([b, [1.0, 0.5] if infeasible == "inequality" else [1.0, -0.5]])
+        equality = np.concatenate([equality, [infeasible == "equality"] * 2])
+    return z, y, ConstraintSystem(a, b, equality), rank < p, infeasible is not None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_problems())
+def test_solver_properties_against_enumeration(problem):
+    z, y, system, rank_deficient, infeasible = problem
+    qp = QpProblem.from_design(z, y, system)
+    if infeasible:
+        with pytest.raises(InfeasibleError) as excinfo:
+            solve_clsq(qp)
+        assert len(excinfo.value.certificate) > 0
+        return
+    sol = solve_clsq(qp)
+    assert (sol.ridge > 0) == rank_deficient
+    eq = system.equality
+    scale = 1.0 + np.abs(system.b).max()
+    resid = system.a @ sol.beta - system.b
+    assert np.abs(resid[eq]).max(initial=0.0) <= 1e-8 * scale
+    assert resid[~eq].min(initial=0.0) >= -1e-8 * scale
+    assert sol.multipliers[~eq].min(initial=0.0) >= -1e-8
+    assert sol.kkt_residual <= 1e-8 * (1.0 + np.abs(qp.rhs).max())
+    # brute force on the ridged problem, each equality row as a pair of inequalities
+    z_aug = np.vstack([z, np.sqrt(sol.ridge) * np.eye(z.shape[1])])
+    y_aug = np.concatenate([y, np.zeros(z.shape[1])])
+    oracle = enumerate_clsq(
+        z_aug, y_aug, np.vstack([system.a, -system.a[eq]]), np.concatenate([system.b, -system.b[eq]])
+    )
+    best = float(np.sum((z_aug @ oracle - y_aug) ** 2))
+    assert abs(sol.objective - best) <= 1e-9 * max(best, 1.0)
 
 
 def band_project(z, omega, system):

@@ -420,7 +420,7 @@ class TestCli:
         assert len(payload["lower"]) == 200
         assert all(lo <= hi for lo, hi in zip(payload["lower"], payload["upper"]))
 
-    def test_qfosr_cli(self, tmp_path):
+    def test_qfosr_cli(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         pts = np.linspace(0, 1, 25)
         n = 30
@@ -441,3 +441,9 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["monotone_certificate"]["feasible"]
         assert payload["predictors"] == ["age"]
+        # extra shapes keyed by something other than a block number, or by no block
+        for key in ("a", "2", "-1"):
+            config.write_text(json.dumps({"order": 3, "extra_shapes": {key: {"kind": "convex"}}}))
+            argv = ["fit-qfosr", "--data", str(data_path), "--config", str(config), "--out", str(out)]
+            assert run_cli(argv) == 2
+            assert "Traceback" not in capsys.readouterr().err

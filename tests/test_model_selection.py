@@ -122,6 +122,17 @@ class TestFunctionalCv:
         with pytest.raises(ConfigError):
             cv_select_order(data, "qfosr", NON_DECREASING, candidates=[2, 3], folds=4, seed=3)
 
+    @pytest.mark.filterwarnings("ignore:predictors outside the training range")
+    def test_qfosr_orders_below_extra_shape_minimum_are_skipped(self):
+        # convexity of block 1 needs order >= 2; order 1 is skipped, not fatal
+        data = quantile_cv_dataset()
+        result = cv_select_order(data, "qfosr", {1: CONVEX}, candidates=[1, 2, 3], folds=4, seed=3)
+        assert set(result.skipped) == {1}
+        assert set(result.scores) == {2, 3}
+        assert result.chosen in (2, 3)
+        unshaped = cv_select_order(data, "qfosr", {}, candidates=[1, 2], folds=4, seed=3)
+        assert not unshaped.skipped
+
     def test_scenario_a_cv_average_near_four(self):
         # selection criterion tracks the magnitude reported for this design:
         # the average chosen order over replications sits near 4
