@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSpec, TensorBasisSpec
 from .constraints import ShapeSpec, check_shape
 from .dataset import read_dataset, write_dataset
-from .errors import BernfitError, ConfigError, DataError, NumericalError
+from .errors import BernfitError, ConfigError, DataError, NumericalError, config_cast
 from .functional import fit_functional, reconstruct_sparse
 from .inference import bootstrap_shape_test, projection_ci, qfosr_projection_ci
 from .model_selection import cv_select_order
@@ -40,16 +40,21 @@ class RunConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        self.raw = raw
         self.model = raw.get("model")
-        self.order = raw.get("order")
-        self.candidates = raw.get("candidates")
-        self.pve = float(raw.get("pve", 0.95))
-        self.level = float(raw.get("level", 0.95))
-        self.draws = int(raw.get("draws", 500))
-        self.bootstrap = int(raw.get("bootstrap", 200))
-        self.folds = int(raw.get("folds", 5))
-        self.seed = int(raw.get("seed", 0))
+        self.order = None if raw.get("order") is None else config_cast(raw["order"], int, "order")
+        candidates = raw.get("candidates")
+        if candidates is not None and not isinstance(candidates, list):
+            raise ConfigError("candidates must be a list of basis orders")
+        self.candidates = (
+            None if candidates is None else [config_cast(c, int, "candidates") for c in candidates]
+        )
+        self.pve = config_cast(raw.get("pve", 0.95), float, "pve")
+        self.level = config_cast(raw.get("level", 0.95), float, "level")
+        self.draws = config_cast(raw.get("draws", 500), int, "draws")
+        self.bootstrap = config_cast(raw.get("bootstrap", 200), int, "bootstrap")
+        self.folds = config_cast(raw.get("folds", 5), int, "folds")
+        self.seed = config_cast(raw.get("seed", 0), int, "seed")
+        self.block = config_cast(raw.get("block", 0), int, "block")
         self.whiten = bool(raw.get("whiten", True))
         self.shape = ShapeSpec.from_json(raw["shape"]) if raw.get("shape") else None
         extra = raw.get("extra_shapes", {})
@@ -72,25 +77,26 @@ class RunConfig:
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie in (0, 1)")
 
-    def basis(self, default_order: int | None = None) -> BasisSpec:
-        order = self.order if self.order is not None else default_order
-        if order is None:
+    def basis(self) -> BasisSpec:
+        if self.order is None:
             raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
-        return BasisSpec(int(order))
+        return BasisSpec(self.order)
 
     def tensor(self) -> TensorBasisSpec:
         if self.order is None:
             raise ConfigError("config needs an 'order' for the tensor basis")
-        return TensorBasisSpec(int(self.order), int(self.order))
+        return TensorBasisSpec(self.order, self.order)
 
 
 def _load_config(path: str | None, seed_override: int | None) -> RunConfig:
     raw = {}
     if path:
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file is not UTF-8 text: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     config = RunConfig(raw)
@@ -294,9 +300,8 @@ def _cmd_ci(args) -> dict:
         "whiten_fit": config.whiten,
     }
     if config.model == "qfosr":
-        block = int(config.raw.get("block", 0))
         extra = config.extra_shapes or None
-        band = qfosr_projection_ci(data, spec, block, extra_shapes=extra, **common)
+        band = qfosr_projection_ci(data, spec, config.block, extra_shapes=extra, **common)
     else:
         band = projection_ci(data, config.model, spec, config.shape, **common)
     payload = {"model": config.model, "order": spec.order, **band.to_json()}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, TensorBasisSpec
-from .errors import ConfigError
+from .errors import ConfigError, config_cast
 
 UNIVARIATE_KINDS = frozenset(
     {
@@ -112,11 +112,16 @@ class ShapeSpec:
             parts = tuple(cls.from_json(p) for p in obj.get("parts", []))
             return cls(kind, parts=parts)
         if kind == "fixed_boundaries":
-            return cls(kind, a0=obj.get("a0"), a1=obj.get("a1"))
+            a0, a1 = (
+                None if obj.get(k) is None else config_cast(obj[k], float, f"shape field {k!r}")
+                for k in ("a0", "a1")
+            )
+            return cls(kind, a0=a0, a1=a1)
         if kind in BIVARIATE_KINDS:
             return cls(kind, in_s=bool(obj.get("in_s", True)), in_t=bool(obj.get("in_t", True)))
         if kind == "quantile_monotone":
-            return cls(kind, n_predictors=int(obj.get("n_predictors", 0)))
+            count = config_cast(obj.get("n_predictors", 0), int, "shape field 'n_predictors'")
+            return cls(kind, n_predictors=count)
         return cls(kind)
 
 

@@ -124,13 +124,13 @@ def read_dataset(path, fmt: str = "wide_csv", scalars_path=None) -> FunctionalDa
             return _read_wide(path)
         if fmt == "long_csv":
             return _read_long(path, scalars_path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset: {exc}") from None
     raise DataError(f"unknown dataset format {fmt!r}")
 
 
 def _read_wide(path) -> FunctionalDataset:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -156,8 +156,9 @@ def _read_wide(path) -> FunctionalDataset:
     for r, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        ids.append(row[0].strip())
         where = f"{path}:{r}"
+        row = row + [""] * (len(header) - len(row))
+        ids.append(row[0].strip())
         if "y" in scalar_cols:
             y_vals.append(_parse_float(row[scalar_cols["y"]], where))
         if "x" in scalar_cols:
@@ -166,7 +167,7 @@ def _read_wide(path) -> FunctionalDataset:
             z_rows.append([_parse_float(row[scalar_cols[z]], where) for z in z_names])
         curve = np.full(len(t_indices), np.nan)
         for k, j in enumerate(t_indices):
-            cell = row[j].strip() if j < len(row) else ""
+            cell = row[j].strip()
             if cell:
                 curve[k] = _parse_float(cell, f"{where} column {j + 1}")
         curves.append(curve)
@@ -188,7 +189,7 @@ def _read_wide(path) -> FunctionalDataset:
 
 
 def _read_long(path, scalars_path) -> FunctionalDataset:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
@@ -243,7 +244,7 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
 
 
 def _read_scalar_file(path, ids):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "id" not in reader.fieldnames:
             raise DataError(f"{path}: scalar file needs an 'id' column")
@@ -288,7 +289,7 @@ def _write_wide(data: FunctionalDataset, path) -> None:
         header.append("x")
     header.extend(f"z_{name}" for name in (data.z_names if data.z_scalars is not None else []))
     header.extend(f"t={repr(float(t))}" for t in data.grid.points)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, subject in enumerate(data.ids):
@@ -311,7 +312,7 @@ def _write_long(data: FunctionalDataset, path) -> None:
         cols.append("x")
     if data.y_curves is not None:
         cols.append("y_t")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         pts = data.grid.points

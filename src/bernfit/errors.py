@@ -35,3 +35,11 @@ class InfeasibleError(ConfigError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate if certificate is not None else []
+
+
+def config_cast(value, cast, name: str):
+    """``cast(value)``, raising ConfigError if the value has the wrong type."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be of type {cast.__name__}, got {value!r}") from None

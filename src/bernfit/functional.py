@@ -1,9 +1,14 @@
 """Functional-response regression: FOSR, FLCM, and FOFR.
 
+Every model is least squares over a row-stacked design (``StackedDesign``,
+shared with qfosr and sofr): one row kron([1, x], b(t)) per observed
+(subject, point) pair, with x = x_i (FOSR), x_i(t) (FLCM) or the integrals
+of x_i against the s-basis (FOFR, where b is the t-basis).
+
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
-PCA with a white-noise nugget. Step 2 pre-whitens every block with the
-inverse square root of that covariance and solves the constrained
+PCA with a white-noise nugget. Step 2 pre-whitens each subject's rows with
+the inverse square root of that covariance and solves the constrained
 generalized least-squares problem, with the shape acting on the slope
 coefficient block only.
 """
@@ -11,7 +16,7 @@ coefficient block only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +25,8 @@ from .basis import (
     Grid,
     TensorBasisSpec,
     eval_basis_matrix,
-    fofr_design,
     quadrature_weights,
+    sofr_design,
 )
 from .clsq import QpProblem, QpSolution, solve_clsq
 from .constraints import ShapeSpec, build_constraints
@@ -186,42 +191,77 @@ def whiten(block, cov: CovarianceModel, idx=None):
 
 @dataclass
 class StackedDesign:
-    """Per-subject design blocks for one functional-response model."""
+    """Row-stacked design: one row per observation, rows grouped by subject.
 
-    blocks: list
-    responses: list
-    obs_indices: list
-    n_coefs: int
-    slice0: slice
-    slice1: slice
+    Row r of ``z`` is kron([1, x_r], b_r), the row's covariates times the
+    basis at its grid point; ``subject`` and ``point`` index each row.
+    The first ``n_free`` coefficients are unconstrained; a shape acts on the
+    rest. In a dense design every subject has a row at every grid point.
+    """
+
+    z: np.ndarray
+    y: np.ndarray
+    subject: np.ndarray
+    point: np.ndarray
+    n_subjects: int
+    n_points: int
+    n_free: int
+
+    @classmethod
+    def assemble(cls, x, basis, mask, responses, n_free: int) -> "StackedDesign":
+        """Rows kron([1, x_r], basis[point_r]) for the True entries of ``mask``.
+
+        ``mask`` and ``responses`` are (subjects x points), ``x`` is per
+        subject (subjects x q) or per point (subjects x points x q).
+        """
+        subject, point = np.nonzero(mask)
+        n, m = mask.shape
+        q, k = x.shape[-1], basis.shape[1]
+        z = np.empty((subject.size, q + 1, k))
+        # a dense design broadcasts the basis over subjects; gathering basis[point]
+        # would add an (N, K) temporary next to z
+        if subject.size == n * m:
+            out = z.reshape(n, m, q + 1, k)
+            x_rows = x[:, None] if x.ndim == 2 else x
+            b_rows = basis
+        else:
+            out = z
+            x_rows = x[subject] if x.ndim == 2 else x[subject, point]
+            b_rows = basis[point]
+        out[..., 0, :] = b_rows
+        np.multiply(x_rows[..., None], b_rows[..., None, :], out=out[..., 1:, :])
+        return cls(z.reshape(subject.size, -1), responses[mask], subject, point, n, m, n_free)
+
+    @property
+    def n_coefs(self) -> int:
+        return self.z.shape[1]
+
+    def subject_bounds(self) -> np.ndarray:
+        """Row offsets: subject i owns rows bounds[i]:bounds[i + 1]."""
+        return np.searchsorted(self.subject, np.arange(self.n_subjects + 1))
+
+    def residuals(self, beta: np.ndarray) -> np.ndarray:
+        return self.y - self.z @ beta
 
     def gram_parts(self):
-        p = self.n_coefs
-        gram = np.zeros((p, p))
-        rhs = np.zeros(p)
-        yty = 0.0
-        rows = 0
-        for z, y in zip(self.blocks, self.responses):
-            gram += z.T @ z
-            rhs += z.T @ y
-            yty += float(y @ y)
-            rows += y.size
-        return gram, rhs, yty, rows
+        return self.z.T @ self.z, self.z.T @ self.y, float(self.y @ self.y), self.y.size
 
-    def whitened(self, cov: CovarianceModel, full_mask: bool) -> "StackedDesign":
+    def whitened(self, cov: CovarianceModel) -> "StackedDesign":
         if cov.is_identity:
             return self
-        if full_mask:
+        n, m = self.n_subjects, self.n_points
+        if self.y.size == n * m:
             s = cov.inverse_sqrt()
-            blocks = [s @ z for z in self.blocks]
-            responses = [s @ y for y in self.responses]
+            z = np.matmul(s, self.z.reshape(n, m, -1)).reshape(self.z.shape)
+            y = (self.y.reshape(n, m) @ s.T).ravel()
         else:
-            blocks, responses = [], []
-            for z, y, idx in zip(self.blocks, self.responses, self.obs_indices):
-                s = cov.inverse_sqrt(idx)
-                blocks.append(s @ z)
-                responses.append(s @ y)
-        return StackedDesign(blocks, responses, self.obs_indices, self.n_coefs, self.slice0, self.slice1)
+            z, y = np.empty_like(self.z), np.empty_like(self.y)
+            bounds = self.subject_bounds()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                s = cov.inverse_sqrt(self.point[lo:hi])
+                z[lo:hi] = s @ self.z[lo:hi]
+                y[lo:hi] = s @ self.y[lo:hi]
+        return replace(self, z=z, y=y)
 
 
 @dataclass
@@ -259,8 +299,9 @@ class FunctionalFit:
         pts = data.grid.points
         beta0 = self.beta0_fn(pts)
         if self.model == "fofr":
-            w = np.stack([fofr_design(x, data.grid, self.basis1, pts) for x in data.x_curves])
-            return beta0[None, :] + w @ self.beta1_coefs
+            w = sofr_design(data.x_curves, data.grid, self.basis1.spec_s)
+            coefs = self.beta1_coefs.reshape(self.basis1.order_s + 1, self.basis1.order_t + 1)
+            return beta0[None, :] + w @ coefs @ eval_basis_matrix(pts, self.basis1.spec_t).T
         covariate = data.x_scalar[:, None] if self.model == "fosr" else data.x_curves
         return beta0[None, :] + covariate * self.beta1_fn(pts)[None, :]
 
@@ -271,7 +312,7 @@ def build_design(
     spec: BasisSpec | None = None,
     tensor: TensorBasisSpec | None = None,
 ) -> StackedDesign:
-    """Per-subject design blocks [B0 | W_i] for the requested model."""
+    """Row-stacked design of the requested model; rows as in the module docstring."""
     if model not in FUNCTIONAL_MODELS:
         raise ConfigError(f"unknown functional model {model!r}")
     if data.y_curves is None:
@@ -279,52 +320,36 @@ def build_design(
     if model == "fofr":
         if tensor is None:
             raise ConfigError("fofr needs a tensor-product basis spec")
-        spec0 = BasisSpec(tensor.order_t, tensor.domain_t)
-        p1 = tensor.n_coefs
+        spec0 = tensor.spec_t
     else:
         if spec is None:
             raise ConfigError(f"model {model!r} needs a basis spec")
         spec0 = spec
-        p1 = spec.n_coefs
-    pts = data.grid.points
-    basis0 = eval_basis_matrix(pts, spec0)
+    basis0 = eval_basis_matrix(data.grid.points, spec0)
     mask = data.observed_mask("y")
-    blocks, responses, obs_indices = [], [], []
-    for i in range(data.n_subjects):
-        idx = np.flatnonzero(mask[i])
-        if idx.size < 2:
-            raise DataError(f"subject {data.ids[i]}: fewer than 2 observed response points")
-        b0 = basis0[idx]
-        if model == "fosr":
-            if data.x_scalar is None:
-                raise DataError("fosr needs a scalar predictor per subject")
-            w = data.x_scalar[i] * b0
-        elif model == "flcm":
-            if data.x_curves is None:
-                raise DataError("flcm needs a functional covariate")
-            x_vals = data.x_curves[i, idx]
-            if not np.all(np.isfinite(x_vals)):
-                raise DataError(
-                    f"subject {data.ids[i]}: covariate unobserved at response points; "
-                    "complete the curves first"
-                )
-            w = x_vals[:, None] * b0
-        else:  # fofr
-            if data.x_curves is None:
-                raise DataError("fofr needs a functional covariate")
-            if not np.all(np.isfinite(data.x_curves[i])):
-                raise DataError(
-                    f"subject {data.ids[i]}: fofr needs complete covariate curves; "
-                    "complete the curves first"
-                )
-            w = fofr_design(data.x_curves[i], data.grid, tensor, pts[idx])
-        blocks.append(np.hstack([b0, w]))
-        responses.append(data.y_curves[i, idx])
-        obs_indices.append(idx)
-    p0 = spec0.n_coefs
-    return StackedDesign(
-        blocks, responses, obs_indices, p0 + p1, slice(0, p0), slice(p0, p0 + p1)
-    )
+    _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
+    if model == "fosr":
+        if data.x_scalar is None:
+            raise DataError("fosr needs a scalar predictor per subject")
+        x = data.x_scalar[:, None]
+    elif data.x_curves is None:
+        raise DataError(f"{model} needs a functional covariate")
+    elif model == "flcm":
+        unobserved = (mask & ~np.isfinite(data.x_curves)).any(axis=1)
+        _first_bad(data, unobserved, "covariate unobserved at response points; "
+                   "complete the curves first")
+        x = data.x_curves[:, :, None]
+    else:  # fofr
+        incomplete = ~np.isfinite(data.x_curves).all(axis=1)
+        _first_bad(data, incomplete, "fofr needs complete covariate curves; "
+                   "complete the curves first")
+        x = sofr_design(data.x_curves, data.grid, tensor.spec_s)
+    return StackedDesign.assemble(x, basis0, mask, data.y_curves, spec0.n_coefs)
+
+
+def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise DataError(f"subject {data.ids[int(np.argmax(bad))]}: {message}")
 
 
 def _solve_stacked(design: StackedDesign, constraints, ridge: float = 0.0) -> QpSolution:
@@ -332,10 +357,10 @@ def _solve_stacked(design: StackedDesign, constraints, ridge: float = 0.0) -> Qp
     return solve_clsq(QpProblem(gram, rhs, yty, rows, constraints, ridge))
 
 
-def _raw_residuals(design: StackedDesign, beta: np.ndarray, n_points: int) -> np.ndarray:
-    out = np.full((len(design.blocks), n_points), np.nan)
-    for i, (z, y, idx) in enumerate(zip(design.blocks, design.responses, design.obs_indices)):
-        out[i, idx] = y - z @ beta
+def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
+    """Residuals as a (subjects x grid) matrix, NaN where unobserved."""
+    out = np.full((design.n_subjects, design.n_points), np.nan)
+    out[design.subject, design.point] = design.residuals(beta)
     return out
 
 
@@ -347,9 +372,9 @@ def _prewhiten(design: StackedDesign, data, pve, covariance=None, ridge: float =
     cov = covariance
     if cov is None:
         step1 = _solve_stacked(design, None, ridge)
-        resid = _raw_residuals(design, step1.beta, data.grid.n_points)
+        resid = _raw_residuals(design, step1.beta)
         cov = estimate_covariance(resid, data.grid, pve)
-    return design.whitened(cov, full_mask=data.is_dense("y")), cov
+    return design.whitened(cov), cov
 
 
 def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None, ridge=0.0):
@@ -386,15 +411,15 @@ def fit_functional(
     constraints = None
     if shape is not None:
         base = build_constraints(shape, basis1)
-        constraints = base.padded(design.slice1.start, design.n_coefs)
+        constraints = base.padded(design.n_free, design.n_coefs)
     sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit, covariance, ridge)
-    residual_matrix = _raw_residuals(design, sol.beta, data.grid.n_points)
+    residual_matrix = _raw_residuals(design, sol.beta)
     return FunctionalFit(
         model=model,
-        basis0=BasisSpec(tensor.order_t, tensor.domain_t) if model == "fofr" else spec,
+        basis0=tensor.spec_t if model == "fofr" else spec,
         basis1=basis1,
-        beta0_coefs=sol.beta[design.slice0],
-        beta1_coefs=sol.beta[design.slice1],
+        beta0_coefs=sol.beta[: design.n_free],
+        beta1_coefs=sol.beta[design.n_free :],
         shape=shape,
         covariance=cov,
         rss_raw=float(np.nansum(residual_matrix**2)),

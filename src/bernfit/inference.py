@@ -82,41 +82,26 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
     return evecs * np.sqrt(np.maximum(evals, 0.0))
 
 
-def _scalar_ingredients(data: FunctionalDataset, spec: BasisSpec):
-    """Unconstrained SOFR estimate with its heteroskedasticity-robust sandwich."""
-    design, block = sofr_design_matrix(data, spec)
-    n = design.shape[0]
-    gram = design.T @ design
-    beta_ur = ClsqSolver(gram, None).solve(design.T @ data.y_scalar).beta
-    resid = data.y_scalar - design @ beta_ur
-    omega = gram / n
-    meat = design.T @ (design * resid[:, None] ** 2) / n
-    omega_inv = np.linalg.inv(omega)
-    delta_n = omega_inv @ meat @ omega_inv / n
-    return beta_ur, omega, delta_n, block.start
-
-
 def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, whiten_fit):
     """Unconstrained estimate of a stacked design with its draw covariance.
 
     After pre-whitening the errors have unit covariance by construction, so
     the model-based GLS covariance applies; on the raw design the errors stay
-    correlated within a curve and the subject-level sandwich is used.
+    correlated within a subject and the subject-level sandwich is used (with
+    one row per subject, as for SOFR, that is the HC0 sandwich).
     """
     if whiten_fit:
         design, _ = _prewhiten(design, data, pve)
-    n = len(design.blocks)
+    n = design.n_subjects
     gram, rhs, _, _ = design.gram_parts()
     beta_ur = ClsqSolver(gram, None).solve(rhs).beta
     omega = gram / n
     if whiten_fit:
         return beta_ur, omega, np.linalg.inv(gram)
-    meat = np.zeros_like(gram)
-    for z, y in zip(design.blocks, design.responses):
-        ze = z.T @ (y - z @ beta_ur)
-        meat += np.outer(ze, ze)
+    scores = design.z * design.residuals(beta_ur)[:, None]
+    scores = np.add.reduceat(scores, design.subject_bounds()[:-1], axis=0)
     omega_inv = np.linalg.inv(omega)
-    return beta_ur, omega, omega_inv @ (meat / n) @ omega_inv / n
+    return beta_ur, omega, omega_inv @ (scores.T @ scores / n) @ omega_inv / n
 
 
 def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndarray:
@@ -189,13 +174,14 @@ def projection_ci(
     if model == "fofr" or isinstance(spec, TensorBasisSpec):
         raise ConfigError("confidence bands for bivariate coefficients are not supported")
     if model == "sofr":
-        beta_ur, omega, delta_n, offset = _scalar_ingredients(data, spec)
+        design = sofr_design_matrix(data, spec)
+        whiten_fit = False  # one row per subject: the sandwich is HC0
     elif model in ("fosr", "flcm"):
         design = build_design(data, model, spec=spec, tensor=tensor)
-        beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
-        offset = design.slice1.start
     else:
         raise ConfigError(f"unknown model {model!r}")
+    beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
+    offset = design.n_free
     constraints = None
     if shape is not None:
         constraints = build_constraints(shape, spec).padded(offset, beta_ur.size)
@@ -248,7 +234,7 @@ def _statistic(rss_c: float, rss_u: float) -> float:
     return max(0.0, (rss_c - rss_u) / rss_u)
 
 
-def _bootstrap_test(gram, rhs, yty, constraints, resampler, draws: int, seed: int) -> TestReport:
+def _bootstrap_test(design, shape_null, coef_spec, resampler, draws: int, seed: int) -> TestReport:
     """Residual bootstrap of T = (RSS_c - RSS_u) / RSS_u around the null fit.
 
     ``resampler(beta_u, beta_c)`` returns a function of a generator that
@@ -256,6 +242,8 @@ def _bootstrap_test(gram, rhs, yty, constraints, resampler, draws: int, seed: in
     constrained and unconstrained solvers are factored once and re-solved
     per draw.
     """
+    constraints = build_constraints(shape_null, coef_spec).padded(design.n_free, design.n_coefs)
+    gram, rhs, yty, _ = design.gram_parts()
     solver_u = ClsqSolver(gram, None)
     solver_c = ClsqSolver(gram, constraints)
     sol_u = solver_u.solve(rhs, yty)
@@ -294,24 +282,20 @@ def bootstrap_shape_test_scalar(
     """
     if draws < 100:
         raise ConfigError("use at least 100 bootstrap draws")
-    design, block = sofr_design_matrix(data, spec)
-    y = data.y_scalar
-    n = y.size
-    constraints = build_constraints(shape_null, spec).padded(block.start, design.shape[1])
+    design = sofr_design_matrix(data, spec)
+    z, n = design.z, design.n_subjects
 
     def resampler(beta_u, beta_c):
-        residuals = y - design @ beta_u
-        fitted_null = design @ beta_c
+        residuals = design.residuals(beta_u)
+        fitted_null = z @ beta_c
 
         def moments(rng):
             y_star = fitted_null + residuals[rng.integers(0, n, size=n)]
-            return design.T @ y_star, float(y_star @ y_star)
+            return z.T @ y_star, float(y_star @ y_star)
 
         return moments
 
-    return _bootstrap_test(
-        design.T @ design, design.T @ y, float(y @ y), constraints, resampler, draws, seed
-    )
+    return _bootstrap_test(design, shape_null, spec, resampler, draws, seed)
 
 
 def bootstrap_shape_test_functional(
@@ -335,17 +319,13 @@ def bootstrap_shape_test_functional(
     if not data.is_dense("y"):
         raise DataError("the functional shape test needs densely observed responses")
     design = build_design(data, model, spec=spec, tensor=tensor)
-    coef_spec = tensor if model == "fofr" else spec
-    constraints = build_constraints(shape_null, coef_spec).padded(
-        design.slice1.start, design.n_coefs
-    )
-    z_blocks = design.blocks
-    n = len(z_blocks)
+    n, m = design.n_subjects, design.n_points
+    # per-subject views made once: the draw loop indexes them n times per draw
+    zt_list = list(design.z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
 
     def resampler(beta_u, beta_c):
-        resid_curves = [y - z @ beta_u for z, y in zip(z_blocks, design.responses)]
-        fitted_null = [z @ beta_c for z in z_blocks]
-        zt_list = [z.T for z in z_blocks]
+        resid_curves = list(design.residuals(beta_u).reshape(n, m))
+        fitted_null = list((design.z @ beta_c).reshape(n, m))
 
         def moments(rng):
             pick = rng.integers(0, n, size=n)
@@ -359,8 +339,8 @@ def bootstrap_shape_test_functional(
 
         return moments
 
-    gram, rhs, yty, _ = design.gram_parts()
-    return _bootstrap_test(gram, rhs, yty, constraints, resampler, draws, seed)
+    coef_spec = tensor if model == "fofr" else spec
+    return _bootstrap_test(design, shape_null, coef_spec, resampler, draws, seed)
 
 
 def bootstrap_shape_test(

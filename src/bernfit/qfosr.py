@@ -43,13 +43,13 @@ class QfosrFit:
         mat = eval_basis_matrix(np.atleast_1d(np.asarray(p, dtype=float)), self.basis)
         return mat @ self.coef_blocks[block]
 
-    def rescaled(self, z_row) -> np.ndarray:
-        z_row = np.asarray(z_row, dtype=float).ravel()
-        if z_row.size != self.n_predictors:
+    def rescaled(self, z) -> np.ndarray:
+        """Predictor values on the unit scale: one row, or one row per subject."""
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1] != self.n_predictors:
             raise DataError(f"expected {self.n_predictors} predictor values")
-        out = np.empty_like(z_row)
-        for j, (lo, hi) in enumerate(self.rescale):
-            out[j] = (z_row[j] - lo) / (hi - lo)
+        lo, hi = np.asarray(self.rescale).T
+        out = (z - lo) / (hi - lo)
         if out.min() < -1e-9 or out.max() > 1.0 + 1e-9:
             warnings.warn(
                 "predictors outside the training range; monotonicity is only "
@@ -57,12 +57,10 @@ class QfosrFit:
             )
         return out
 
-    def predict_quantiles(self, z_row, p) -> np.ndarray:
-        """Predicted quantile function at probabilities ``p`` (original units)."""
-        x = self.rescaled(z_row)
+    def predict_quantiles(self, z, p) -> np.ndarray:
+        """Quantile functions at probabilities ``p`` for each row of predictors ``z``."""
         mat = eval_basis_matrix(np.atleast_1d(np.asarray(p, dtype=float)), self.basis)
-        stacked = self.coef_blocks[0] + x @ self.coef_blocks[1:]
-        return mat @ stacked
+        return (self.coef_blocks[0] + self.rescaled(z) @ self.coef_blocks[1:]) @ mat.T
 
 
 def _validate_monotone_responses(data: FunctionalDataset, tol: float) -> None:
@@ -89,40 +87,24 @@ def _validate_monotone_responses(data: FunctionalDataset, tol: float) -> None:
 
 
 def build_qfosr_design(data: FunctionalDataset, spec: BasisSpec, monotone_tol: float = 1e-8):
-    """Design blocks [B0 | x1 B0 | ... | xJ B0] plus the rescale records."""
+    """Design rows kron([1, x_1, ..., x_J], b(p)) plus the rescale records.
+
+    The predictors x_j are min-max rescaled to [0, 1].
+    """
     if data.y_curves is None:
         raise DataError("quantile regression needs functional responses")
     if data.z_scalars is None or data.z_scalars.shape[1] < 1:
         raise DataError("quantile regression needs at least one scalar predictor")
     _validate_monotone_responses(data, monotone_tol)
     z = data.z_scalars
-    n, j_count = z.shape
-    rescale = []
-    z_unit = np.empty_like(z)
-    for j in range(j_count):
-        lo, hi = float(z[:, j].min()), float(z[:, j].max())
-        if hi <= lo:
-            raise DataError(f"predictor {data.z_names[j]!r} is constant; drop it")
-        rescale.append((lo, hi))
-        z_unit[:, j] = (z[:, j] - lo) / (hi - lo)
-
-    pts = data.grid.points
-    basis = eval_basis_matrix(pts, spec)
+    lo, hi = z.min(axis=0), z.max(axis=0)
+    constant = np.flatnonzero(hi <= lo)
+    if constant.size:
+        raise DataError(f"predictor {data.z_names[constant[0]]!r} is constant; drop it")
+    basis = eval_basis_matrix(data.grid.points, spec)
     mask = np.isfinite(data.y_curves)
-    p_block = spec.n_coefs
-    total = p_block * (j_count + 1)
-    blocks, responses, obs_indices = [], [], []
-    for i in range(n):
-        idx = np.flatnonzero(mask[i])
-        b0 = basis[idx]
-        row = [b0] + [z_unit[i, j] * b0 for j in range(j_count)]
-        blocks.append(np.hstack(row))
-        responses.append(data.y_curves[i, idx])
-        obs_indices.append(idx)
-    design = StackedDesign(
-        blocks, responses, obs_indices, total, slice(0, p_block), slice(p_block, total)
-    )
-    return design, rescale
+    design = StackedDesign.assemble((z - lo) / (hi - lo), basis, mask, data.y_curves, spec.n_coefs)
+    return design, list(zip(lo.tolist(), hi.tolist()))
 
 
 def qfosr_constraints(
@@ -160,16 +142,14 @@ def fit_qfosr(
     j_count = data.z_scalars.shape[1]
     constraints = qfosr_constraints(spec, j_count, extra_shapes)
     sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)
-    rss_raw = 0.0
-    for zb, y in zip(design.blocks, design.responses):
-        rss_raw += float(np.sum((y - zb @ sol.beta) ** 2))
+    resid = design.residuals(sol.beta)
     return QfosrFit(
         basis=spec,
         coef_blocks=sol.beta.reshape(j_count + 1, spec.n_coefs),
         predictor_names=list(data.z_names),
         rescale=rescale,
         covariance=cov,
-        rss_raw=rss_raw,
+        rss_raw=float(resid @ resid),
         rss_whitened=sol.rss if whiten_fit else None,
         ridge_used=sol.ridge,
     )
@@ -179,11 +159,4 @@ def predict_qfosr(fit: QfosrFit, data: FunctionalDataset) -> np.ndarray:
     """Predicted quantile curves on the dataset's probability grid."""
     if data.z_scalars is None or data.z_scalars.shape[1] != fit.n_predictors:
         raise DataError("prediction data must carry the training predictors")
-    pts = data.grid.points
-    mat = eval_basis_matrix(pts, fit.basis)
-    out = np.empty((data.n_subjects, pts.size))
-    for i in range(data.n_subjects):
-        x = fit.rescaled(data.z_scalars[i])
-        stacked = fit.coef_blocks[0] + x @ fit.coef_blocks[1:]
-        out[i] = mat @ stacked
-    return out
+    return fit.predict_quantiles(data.z_scalars, data.grid.points)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, eval_basis_matrix, map_to_unit, sofr_design
-from .clsq import QpProblem, solve_clsq
 from .constraints import ShapeSpec, build_constraints
 from .dataset import FunctionalDataset
 from .errors import DataError
+from .functional import StackedDesign, _solve_stacked
 
 
 @dataclass
@@ -35,20 +35,22 @@ class SofrFit:
         return mat @ self.beta_coefs
 
 
-def sofr_design_matrix(data: FunctionalDataset, spec: BasisSpec):
-    """Full design [1 | Z | W] plus the slice of the constrained block."""
+def sofr_design_matrix(data: FunctionalDataset, spec: BasisSpec) -> StackedDesign:
+    """One design row [1 | Z | W] per subject: covariates [z_i, w_i] with basis 1.
+
+    W is the constrained block; its columns are the trapezoid integrals of
+    each curve against the basis.
+    """
     if data.x_curves is None:
         raise DataError("scalar-on-function regression needs functional covariates")
     if data.y_scalar is None:
         raise DataError("scalar-on-function regression needs a scalar response")
     w = sofr_design(data.x_curves, data.grid, spec)
-    cols = [np.ones((data.n_subjects, 1))]
-    if data.z_scalars is not None:
-        cols.append(data.z_scalars)
-    cols.append(w)
-    design = np.hstack(cols)
-    offset = design.shape[1] - spec.n_coefs
-    return design, slice(offset, design.shape[1])
+    x = w if data.z_scalars is None else np.hstack([data.z_scalars, w])
+    return StackedDesign.assemble(
+        x, np.ones((1, 1)), np.ones((data.n_subjects, 1), dtype=bool),
+        data.y_scalar[:, None], 1 + data.n_z,
+    )
 
 
 def fit_sofr(
@@ -63,23 +65,21 @@ def fit_sofr(
     baseline; otherwise the basis-coefficient block is constrained to the
     requested shape (the intercept and confounders never are).
     """
-    design, block = sofr_design_matrix(data, spec)
-    n, p = design.shape
+    design = sofr_design_matrix(data, spec)
+    n = design.n_subjects
     if n < spec.order + 2 + data.n_z:
         raise DataError(
             f"need at least {spec.order + 2 + data.n_z} subjects for order {spec.order}, got {n}"
         )
     system = None
     if shape is not None:
-        system = build_constraints(shape, spec).padded(block.start, p)
-    sol = solve_clsq(QpProblem.from_design(design, data.y_scalar, system, ridge))
-    fitted = design @ sol.beta
-    residuals = data.y_scalar - fitted
-    gamma = sol.beta[1 : block.start]
+        system = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
+    sol = _solve_stacked(design, system, ridge)
+    residuals = design.residuals(sol.beta)
     return SofrFit(
         alpha=float(sol.beta[0]),
-        gamma=gamma,
-        beta_coefs=sol.beta[block],
+        gamma=sol.beta[1 : design.n_free],
+        beta_coefs=sol.beta[design.n_free :],
         basis=spec,
         shape=shape,
         rss=float(residuals @ residuals),

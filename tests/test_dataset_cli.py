@@ -447,3 +447,53 @@ class TestCli:
             argv = ["fit-qfosr", "--data", str(data_path), "--config", str(config), "--out", str(out)]
             assert run_cli(argv) == 2
             assert "Traceback" not in capsys.readouterr().err
+
+
+# (subcommand, config object or raw config bytes, raw data bytes or None for valid data)
+_MALFORMED_INPUTS = {
+    "config-order": ("fit-sofr", {"order": "four"}, None),
+    "config-draws": ("ci", {"model": "sofr", "order": 4, "draws": "many"}, None),
+    "config-seed": ("fit-sofr", {"order": 4, "seed": "x"}, None),
+    "config-bootstrap": (
+        "test-shape",
+        {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}, "bootstrap": "x"},
+        None,
+    ),
+    "config-folds": ("cv-order", {"model": "sofr", "folds": "x"}, None),
+    "config-level": ("ci", {"model": "sofr", "order": 4, "level": "x"}, None),
+    "config-pve": ("fit-sofr", {"order": 4, "pve": "x"}, None),
+    "config-block": ("ci", {"model": "qfosr", "order": 3, "block": "x"}, None),
+    "config-candidates": ("cv-order", {"model": "sofr", "candidates": "abc"}, None),
+    "config-shape-a0": (
+        "fit-sofr", {"order": 4, "shape": {"kind": "fixed_boundaries", "a0": "x"}}, None
+    ),
+    "config-shape-a1": (
+        "fit-sofr", {"order": 4, "shape": {"kind": "fixed_boundaries", "a1": "x"}}, None
+    ),
+    "config-shape-n_predictors": (
+        "fit-sofr", {"order": 4, "shape": {"kind": "quantile_monotone", "n_predictors": "x"}}, None
+    ),
+    "config-not-utf8": ("fit-sofr", b'{"order": 4, "model": "Jos\xe9"}', None),
+    "data-short-row": ("fit-sofr", {"order": 4}, b"id,y,t=0.0,t=0.5,t=1.0\ns1\n"),
+    "data-not-utf8": (
+        "fit-sofr", {"order": 4}, "id,y,t=0.0,t=1.0\nJos\xe9,1.0,0.5,0.25\n".encode("latin-1")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+def test_malformed_input_maps_to_documented_exit_code(tmp_path, capsys, case):
+    """Wrong-typed or unreadable configs exit 2, unreadable data files exit 1, never a traceback."""
+    command, config, data = _MALFORMED_INPUTS[case]
+    data_path = _write_sofr_data(tmp_path, n=20)
+    if data is not None:
+        data_path = tmp_path / "bad.csv"
+        data_path.write_bytes(data)
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    argv = [command, "--data", str(data_path), "--config", str(config_path),
+            "--out", str(tmp_path / "out.json")]
+    expected = 2 if case.startswith("config-") else 1
+    assert run_cli(argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:" if expected == 2 else "data error:")

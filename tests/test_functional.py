@@ -14,10 +14,11 @@ from bernfit import (
     check_shape,
     generate_scenario,
 )
-from bernfit.basis import eval_basis_matrix
+from bernfit.basis import eval_basis_matrix, fofr_design
 from bernfit.dataset import FunctionalDataset
 from bernfit.functional import (
     CovarianceModel,
+    build_design,
     estimate_covariance,
     fit_functional,
     reconstruct_sparse,
@@ -88,6 +89,41 @@ class TestUnconstrainedOls:
         data = FunctionalDataset(grid=grid, ids=list(range(n)), x_curves=x, y_curves=y)
         fit = fit_functional(data, "fofr", tensor=tensor, whiten_fit=False)
         assert np.abs(fit.beta1_coefs - surface.ravel()).max() <= 1e-5
+
+
+class TestStackedDesign:
+    @pytest.mark.parametrize("model", ["fosr", "flcm", "flcm-sparse", "fofr"])
+    def test_rows_match_per_subject_blocks(self, model):
+        # reference: the per-subject blocks [B(t_idx) | W_i] stacked in subject order
+        data, spec, _, _ = make_flcm_dataset(n=12, m=15, noise=0.1, seed=7)
+        pts = data.grid.points
+        data.x_scalar = np.linspace(-1.0, 2.0, data.n_subjects)
+        if model == "flcm-sparse":
+            keep = np.random.default_rng(8).uniform(size=data.y_curves.shape) < 0.5
+            keep[:, :2] = True
+            data.y_curves = np.where(keep, data.y_curves, np.nan)
+        tensor = TensorBasisSpec(3, 3)
+        design = build_design(data, model.split("-")[0], spec=spec, tensor=tensor)
+        basis = eval_basis_matrix(pts, spec)
+        blocks, rows = [], []
+        for i in range(data.n_subjects):
+            idx = np.flatnonzero(np.isfinite(data.y_curves[i]))
+            if model == "fosr":
+                w = data.x_scalar[i] * basis[idx]
+            elif model == "fofr":
+                w = fofr_design(data.x_curves[i], data.grid, tensor, pts[idx])
+            else:
+                w = data.x_curves[i, idx, None] * basis[idx]
+            blocks.append(np.hstack([basis[idx], w]))
+            rows.extend((i, j) for j in idx)
+        expected = np.vstack(blocks)
+        if model == "fofr":  # its weights come from one batched quadrature
+            assert np.abs(design.z - expected).max() <= 1e-14 * np.abs(expected).max()
+        else:
+            assert np.array_equal(design.z, expected)
+        assert np.array_equal(np.column_stack([design.subject, design.point]), rows)
+        assert np.array_equal(design.y, data.y_curves[design.subject, design.point])
+        assert design.n_free == spec.n_coefs
 
 
 class TestEstimateCovariance:
@@ -339,3 +375,37 @@ class TestSparse:
         )
         fit = fit_functional(data, "flcm", BasisSpec(order), NON_INCREASING)
         assert np.abs(fit.beta1_coefs - b1).max() <= 1e-5
+
+    def test_sparse_whitening_matches_per_subject_gls(self):
+        # with a supplied covariance the unconstrained fit is the GLS estimate
+        # sum_i Z_i' C_i^-1 Z_i beta = sum_i Z_i' C_i^-1 y_i, C_i the covariance
+        # restricted to subject i's observed points
+        rng = np.random.default_rng(4)
+        n, m, order = 50, 20, 3
+        pts = np.linspace(0, 1, m)
+        basis = eval_basis_matrix(pts, BasisSpec(order))
+        x = rng.normal(size=(n, 3)) @ np.vstack([pts**k for k in range(3)])
+        y = 1.0 + x * np.cos(pts) + rng.standard_normal((n, m)).cumsum(axis=1) / 4
+        keep = np.zeros((n, m), dtype=bool)
+        for i in range(n):
+            keep[i, np.sort(rng.choice(m, size=int(rng.integers(3, 9)), replace=False))] = True
+        data = FunctionalDataset(
+            grid=Grid(pts), ids=list(range(n)),
+            x_curves=np.where(keep, x, np.nan), y_curves=np.where(keep, y, np.nan),
+        )
+        w = np.sqrt(np.gradient(pts))  # any smooth functions work for the oracle
+        phis = np.vstack([np.ones(m), np.cos(np.pi * pts), pts**2]) / w
+        cov = CovarianceModel(pts, np.array([2.0, 0.7, 0.2]), phis, nugget=0.3, pve=0.95)
+        fit = fit_functional(data, "flcm", BasisSpec(order), covariance=cov)
+
+        p = 2 * (order + 1)
+        lhs, rhs = np.zeros((p, p)), np.zeros(p)
+        for i in range(n):
+            idx = np.flatnonzero(keep[i])
+            z_i = np.hstack([basis[idx], x[i, idx, None] * basis[idx]])
+            c_inv = np.linalg.inv(cov.matrix(idx))
+            lhs += z_i.T @ c_inv @ z_i
+            rhs += z_i.T @ c_inv @ y[i, idx]
+        expected = np.linalg.solve(lhs, rhs)
+        got = np.concatenate([fit.beta0_coefs, fit.beta1_coefs])
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
