@@ -36,49 +36,41 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class TensorBasisSpec:
-    """Tensor product of two univariate Bernstein bases of equal order.
+    """Tensor product of two univariate Bernstein bases of one order.
 
     The coefficient vector for a surface is stacked k1-major: the column for
     the (k1, k2) product basis sits at index ``k1 * (order + 1) + k2``.
     """
 
-    order_s: int
-    order_t: int
+    order: int
     domain_s: tuple[float, float] = (0.0, 1.0)
     domain_t: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.order_s != self.order_t:
-            raise ConfigError("tensor basis requires equal orders in s and t")
-        if self.order_s < 1:
-            raise ConfigError("tensor basis orders must be >= 1")
+        if self.order < 1:
+            raise ConfigError("tensor basis order must be >= 1")
         for a, b in (self.domain_s, self.domain_t):
             if not a < b:
                 raise ConfigError(f"domain must satisfy a < b, got [{a}, {b}]")
 
     @property
-    def order(self) -> int:
-        return self.order_s
-
-    @property
     def n_coefs(self) -> int:
-        return (self.order_s + 1) * (self.order_t + 1)
+        return (self.order + 1) ** 2
 
     @property
     def spec_s(self) -> BasisSpec:
-        return BasisSpec(self.order_s, self.domain_s)
+        return BasisSpec(self.order, self.domain_s)
 
     @property
     def spec_t(self) -> BasisSpec:
-        return BasisSpec(self.order_t, self.domain_t)
+        return BasisSpec(self.order, self.domain_t)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing evaluation points, optionally with per-subject subsets."""
+    """Strictly increasing evaluation points."""
 
     points: np.ndarray
-    per_subject: tuple | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -87,14 +79,6 @@ class Grid:
             raise DataError("grid points must be a non-empty 1-d array")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise DataError("grid points must be strictly increasing")
-        if self.per_subject is not None:
-            subsets = tuple(np.asarray(s, dtype=int) for s in self.per_subject)
-            for i, s in enumerate(subsets):
-                if s.size == 0:
-                    raise DataError(f"subject {i}: empty grid subset")
-                if s.min() < 0 or s.max() >= pts.size:
-                    raise DataError(f"subject {i}: grid subset index out of range")
-            object.__setattr__(self, "per_subject", subsets)
 
     @property
     def n_points(self) -> int:
@@ -188,18 +172,6 @@ def sofr_design(curves: np.ndarray, grid: Grid, spec: BasisSpec) -> np.ndarray:
         w = quadrature_weights(pts[obs])
         out[i] = (x[i, obs] * w) @ basis[obs]
     return out
-
-
-def flcm_design(x_row: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
-    """Design rows X_i(t_j) * b(t_j) for the concurrent model.
-
-    A constant ``x_row`` recovers the scalar-predictor special case.
-    """
-    x_row = np.asarray(x_row, dtype=float)
-    basis_matrix = np.asarray(basis_matrix, dtype=float)
-    if x_row.ndim != 1 or basis_matrix.ndim != 2 or x_row.size != basis_matrix.shape[0]:
-        raise ValueError("x_row length must match the basis matrix rows")
-    return x_row[:, None] * basis_matrix
 
 
 def fofr_design(

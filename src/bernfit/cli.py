@@ -55,7 +55,7 @@ class RunConfig:
         self.folds = config_cast(raw.get("folds", 5), int, "folds")
         self.seed = config_cast(raw.get("seed", 0), int, "seed")
         self.block = config_cast(raw.get("block", 0), int, "block")
-        self.whiten = bool(raw.get("whiten", True))
+        self.whiten = config_cast(raw.get("whiten", True), bool, "whiten")
         self.shape = ShapeSpec.from_json(raw["shape"]) if raw.get("shape") else None
         extra = raw.get("extra_shapes", {})
         if not isinstance(extra, dict):
@@ -77,15 +77,11 @@ class RunConfig:
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie in (0, 1)")
 
-    def basis(self) -> BasisSpec:
+    def basis(self, model: str) -> BasisSpec | TensorBasisSpec:
+        """The model's coefficient basis on [0, 1]: a tensor product for fofr."""
         if self.order is None:
             raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
-        return BasisSpec(self.order)
-
-    def tensor(self) -> TensorBasisSpec:
-        if self.order is None:
-            raise ConfigError("config needs an 'order' for the tensor basis")
-        return TensorBasisSpec(self.order, self.order)
+        return TensorBasisSpec(self.order) if model == "fofr" else BasisSpec(self.order)
 
 
 def _load_config(path: str | None, seed_override: int | None) -> RunConfig:
@@ -132,8 +128,9 @@ def _write_csv(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _report_grid(domain) -> np.ndarray:
-    return np.linspace(domain[0], domain[1], REPORT_POINTS)
+def _report_grid() -> np.ndarray:
+    """Where reported curves are evaluated: every CLI basis spans [0, 1]."""
+    return np.linspace(0.0, 1.0, REPORT_POINTS)
 
 
 def _shape_report(coefs, shape, spec) -> dict:
@@ -157,16 +154,15 @@ def _cmd_fit(args) -> dict:
     config = _load_config(args.config, args.seed)
     model = _FIT_MODELS[args.command]
     data = _read_cli_dataset(args)
-    payload: dict = {"model": model, "seed": config.seed}
-    spec = config.tensor() if model == "fofr" else config.basis()
+    spec = config.basis(model)
+    payload: dict = {"model": model, "seed": config.seed, "order": spec.order}
     if model != "fosr":
         data = reconstruct_sparse(data, pve=config.pve)
     if model == "sofr":
         fit = fit_sofr(data, spec, config.shape)
-        grid = _report_grid(spec.domain)
+        grid = _report_grid()
         payload.update(
             {
-                "order": spec.order,
                 "alpha": fit.alpha,
                 "gamma": fit.gamma.tolist(),
                 "beta_coefs": fit.beta_coefs.tolist(),
@@ -180,66 +176,49 @@ def _cmd_fit(args) -> dict:
         band_rows = [
             {"t": t, "estimate": v} for t, v in zip(payload["grid"], payload["beta_values"])
         ]
-    elif model == "fofr":
-        fit = fit_functional(
-            data, "fofr", tensor=spec, shape=config.shape, pve=config.pve,
-            whiten_fit=config.whiten,
-        )
-        side = np.linspace(spec.domain_s[0], spec.domain_s[1], 50)
-        surface = fit.beta1_fn(side, s=side)
-        payload.update(
-            {
-                "order": spec.order,
-                "beta0_coefs": fit.beta0_coefs.tolist(),
-                "beta1_coefs": fit.beta1_coefs.tolist(),
-                "surface_grid": side.tolist(),
-                "surface_values": surface.tolist(),
-                "rss_raw": fit.rss_raw,
-                "rss_whitened": fit.rss_whitened,
-                "ridge": fit.ridge_used,
-                "shape_report": _shape_report(fit.beta1_coefs, config.shape, spec),
-            }
-        )
-        band_rows = [
-            {"s": s_val, "t": t_val, "estimate": surface[i, j]}
-            for i, s_val in enumerate(side)
-            for j, t_val in enumerate(side)
-        ]
     else:
         fit = fit_functional(
             data, model, spec, shape=config.shape, pve=config.pve, whiten_fit=config.whiten
         )
-        grid = _report_grid(spec.domain)
         payload.update(
             {
-                "order": spec.order,
                 "beta0_coefs": fit.beta0_coefs.tolist(),
                 "beta1_coefs": fit.beta1_coefs.tolist(),
-                "grid": grid.tolist(),
-                "beta0_values": fit.beta0_fn(grid).tolist(),
-                "beta1_values": fit.beta1_fn(grid).tolist(),
                 "rss_raw": fit.rss_raw,
                 "rss_whitened": fit.rss_whitened,
                 "ridge": fit.ridge_used,
                 "shape_report": _shape_report(fit.beta1_coefs, config.shape, spec),
             }
         )
-        band_rows = [
-            {"t": t, "beta0": b0, "beta1": b1}
-            for t, b0, b1 in zip(payload["grid"], payload["beta0_values"], payload["beta1_values"])
-        ]
+        if model == "fofr":
+            side = np.linspace(spec.domain_s[0], spec.domain_s[1], 50)
+            surface = fit.beta1_fn(side, s=side)
+            payload["surface_grid"] = side.tolist()
+            payload["surface_values"] = surface.tolist()
+            band_rows = [
+                {"s": s_val, "t": t_val, "estimate": surface[i, j]}
+                for i, s_val in enumerate(side)
+                for j, t_val in enumerate(side)
+            ]
+        else:
+            grid = _report_grid()
+            payload["grid"] = grid.tolist()
+            payload["beta0_values"] = fit.beta0_fn(grid).tolist()
+            payload["beta1_values"] = fit.beta1_fn(grid).tolist()
+            columns = (payload["grid"], payload["beta0_values"], payload["beta1_values"])
+            band_rows = [{"t": t, "beta0": b0, "beta1": b1} for t, b0, b1 in zip(*columns)]
     return {"payload": payload, "rows": band_rows}
 
 
 def _cmd_fit_qfosr(args) -> dict:
     config = _load_config(args.config, args.seed)
     data = _read_cli_dataset(args)
-    spec = config.basis()
+    spec = config.basis("qfosr")
     fit = fit_qfosr(
         data, spec, extra_shapes=config.extra_shapes or None, pve=config.pve,
         whiten_fit=config.whiten,
     )
-    grid = _report_grid(spec.domain)
+    grid = _report_grid()
     blocks = {
         name: fit.coefficient_fn(j + 1, grid).tolist()
         for j, name in enumerate(fit.predictor_names)
@@ -275,10 +254,8 @@ def _cmd_test_shape(args) -> dict:
     if config.model is None or config.shape is None:
         raise ConfigError("test-shape needs 'model' and 'shape' in the config")
     data = _read_cli_dataset(args)
-    tensor = config.tensor() if config.model == "fofr" else None
-    spec = None if config.model == "fofr" else config.basis()
     report = bootstrap_shape_test(
-        data, config.model, spec, config.shape, config.bootstrap, config.seed, tensor=tensor
+        data, config.model, config.basis(config.model), config.shape, config.bootstrap, config.seed
     )
     payload = {"model": config.model, **report.to_json()}
     rows = [{"draw": i, "statistic": s} for i, s in enumerate(report.bootstrap_stats)]
@@ -290,12 +267,12 @@ def _cmd_ci(args) -> dict:
     if config.model is None:
         raise ConfigError("ci needs 'model' in the config")
     data = _read_cli_dataset(args)
-    spec = config.basis()
+    spec = config.basis(config.model)
     common = {
         "level": config.level,
         "draws": config.draws,
         "seed": config.seed,
-        "eval_grid": _report_grid(spec.domain),
+        "eval_grid": _report_grid(),
         "pve": config.pve,
         "whiten_fit": config.whiten,
     }
@@ -336,7 +313,7 @@ def _cmd_simulate(args) -> dict:
     out = Path(args.out or f"scenario_{args.scenario}.csv")
     fmt = "wide_csv" if spec.model == "sofr" else "long_csv"
     write_dataset(data, out, fmt=fmt)
-    grid = _report_grid((0.0, 1.0))
+    grid = _report_grid()
     payload = {
         "scenario": spec.kind,
         "model": spec.model,

@@ -34,25 +34,23 @@ class QpProblem:
     """Least-squares problem in normal-equation form, plus constraints.
 
     ``gram`` and ``rhs`` are Z'Z and Z'y; ``yty`` is y'y, needed to report
-    objective values. ``ridge`` adds a Tikhonov term ridge * ||beta||^2.
+    objective values.
     """
 
     gram: np.ndarray
     rhs: np.ndarray
     yty: float
-    n_rows: int
     constraints: ConstraintSystem | None = None
-    ridge: float = 0.0
 
     @classmethod
-    def from_design(cls, z, y, constraints=None, ridge: float = 0.0) -> "QpProblem":
+    def from_design(cls, z, y, constraints=None) -> "QpProblem":
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if z.ndim != 2 or z.shape[0] != y.size:
             raise ValueError("design and response dimensions do not agree")
         if constraints is not None and constraints.coef_len != z.shape[1]:
             raise ValueError("constraint width does not match the design")
-        return cls(z.T @ z, z.T @ y, float(y @ y), z.shape[0], constraints, ridge)
+        return cls(z.T @ z, z.T @ y, float(y @ y), constraints)
 
 
 @dataclass
@@ -175,24 +173,17 @@ class ClsqSolver:
     workhorse for bootstrap loops where only the response changes.
     """
 
-    def __init__(
-        self,
-        gram: np.ndarray,
-        constraints: ConstraintSystem | None = None,
-        ridge: float = 0.0,
-        tol: float = FEASIBILITY_TOL,
-    ):
+    def __init__(self, gram: np.ndarray, constraints: ConstraintSystem | None = None):
         gram = np.asarray(gram, dtype=float)
         gram = 0.5 * (gram + gram.T)
         p = gram.shape[0]
         trace = float(np.trace(gram))
-        self.tol = float(tol)
-        self.ridge = float(ridge)
+        self.ridge = 0.0
         if p:
             min_eig = float(np.linalg.eigvalsh(gram).min())
             # auto-regularize near-singular Gram matrices and record the bump
             if min_eig < 1e-10 * max(trace, 1e-300):
-                self.ridge = max(self.ridge, 1e-8 * trace if trace > 0 else 1e-8)
+                self.ridge = 1e-8 * trace if trace > 0 else 1e-8
         self.gram = gram
         h = gram + self.ridge * np.eye(p)
         try:
@@ -204,7 +195,7 @@ class ClsqSolver:
         if constraints is not None and constraints.n_rows > 0:
             eq = constraints.equality
             self._has_equality = bool(eq.any())
-            # feasibility and activity are judged to tol * (1 + max|b|)
+            # feasibility and activity are judged to FEASIBILITY_TOL * (1 + max|b|)
             self._scale = 1.0 + float(np.abs(constraints.b).max())
             a_ext = np.vstack([constraints.a, -constraints.a[eq]])
             b_ext = np.concatenate([constraints.b, -constraints.b[eq]])
@@ -255,9 +246,9 @@ class ClsqSolver:
         feasible = True
         if cons is not None and cons.n_rows > 0:
             resid = cons.a @ beta - cons.b
-            active = np.flatnonzero(np.abs(resid) <= self.tol * self._scale)
+            active = np.flatnonzero(np.abs(resid) <= FEASIBILITY_TOL * self._scale)
             violation = np.where(cons.equality, np.abs(resid), -resid) if self._has_equality else -resid
-            feasible = float(violation.max()) <= self.tol * self._scale
+            feasible = float(violation.max()) <= FEASIBILITY_TOL * self._scale
             # stationarity in the scaling 2 Z'(Z beta - y) + 2 ridge beta = A' lambda
             stat = 2.0 * (self.gram @ beta - rhs + self.ridge * beta) - cons.a.T @ (2.0 * mult)
             multipliers = 2.0 * mult
@@ -307,7 +298,8 @@ class ClsqSolver:
         sol, *_ = np.linalg.lstsq(kkt, target, rcond=None)
         beta, lam_act = sol[:p], sol[p:]
         slack = self._a_ext @ beta - self._b_ext
-        if slack.min(initial=0.0) < -self.tol * self._scale or lam_act.min(initial=0.0) < -self.tol:
+        if (slack.min(initial=0.0) < -FEASIBILITY_TOL * self._scale
+                or lam_act.min(initial=0.0) < -FEASIBILITY_TOL):
             return None
         lam_full = np.zeros(self._a_ext.shape[0])
         lam_full[act] = np.maximum(lam_act, 0.0)
@@ -327,7 +319,7 @@ class ClsqSolver:
         beta = self._tri_solve(u + w, 0)
         mult = self._fold_multipliers(lam_ext)
         sol, feasible = self._finish(beta, mult, rhs, yty, iters)
-        tol_kkt = self.tol * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        tol_kkt = FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
         # an ill-conditioned factor can leave the mapped-back LDP point outside
         # the polyhedron; the KKT re-solve on the dual's active rows restores it
         if sol.kkt_residual > tol_kkt or not feasible:
@@ -340,7 +332,8 @@ class ClsqSolver:
                     sol, feasible = candidate, candidate_feasible
             if not feasible:
                 raise NumericalError(
-                    f"constrained solve violates its constraints by more than {self.tol:.1e}",
+                    "constrained solve violates its constraints by more than "
+                    f"{FEASIBILITY_TOL:.1e}",
                     last_iterate=sol.beta,
                 )
             if sol.kkt_residual > tol_kkt * 100.0:
@@ -351,13 +344,12 @@ class ClsqSolver:
         return sol
 
 
-def solve_clsq(problem: QpProblem, tol: float = FEASIBILITY_TOL) -> QpSolution:
+def solve_clsq(problem: QpProblem) -> QpSolution:
     """Solve one constrained least-squares problem.
 
-    The solution satisfies A beta >= b - tol (1 + max|b|) componentwise
+    The solution satisfies A beta >= b - FEASIBILITY_TOL (1 + max|b|) componentwise
     (equality rows to the same tolerance; otherwise NumericalError is
     raised), has nonnegative multipliers on active inequalities, and
     certifies stationarity through its KKT residual.
     """
-    solver = ClsqSolver(problem.gram, problem.constraints, problem.ridge, tol=tol)
-    return solver.solve(problem.rhs, problem.yty)
+    return ClsqSolver(problem.gram, problem.constraints).solve(problem.rhs, problem.yty)

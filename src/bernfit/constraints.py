@@ -118,7 +118,9 @@ class ShapeSpec:
             )
             return cls(kind, a0=a0, a1=a1)
         if kind in BIVARIATE_KINDS:
-            return cls(kind, in_s=bool(obj.get("in_s", True)), in_t=bool(obj.get("in_t", True)))
+            in_s, in_t = (config_cast(obj.get(k, True), bool, f"shape field {k!r}")
+                          for k in ("in_s", "in_t"))
+            return cls(kind, in_s=in_s, in_t=in_t)
         if kind == "quantile_monotone":
             count = config_cast(obj.get("n_predictors", 0), int, "shape field 'n_predictors'")
             return cls(kind, n_predictors=count)
@@ -380,7 +382,7 @@ def _infer_spec(beta: np.ndarray, shape: ShapeSpec):
         side = int(round(np.sqrt(size)))
         if side * side != size:
             raise ValueError(f"coefficient length {size} is not a perfect square")
-        return TensorBasisSpec(side - 1, side - 1)
+        return TensorBasisSpec(side - 1)
     return BasisSpec(size - 1)
 
 

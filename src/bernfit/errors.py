@@ -38,8 +38,13 @@ class InfeasibleError(ConfigError):
 
 
 def config_cast(value, cast, name: str):
-    """``cast(value)``, raising ConfigError if the value has the wrong type."""
+    """``cast(value)``, raising ConfigError if the value has the wrong type.
+
+    A bool field takes only true or false, since bool() accepts any value.
+    """
     try:
+        if cast is bool and not isinstance(value, bool):
+            raise TypeError
         return cast(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be of type {cast.__name__}, got {value!r}") from None

@@ -28,12 +28,15 @@ from .basis import (
     quadrature_weights,
     sofr_design,
 )
-from .clsq import QpProblem, QpSolution, solve_clsq
+from .clsq import ClsqSolver, QpSolution
 from .constraints import ShapeSpec, build_constraints
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 
 FUNCTIONAL_MODELS = ("fosr", "flcm", "fofr")
+
+# added to the nugget of each subject's observed covariance in reconstruct_sparse
+_SCORE_RIDGE = 1e-8
 
 
 @dataclass
@@ -182,13 +185,6 @@ def _kernel_smooth_offdiag(cov: np.ndarray, counts: np.ndarray, pts: np.ndarray)
     return smoothed / np.maximum(norm, 1e-12)
 
 
-def whiten(block, cov: CovarianceModel, idx=None):
-    """Multiply a response vector or design block by the inverse-sqrt covariance."""
-    if cov.is_identity:
-        return np.asarray(block, dtype=float)
-    return cov.inverse_sqrt(idx) @ np.asarray(block, dtype=float)
-
-
 @dataclass
 class StackedDesign:
     """Row-stacked design: one row per observation, rows grouped by subject.
@@ -244,7 +240,7 @@ class StackedDesign:
         return self.y - self.z @ beta
 
     def gram_parts(self):
-        return self.z.T @ self.z, self.z.T @ self.y, float(self.y @ self.y), self.y.size
+        return self.z.T @ self.z, self.z.T @ self.y, float(self.y @ self.y)
 
     def whitened(self, cov: CovarianceModel) -> "StackedDesign":
         if cov.is_identity:
@@ -289,8 +285,7 @@ class FunctionalFit:
                 raise ValueError("bivariate coefficient needs both s and t")
             bs = eval_basis_matrix(np.atleast_1d(np.asarray(s, float)), self.basis1.spec_s)
             bt = eval_basis_matrix(np.atleast_1d(np.asarray(t, float)), self.basis1.spec_t)
-            coefs = self.beta1_coefs.reshape(self.basis1.order_s + 1, self.basis1.order_t + 1)
-            return bs @ coefs @ bt.T
+            return bs @ self.beta1_coefs.reshape(self.basis1.order + 1, -1) @ bt.T
         mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.basis1)
         return mat @ self.beta1_coefs
 
@@ -300,31 +295,33 @@ class FunctionalFit:
         beta0 = self.beta0_fn(pts)
         if self.model == "fofr":
             w = sofr_design(data.x_curves, data.grid, self.basis1.spec_s)
-            coefs = self.beta1_coefs.reshape(self.basis1.order_s + 1, self.basis1.order_t + 1)
+            coefs = self.beta1_coefs.reshape(self.basis1.order + 1, -1)
             return beta0[None, :] + w @ coefs @ eval_basis_matrix(pts, self.basis1.spec_t).T
         covariate = data.x_scalar[:, None] if self.model == "fosr" else data.x_curves
         return beta0[None, :] + covariate * self.beta1_fn(pts)[None, :]
 
 
+def _check_spec(model: str, spec) -> None:
+    """The basis of a model's coefficient: a TensorBasisSpec for fofr, else a BasisSpec."""
+    kind = TensorBasisSpec if model == "fofr" else BasisSpec
+    if not isinstance(spec, kind):
+        raise ConfigError(f"model {model!r} needs a {kind.__name__}, got {type(spec).__name__}")
+
+
 def build_design(
-    data: FunctionalDataset,
-    model: str,
-    spec: BasisSpec | None = None,
-    tensor: TensorBasisSpec | None = None,
+    data: FunctionalDataset, model: str, spec: BasisSpec | TensorBasisSpec
 ) -> StackedDesign:
-    """Row-stacked design of the requested model; rows as in the module docstring."""
+    """Row-stacked design of the requested model; rows as in the module docstring.
+
+    ``spec`` is the slope's basis: a TensorBasisSpec for fofr, whose t-basis
+    also carries the intercept, and a BasisSpec otherwise.
+    """
     if model not in FUNCTIONAL_MODELS:
         raise ConfigError(f"unknown functional model {model!r}")
     if data.y_curves is None:
         raise DataError(f"model {model!r} needs functional responses")
-    if model == "fofr":
-        if tensor is None:
-            raise ConfigError("fofr needs a tensor-product basis spec")
-        spec0 = tensor.spec_t
-    else:
-        if spec is None:
-            raise ConfigError(f"model {model!r} needs a basis spec")
-        spec0 = spec
+    _check_spec(model, spec)
+    spec0 = spec.spec_t if model == "fofr" else spec
     basis0 = eval_basis_matrix(data.grid.points, spec0)
     mask = data.observed_mask("y")
     _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
@@ -343,7 +340,7 @@ def build_design(
         incomplete = ~np.isfinite(data.x_curves).all(axis=1)
         _first_bad(data, incomplete, "fofr needs complete covariate curves; "
                    "complete the curves first")
-        x = sofr_design(data.x_curves, data.grid, tensor.spec_s)
+        x = sofr_design(data.x_curves, data.grid, spec.spec_s)
     return StackedDesign.assemble(x, basis0, mask, data.y_curves, spec0.n_coefs)
 
 
@@ -352,9 +349,9 @@ def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
         raise DataError(f"subject {data.ids[int(np.argmax(bad))]}: {message}")
 
 
-def _solve_stacked(design: StackedDesign, constraints, ridge: float = 0.0) -> QpSolution:
-    gram, rhs, yty, rows = design.gram_parts()
-    return solve_clsq(QpProblem(gram, rhs, yty, rows, constraints, ridge))
+def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
+    gram, rhs, yty = design.gram_parts()
+    return ClsqSolver(gram, constraints).solve(rhs, yty)
 
 
 def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
@@ -364,20 +361,20 @@ def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prewhiten(design: StackedDesign, data, pve, covariance=None, ridge: float = 0.0):
+def _prewhiten(design: StackedDesign, data, pve, covariance=None):
     """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design.
 
     A supplied ``covariance`` skips the step-1 solve and the FPCA.
     """
     cov = covariance
     if cov is None:
-        step1 = _solve_stacked(design, None, ridge)
+        step1 = _solve_stacked(design, None)
         resid = _raw_residuals(design, step1.beta)
         cov = estimate_covariance(resid, data.grid, pve)
     return design.whitened(cov), cov
 
 
-def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None, ridge=0.0):
+def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None):
     """Constrained solve on the pre-whitened design, or on the raw one.
 
     Returns the solution and the covariance used (None without whitening);
@@ -385,39 +382,36 @@ def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None,
     """
     cov = None
     if whiten_fit:
-        design, cov = _prewhiten(design, data, pve, covariance, ridge)
-    return _solve_stacked(design, constraints, ridge), cov
+        design, cov = _prewhiten(design, data, pve, covariance)
+    return _solve_stacked(design, constraints), cov
 
 
 def fit_functional(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | None = None,
+    spec: BasisSpec | TensorBasisSpec,
     shape: ShapeSpec | None = None,
-    tensor: TensorBasisSpec | None = None,
     pve: float = 0.95,
     whiten_fit: bool = True,
     covariance: CovarianceModel | None = None,
-    ridge: float = 0.0,
 ) -> FunctionalFit:
     """Fit a functional-response model, optionally shape-constrained.
 
+    ``spec`` is the slope's basis, as for ``build_design``.
     ``whiten_fit=False`` skips covariance estimation entirely and solves the
     raw stacked least-squares problem (the bootstrap-test path); otherwise
     step 1 residuals feed the FPCA covariance unless one is supplied.
     """
-    design = build_design(data, model, spec=spec, tensor=tensor)
-    basis1 = tensor if model == "fofr" else spec
+    design = build_design(data, model, spec)
     constraints = None
     if shape is not None:
-        base = build_constraints(shape, basis1)
-        constraints = base.padded(design.n_free, design.n_coefs)
-    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit, covariance, ridge)
+        constraints = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
+    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit, covariance)
     residual_matrix = _raw_residuals(design, sol.beta)
     return FunctionalFit(
         model=model,
-        basis0=tensor.spec_t if model == "fofr" else spec,
-        basis1=basis1,
+        basis0=spec.spec_t if model == "fofr" else spec,
+        basis1=spec,
         beta0_coefs=sol.beta[: design.n_free],
         beta1_coefs=sol.beta[design.n_free :],
         shape=shape,
@@ -429,9 +423,7 @@ def fit_functional(
     )
 
 
-def reconstruct_sparse(
-    data: FunctionalDataset, pve: float = 0.95, ridge: float = 1e-8
-) -> FunctionalDataset:
+def reconstruct_sparse(data: FunctionalDataset, pve: float = 0.95) -> FunctionalDataset:
     """Complete sparse covariate curves on the pooled grid.
 
     Functional PCA of the observed covariate values yields conditional
@@ -466,7 +458,7 @@ def reconstruct_sparse(
         if missing.size == 0 or lam.size == 0:
             continue
         phi_obs = phi[:, idx]
-        sigma_obs = (phi_obs.T * lam) @ phi_obs + (cov.nugget + ridge) * np.eye(idx.size)
+        sigma_obs = (phi_obs.T * lam) @ phi_obs + (cov.nugget + _SCORE_RIDGE) * np.eye(idx.size)
         centered = data.x_curves[i, idx] - mu[idx]
         scores = lam * (phi_obs @ np.linalg.solve(sigma_obs, centered))
         completed[i, missing] = mu[missing] + scores @ phi[:, missing]

@@ -93,7 +93,7 @@ def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, wh
     if whiten_fit:
         design, _ = _prewhiten(design, data, pve)
     n = design.n_subjects
-    gram, rhs, _, _ = design.gram_parts()
+    gram, rhs, _ = design.gram_parts()
     beta_ur = ClsqSolver(gram, None).solve(rhs).beta
     omega = gram / n
     if whiten_fit:
@@ -155,12 +155,11 @@ def _check_band_args(level: float, draws: int) -> None:
 def projection_ci(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | None = None,
+    spec: BasisSpec,
     shape: ShapeSpec | None = None,
     level: float = 0.95,
     draws: int = 500,
     seed: int = 0,
-    tensor: TensorBasisSpec | None = None,
     eval_grid=None,
     pve: float = 0.95,
     whiten_fit: bool = True,
@@ -171,13 +170,13 @@ def projection_ci(
     plain percentile band of the normal draws.
     """
     _check_band_args(level, draws)
-    if model == "fofr" or isinstance(spec, TensorBasisSpec):
+    if model == "fofr":
         raise ConfigError("confidence bands for bivariate coefficients are not supported")
     if model == "sofr":
         design = sofr_design_matrix(data, spec)
         whiten_fit = False  # one row per subject: the sandwich is HC0
     elif model in ("fosr", "flcm"):
-        design = build_design(data, model, spec=spec, tensor=tensor)
+        design = build_design(data, model, spec)
     else:
         raise ConfigError(f"unknown model {model!r}")
     beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
@@ -243,7 +242,7 @@ def _bootstrap_test(design, shape_null, coef_spec, resampler, draws: int, seed: 
     per draw.
     """
     constraints = build_constraints(shape_null, coef_spec).padded(design.n_free, design.n_coefs)
-    gram, rhs, yty, _ = design.gram_parts()
+    gram, rhs, yty = design.gram_parts()
     solver_u = ClsqSolver(gram, None)
     solver_c = ClsqSolver(gram, constraints)
     sol_u = solver_u.solve(rhs, yty)
@@ -301,11 +300,10 @@ def bootstrap_shape_test_scalar(
 def bootstrap_shape_test_functional(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | None,
+    spec: BasisSpec | TensorBasisSpec,
     shape_null: ShapeSpec,
     draws: int = 200,
     seed: int = 0,
-    tensor: TensorBasisSpec | None = None,
 ) -> TestReport:
     """Residual bootstrap test for functional responses.
 
@@ -318,7 +316,7 @@ def bootstrap_shape_test_functional(
         raise ConfigError("use at least 100 bootstrap draws")
     if not data.is_dense("y"):
         raise DataError("the functional shape test needs densely observed responses")
-    design = build_design(data, model, spec=spec, tensor=tensor)
+    design = build_design(data, model, spec)
     n, m = design.n_subjects, design.n_points
     # per-subject views made once: the draw loop indexes them n times per draw
     zt_list = list(design.z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
@@ -339,24 +337,20 @@ def bootstrap_shape_test_functional(
 
         return moments
 
-    coef_spec = tensor if model == "fofr" else spec
-    return _bootstrap_test(design, shape_null, coef_spec, resampler, draws, seed)
+    return _bootstrap_test(design, shape_null, spec, resampler, draws, seed)
 
 
 def bootstrap_shape_test(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | None,
+    spec: BasisSpec | TensorBasisSpec,
     shape_null: ShapeSpec,
     draws: int = 200,
     seed: int = 0,
-    tensor: TensorBasisSpec | None = None,
 ) -> TestReport:
     """Dispatch to the scalar or functional bootstrap by model kind."""
     if model == "sofr":
         return bootstrap_shape_test_scalar(data, spec, shape_null, draws=draws, seed=seed)
     if model in ("fosr", "flcm", "fofr"):
-        return bootstrap_shape_test_functional(
-            data, model, spec, shape_null, draws=draws, seed=seed, tensor=tensor
-        )
+        return bootstrap_shape_test_functional(data, model, spec, shape_null, draws, seed)
     raise ConfigError(f"unknown model {model!r}")

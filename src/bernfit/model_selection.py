@@ -50,24 +50,22 @@ def _default_candidates(model: str) -> list[int]:
     return list(range(2, 7)) if model == "fofr" else list(range(2, 11))
 
 
-def _holdout_error(train, test, model, order, shape, tensor_domains) -> float:
+def _holdout_error(train, test, model, order, shape) -> float:
     from .functional import fit_functional
     from .qfosr import fit_qfosr, predict_qfosr
     from .sofr import fit_sofr, predict_sofr
 
-    spec = BasisSpec(order, train.domain)
+    if model == "fofr":
+        spec = TensorBasisSpec(order, train.domain, train.domain)
+    else:
+        spec = BasisSpec(order, train.domain)
     if model == "sofr":
         pred = predict_sofr(fit_sofr(train, spec, shape), test)
         return float(np.sum((test.y_scalar - pred) ** 2))
     if model == "qfosr":
         pred = predict_qfosr(fit_qfosr(train, spec, extra_shapes=shape, whiten_fit=False), test)
     else:
-        tensor = None
-        if model == "fofr":
-            domains = tensor_domains or (train.domain, train.domain)
-            tensor = TensorBasisSpec(order, order, *domains)
-        fit = fit_functional(train, model, spec, shape, tensor=tensor, whiten_fit=False)
-        pred = fit.predict(test)
+        pred = fit_functional(train, model, spec, shape, whiten_fit=False).predict(test)
     mask = np.isfinite(test.y_curves)
     return float(np.sum((test.y_curves[mask] - pred[mask]) ** 2))
 
@@ -79,7 +77,6 @@ def cv_select_order(
     candidates=None,
     folds: int = 5,
     seed: int = 0,
-    tensor_domains=None,
 ) -> CvResult:
     """Pick the basis order minimizing cross-validated held-out error.
 
@@ -123,7 +120,7 @@ def cv_select_order(
             for v in range(folds):
                 train = data.subset(np.flatnonzero(fold_assignment != v))
                 test = data.subset(np.flatnonzero(fold_assignment == v))
-                total += _holdout_error(train, test, model, order, shape, tensor_domains)
+                total += _holdout_error(train, test, model, order, shape)
         except DataError as exc:
             skipped[order] = str(exc)
             continue

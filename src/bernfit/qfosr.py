@@ -22,6 +22,10 @@ from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 from .functional import CovarianceModel, StackedDesign, _solve_two_step
 
+# a response quantile function may decrease by this much between grid points
+# (roundoff) before it is refused; smaller drops only warn
+_MONOTONE_TOL = 1e-8
+
 
 @dataclass
 class QfosrFit:
@@ -63,7 +67,7 @@ class QfosrFit:
         return (self.coef_blocks[0] + self.rescaled(z) @ self.coef_blocks[1:]) @ mat.T
 
 
-def _validate_monotone_responses(data: FunctionalDataset, tol: float) -> None:
+def _validate_monotone_responses(data: FunctionalDataset) -> None:
     mask = np.isfinite(data.y_curves)
     offenders = []
     wiggles = []
@@ -72,7 +76,7 @@ def _validate_monotone_responses(data: FunctionalDataset, tol: float) -> None:
         if idx.size < 2:
             raise DataError(f"subject {data.ids[i]}: fewer than 2 quantile points")
         drop = float(np.max(-np.diff(data.y_curves[i, idx]), initial=0.0))
-        if drop > tol:
+        if drop > _MONOTONE_TOL:
             offenders.append(data.ids[i])
         elif drop > 0.0:
             wiggles.append(data.ids[i])
@@ -86,7 +90,7 @@ def _validate_monotone_responses(data: FunctionalDataset, tol: float) -> None:
         )
 
 
-def build_qfosr_design(data: FunctionalDataset, spec: BasisSpec, monotone_tol: float = 1e-8):
+def build_qfosr_design(data: FunctionalDataset, spec: BasisSpec):
     """Design rows kron([1, x_1, ..., x_J], b(p)) plus the rescale records.
 
     The predictors x_j are min-max rescaled to [0, 1].
@@ -95,7 +99,7 @@ def build_qfosr_design(data: FunctionalDataset, spec: BasisSpec, monotone_tol: f
         raise DataError("quantile regression needs functional responses")
     if data.z_scalars is None or data.z_scalars.shape[1] < 1:
         raise DataError("quantile regression needs at least one scalar predictor")
-    _validate_monotone_responses(data, monotone_tol)
+    _validate_monotone_responses(data)
     z = data.z_scalars
     lo, hi = z.min(axis=0), z.max(axis=0)
     constant = np.flatnonzero(hi <= lo)
@@ -129,7 +133,6 @@ def fit_qfosr(
     extra_shapes: dict | None = None,
     pve: float = 0.95,
     whiten_fit: bool = True,
-    monotone_tol: float = 1e-8,
 ) -> QfosrFit:
     """Fit quantile functions on scalar predictors under the monotone guarantee.
 
@@ -138,7 +141,7 @@ def fit_qfosr(
     monotonicity system, e.g. a decreasing restriction on one predictor's
     effect.
     """
-    design, rescale = build_qfosr_design(data, spec, monotone_tol)
+    design, rescale = build_qfosr_design(data, spec)
     j_count = data.z_scalars.shape[1]
     constraints = qfosr_constraints(spec, j_count, extra_shapes)
     sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)

@@ -32,7 +32,7 @@ from .constraints import (
     combination,
 )
 from .dataset import FunctionalDataset
-from .errors import BernfitError, ConfigError
+from .errors import BernfitError, ConfigError, InfeasibleError
 from .utils import parallel_map, spawn_rng
 
 # stream roles within one replication
@@ -269,20 +269,17 @@ def run_benchmark(
     spec: ScenarioSpec,
     mode: str = "imse",
     order: int | None = None,
-    shape: ShapeSpec | None = None,
-    level: float = 0.95,
     ci_draws: int = 300,
     bootstrap_draws: int = 200,
     test_shape: ShapeSpec | None = None,
-    alpha: float = 0.05,
-    pve: float = 0.95,
     threads: int = 1,
 ) -> MetricTable:
     """Monte Carlo benchmark over ``spec.replications`` datasets.
 
-    ``mode`` selects the protocol: paired constrained/unconstrained IMSE,
-    pointwise interval coverage of the true coefficient, or bootstrap
-    shape-test rejections of ``test_shape``.
+    ``mode`` selects the protocol: paired constrained/unconstrained IMSE under
+    the scenario's shape, 95% pointwise interval coverage of the true
+    coefficient, or bootstrap shape-test rejections of ``test_shape`` at the
+    5% level.
     """
     from .inference import bootstrap_shape_test, projection_ci
     from .functional import fit_functional, reconstruct_sparse
@@ -294,14 +291,14 @@ def run_benchmark(
     if mode == "test" and test_shape is None:
         raise ConfigError("test mode needs the null shape to test")
     order = order if order is not None else spec.default_order
-    shape = shape if shape is not None else spec.shape
+    shape = spec.shape
     basis = BasisSpec(order)
 
     def one_replication(rep: int):
         data = generate_scenario(spec, rep)
         beta_true = data.meta["beta_true"]
         if spec.kind == "B_sparse":
-            data = reconstruct_sparse(data, pve=pve)
+            data = reconstruct_sparse(data)
         if mode == "imse":
             if spec.model == "sofr":
                 con = fit_sofr(data, basis, shape)
@@ -309,19 +306,12 @@ def run_benchmark(
                 return imse(con.beta_fn, beta_true), imse(unc.beta_fn, beta_true)
             # the unconstrained arm is the plain stacked least-squares fit,
             # mirroring the off-the-shelf baselines it stands in for
-            con = fit_functional(data, "flcm", basis, shape, pve=pve)
+            con = fit_functional(data, "flcm", basis, shape)
             unc = fit_functional(data, "flcm", basis, None, whiten_fit=False)
             return imse(con.beta1_fn, beta_true), imse(unc.beta1_fn, beta_true)
         if mode == "coverage":
             band = projection_ci(
-                data,
-                spec.model,
-                basis,
-                shape,
-                level=level,
-                draws=ci_draws,
-                seed=spec.seed + 7919 * (rep + 1),
-                pve=pve,
+                data, spec.model, basis, shape, draws=ci_draws, seed=spec.seed + 7919 * (rep + 1)
             )
             truth = np.asarray(beta_true(band.grid), dtype=float)
             covered = (band.lower <= truth) & (truth <= band.upper)
@@ -334,7 +324,7 @@ def run_benchmark(
             draws=bootstrap_draws,
             seed=spec.seed + 104729 * (rep + 1),
         )
-        return int(report.p_value <= alpha)
+        return int(report.p_value <= 0.05)
 
     outcomes = parallel_map(_Catcher(one_replication), range(spec.replications), threads)
     ok = [rep for rep, outcome in enumerate(outcomes) if outcome is not None]
@@ -359,7 +349,9 @@ class _Catcher:
     """Wrap a replication worker so isolated failures are counted, not fatal.
 
     Only the errors the CLI maps to exit codes count as replication
-    failures; anything else is a bug and propagates.
+    failures. Of the configuration errors only an infeasible constraint
+    system depends on the replication's data; any other one would fail every
+    replication alike, so it propagates, as does anything else (a bug).
     """
 
     def __init__(self, fn):
@@ -368,5 +360,9 @@ class _Catcher:
     def __call__(self, rep):
         try:
             return self.fn(rep)
+        except InfeasibleError:
+            return None
+        except ConfigError:
+            raise
         except (BernfitError, np.linalg.LinAlgError):
             return None

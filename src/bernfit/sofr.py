@@ -15,7 +15,7 @@ from .basis import BasisSpec, eval_basis_matrix, map_to_unit, sofr_design
 from .constraints import ShapeSpec, build_constraints
 from .dataset import FunctionalDataset
 from .errors import DataError
-from .functional import StackedDesign, _solve_stacked
+from .functional import StackedDesign, _check_spec, _solve_stacked
 
 
 @dataclass
@@ -41,6 +41,7 @@ def sofr_design_matrix(data: FunctionalDataset, spec: BasisSpec) -> StackedDesig
     W is the constrained block; its columns are the trapezoid integrals of
     each curve against the basis.
     """
+    _check_spec("sofr", spec)
     if data.x_curves is None:
         raise DataError("scalar-on-function regression needs functional covariates")
     if data.y_scalar is None:
@@ -57,7 +58,6 @@ def fit_sofr(
     data: FunctionalDataset,
     spec: BasisSpec,
     shape: ShapeSpec | None = None,
-    ridge: float = 0.0,
 ) -> SofrFit:
     """Fit the model Y = alpha + Z gamma + int X(t) beta(t) dt + eps.
 
@@ -74,7 +74,7 @@ def fit_sofr(
     system = None
     if shape is not None:
         system = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
-    sol = _solve_stacked(design, system, ridge)
+    sol = _solve_stacked(design, system)
     residuals = design.residuals(sol.beta)
     return SofrFit(
         alpha=float(sol.beta[0]),

@@ -67,7 +67,7 @@ class TestAcceptance:
             sel[1, -1] = 1.0
             ok &= np.array_equal(fb.a, sel) and fb.equality.all()
             ok &= np.linalg.matrix_rank(fb.a) == 2
-            tensor = TensorBasisSpec(order, order)
+            tensor = TensorBasisSpec(order)
             bm = build_constraints(bivariate_monotone(), tensor)
             ok &= bm.n_rows == 2 * order * (order + 1)
             pc = build_constraints(partial_convex(), tensor)

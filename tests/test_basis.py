@@ -8,7 +8,6 @@ from bernfit.basis import (
     derivative_coeffs,
     eval_basis,
     eval_basis_matrix,
-    flcm_design,
     fofr_design,
     sofr_design,
 )
@@ -76,8 +75,6 @@ class TestBasisMatrix:
     def test_grid_validation(self):
         with pytest.raises(DataError):
             Grid(np.array([0.0, 0.5, 0.5]))
-        with pytest.raises(DataError):
-            Grid(np.array([0.1, 0.2]), per_subject=(np.array([], dtype=int),))
 
 
 class TestDerivativeCoeffs:
@@ -170,37 +167,16 @@ class TestSofrDesign:
             sofr_design(curves, grid, BasisSpec(2))
 
 
-class TestFlcmDesign:
-    def test_unit_covariate_returns_basis(self):
-        basis = eval_basis_matrix(np.linspace(0, 1, 7), BasisSpec(3))
-        assert np.array_equal(flcm_design(np.ones(7), basis), basis)
-
-    def test_zero_covariate(self):
-        basis = eval_basis_matrix(np.linspace(0, 1, 5), BasisSpec(2))
-        assert np.array_equal(flcm_design(np.zeros(5), basis), np.zeros_like(basis))
-
-    def test_linear_covariate_by_hand(self):
-        pts = np.array([0.0, 0.5, 1.0])
-        basis = eval_basis_matrix(pts, BasisSpec(1))
-        out = flcm_design(pts, basis)
-        assert np.allclose(out, [[0, 0], [0.25, 0.25], [0, 1]])
-
-    def test_shape_mismatch(self):
-        basis = eval_basis_matrix(np.linspace(0, 1, 5), BasisSpec(2))
-        with pytest.raises(ValueError):
-            flcm_design(np.ones(4), basis)
-
-
 class TestFofrDesign:
     def test_zero_curve(self):
         s_grid = Grid(np.linspace(0, 1, 15))
-        tensor = TensorBasisSpec(2, 2)
+        tensor = TensorBasisSpec(2)
         out = fofr_design(np.zeros(15), s_grid, tensor, np.linspace(0, 1, 4))
         assert np.array_equal(out, np.zeros((4, 9)))
 
     def test_unit_curve_order_one(self):
         s_grid = Grid(np.linspace(0, 1, 60))
-        tensor = TensorBasisSpec(1, 1)
+        tensor = TensorBasisSpec(1)
         t_pts = np.array([0.0, 0.5, 1.0])
         out = fofr_design(np.ones(60), s_grid, tensor, t_pts)
         basis_t = eval_basis_matrix(t_pts, BasisSpec(1))
@@ -210,11 +186,7 @@ class TestFofrDesign:
 
     def test_linear_curve_k1_major_ordering(self):
         s_grid = Grid(np.linspace(0, 1, 200))
-        tensor = TensorBasisSpec(1, 1)
+        tensor = TensorBasisSpec(1)
         out = fofr_design(s_grid.points, s_grid, tensor, np.array([0.5]))
         expected = np.array([1 / 6, 1 / 6, 2 / 6, 2 / 6]) * 0.5
         assert np.abs(out[0] - expected).max() < 1e-3
-
-    def test_unequal_orders_rejected(self):
-        with pytest.raises(ConfigError):
-            TensorBasisSpec(2, 3)

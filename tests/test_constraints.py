@@ -84,19 +84,19 @@ class TestCatalogMatrices:
 class TestBivariateMatrices:
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_bimonotone_row_counts(self, order):
-        tensor = TensorBasisSpec(order, order)
+        tensor = TensorBasisSpec(order)
         system = build_constraints(bivariate_monotone(), tensor)
         assert system.n_rows == 2 * order * (order + 1)
         assert system.coef_len == (order + 1) ** 2
 
     @pytest.mark.parametrize("order", [2, 3, 5])
     def test_partial_convex_row_counts(self, order):
-        tensor = TensorBasisSpec(order, order)
+        tensor = TensorBasisSpec(order)
         system = build_constraints(partial_convex(), tensor)
         assert system.n_rows == 2 * (order**2 - 1)
 
     def test_single_direction_flags(self):
-        tensor = TensorBasisSpec(2, 2)
+        tensor = TensorBasisSpec(2)
         only_s = build_constraints(bivariate_monotone(in_t=False), tensor)
         only_t = build_constraints(bivariate_monotone(in_s=False), tensor)
         assert only_s.n_rows == only_t.n_rows == 2 * 3
@@ -105,21 +105,21 @@ class TestBivariateMatrices:
 
     def test_monotone_s_rows_difference_along_k1(self):
         # beta_{k1+1,k2} - beta_{k1,k2} >= 0 in k1-major stacking
-        tensor = TensorBasisSpec(1, 1)
+        tensor = TensorBasisSpec(1)
         system = build_constraints(bivariate_monotone(in_t=False), tensor)
         assert np.array_equal(
             system.a, [[-1, 0, 1, 0], [0, -1, 0, 1]]
         )
 
     def test_monotone_t_rows_blockwise(self):
-        tensor = TensorBasisSpec(1, 1)
+        tensor = TensorBasisSpec(1)
         system = build_constraints(bivariate_monotone(in_s=False), tensor)
         assert np.array_equal(system.a, [[-1, 1, 0, 0], [0, 0, -1, 1]])
 
     def test_bivariate_sufficiency(self):
         # feasible coefficients yield a surface monotone in both arguments
         order = 3
-        tensor = TensorBasisSpec(order, order)
+        tensor = TensorBasisSpec(order)
         rng = np.random.default_rng(7)
         increments = rng.uniform(0, 1, size=(order + 1, order + 1))
         coefs = np.cumsum(np.cumsum(increments, axis=0), axis=1)

@@ -367,7 +367,7 @@ class TestCli:
         from bernfit import BasisSpec, FunctionalDataset, Grid, TensorBasisSpec
         from bernfit.basis import eval_basis_matrix, fofr_design
 
-        tensor = TensorBasisSpec(2, 2)
+        tensor = TensorBasisSpec(2)
         surface = np.cumsum(np.cumsum(np.ones((3, 3)), axis=0), axis=1).ravel()
         x = rng.normal(size=(n, 3)) @ np.vstack([pts**k for k in range(3)])
         basis0 = eval_basis_matrix(pts, BasisSpec(2))
@@ -473,6 +473,15 @@ _MALFORMED_INPUTS = {
     "config-shape-n_predictors": (
         "fit-sofr", {"order": 4, "shape": {"kind": "quantile_monotone", "n_predictors": "x"}}, None
     ),
+    "config-whiten": ("fit-sofr", {"order": 4, "whiten": "false"}, None),
+    "config-shape-in_s": (
+        "fit-sofr",
+        {"order": 4, "extra_shapes": {"0": {"kind": "bivariate_monotone", "in_s": "false"}}},
+        None,
+    ),
+    "config-shape-in_t": (
+        "fit-sofr", {"order": 4, "extra_shapes": {"0": {"kind": "partial_convex", "in_t": 1}}}, None
+    ),
     "config-not-utf8": ("fit-sofr", b'{"order": 4, "model": "Jos\xe9"}', None),
     "data-short-row": ("fit-sofr", {"order": 4}, b"id,y,t=0.0,t=0.5,t=1.0\ns1\n"),
     "data-not-utf8": (
@@ -497,3 +506,19 @@ def test_malformed_input_maps_to_documented_exit_code(tmp_path, capsys, case):
     assert run_cli(argv) == expected
     err = capsys.readouterr().err
     assert err.startswith("configuration error:" if expected == 2 else "data error:")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--mode", "coverage", "--ci-draws", "50"],
+        ["--mode", "test", "--order", "1", "--test-shape", '{"kind": "convex"}'],
+    ],
+)
+def test_bench_configuration_error_exits_2(tmp_path, capsys, options):
+    """A bench setting that fails every replication is a configuration error, not 3 failures."""
+    argv = ["bench", "--scenario", "B", "--n", "30", "--reps", "3", *options,
+            "--out", str(tmp_path / "bench.json")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "bench.json").exists()

@@ -7,12 +7,15 @@ from bernfit import (
     NON_DECREASING,
     NON_INCREASING,
     BasisSpec,
+    ConfigError,
     Grid,
     ScenarioSpec,
     TensorBasisSpec,
     bivariate_monotone,
+    bootstrap_shape_test,
     check_shape,
     generate_scenario,
+    projection_ci,
 )
 from bernfit.basis import eval_basis_matrix, fofr_design
 from bernfit.dataset import FunctionalDataset
@@ -22,7 +25,6 @@ from bernfit.functional import (
     estimate_covariance,
     fit_functional,
     reconstruct_sparse,
-    whiten,
 )
 
 
@@ -76,7 +78,7 @@ class TestUnconstrainedOls:
         n, m = 35, 20
         pts = np.linspace(0, 1, m)
         grid = Grid(pts)
-        tensor = TensorBasisSpec(2, 2)
+        tensor = TensorBasisSpec(2)
         surface = rng.uniform(0.5, 1.5, size=(3, 3))
         x = rng.normal(size=(n, 3)) @ np.vstack([pts**k for k in range(3)])
         from bernfit.basis import fofr_design
@@ -87,7 +89,7 @@ class TestUnconstrainedOls:
             [basis0 @ b0 + fofr_design(x[i], grid, tensor, pts) @ surface.ravel() for i in range(n)]
         )
         data = FunctionalDataset(grid=grid, ids=list(range(n)), x_curves=x, y_curves=y)
-        fit = fit_functional(data, "fofr", tensor=tensor, whiten_fit=False)
+        fit = fit_functional(data, "fofr", tensor, whiten_fit=False)
         assert np.abs(fit.beta1_coefs - surface.ravel()).max() <= 1e-5
 
 
@@ -102,8 +104,8 @@ class TestStackedDesign:
             keep = np.random.default_rng(8).uniform(size=data.y_curves.shape) < 0.5
             keep[:, :2] = True
             data.y_curves = np.where(keep, data.y_curves, np.nan)
-        tensor = TensorBasisSpec(3, 3)
-        design = build_design(data, model.split("-")[0], spec=spec, tensor=tensor)
+        tensor = TensorBasisSpec(3)
+        design = build_design(data, model.split("-")[0], tensor if model == "fofr" else spec)
         basis = eval_basis_matrix(pts, spec)
         blocks, rows = [], []
         for i in range(data.n_subjects):
@@ -124,6 +126,24 @@ class TestStackedDesign:
         assert np.array_equal(np.column_stack([design.subject, design.point]), rows)
         assert np.array_equal(design.y, data.y_curves[design.subject, design.point])
         assert design.n_free == spec.n_coefs
+
+
+@pytest.mark.parametrize("entry", ["fit_functional", "projection_ci", "bootstrap_shape_test"])
+@pytest.mark.parametrize(
+    "model, spec",
+    [("flcm", TensorBasisSpec(2)), ("fosr", TensorBasisSpec(2)), ("fofr", BasisSpec(2))],
+)
+def test_mismatched_basis_spec_is_config_error(entry, model, spec):
+    # fofr's slope is a surface over a tensor basis; every other model's is a curve
+    data, _, _, _ = make_flcm_dataset(n=15, m=12, noise=0.1)
+    data.x_scalar = np.linspace(-1.0, 1.0, data.n_subjects)
+    with pytest.raises(ConfigError):
+        if entry == "fit_functional":
+            fit_functional(data, model, spec)
+        elif entry == "projection_ci":
+            projection_ci(data, model, spec, draws=100)
+        else:
+            bootstrap_shape_test(data, model, spec, NON_INCREASING, draws=100)
 
 
 class TestEstimateCovariance:
@@ -225,13 +245,13 @@ class TestWhiten:
     def test_identity_covariance_is_noop(self):
         cov = CovarianceModel.identity(np.linspace(0, 1, 8))
         block = np.arange(24.0).reshape(8, 3)
-        assert np.array_equal(whiten(block, cov), block)
+        assert np.array_equal(cov.inverse_sqrt() @ block, block)
 
     def test_scaled_identity_divides(self):
         pts = np.linspace(0, 1, 6)
         cov = CovarianceModel(pts, np.empty(0), np.empty((0, 6)), nugget=4.0, pve=1.0)
         vec = np.ones(6)
-        assert np.allclose(whiten(vec, cov), 0.5)
+        assert np.allclose(cov.inverse_sqrt() @ vec, 0.5)
 
     def test_whitened_residual_covariance_near_identity(self):
         # frozen Monte Carlo oracle values for this seed: 0.33 whitened, 4.79 raw
@@ -263,8 +283,8 @@ class TestConstrainedGls:
         # fit must still pass the 1e-8 shape certificate (it used to miss
         # it by 2e-8 to 4e-8 on these seeds)
         data = generate_scenario(ScenarioSpec("B", n=200, seed=seed), 0)
-        tensor = TensorBasisSpec(6, 6)
-        fit = fit_functional(data, "fofr", tensor=tensor, shape=bivariate_monotone())
+        tensor = TensorBasisSpec(6)
+        fit = fit_functional(data, "fofr", tensor, bivariate_monotone())
         assert fit.ridge_used > 0
         assert check_shape(fit.beta1_coefs, bivariate_monotone(), spec=tensor).feasible
 
@@ -301,7 +321,7 @@ class TestConstrainedGls:
         n, m = 30, 15
         pts = np.linspace(0, 1, m)
         grid = Grid(pts)
-        tensor = TensorBasisSpec(2, 2)
+        tensor = TensorBasisSpec(2)
         from bernfit.basis import fofr_design
 
         increasing = np.cumsum(np.cumsum(np.ones((3, 3)), axis=0), axis=1)
@@ -316,7 +336,7 @@ class TestConstrainedGls:
             ]
         )
         data = FunctionalDataset(grid=grid, ids=list(range(n)), x_curves=x, y_curves=y)
-        fit = fit_functional(data, "fofr", tensor=tensor, shape=bivariate_monotone())
+        fit = fit_functional(data, "fofr", tensor, bivariate_monotone())
         report = check_shape(fit.beta1_coefs, bivariate_monotone(), tol=1e-8)
         assert report.feasible
 

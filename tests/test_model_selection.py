@@ -69,7 +69,7 @@ class TestScoreSemantics:
         for v in range(4):
             train = data.subset(np.flatnonzero(result.fold_assignment != v))
             test = data.subset(np.flatnonzero(result.fold_assignment == v))
-            total += _holdout_error(train, test, "sofr", 3, NON_DECREASING, None)
+            total += _holdout_error(train, test, "sofr", 3, NON_DECREASING)
         assert total == pytest.approx(result.scores[3], rel=1e-10)
 
     def test_zero_noise_ties_break_downward(self):

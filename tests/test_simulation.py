@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from bernfit import ConfigError, DataError, ScenarioSpec, generate_scenario, imse, run_benchmark
+from bernfit import (
+    CONVEX,
+    ConfigError,
+    DataError,
+    InfeasibleError,
+    ScenarioSpec,
+    generate_scenario,
+    imse,
+    run_benchmark,
+)
 from bernfit.simulation import orthonormal_polynomials
 
 
@@ -156,6 +165,31 @@ class TestRunBenchmark:
         monkeypatch.setattr(simulation, "generate_scenario", broken)
         with pytest.raises(ZeroDivisionError):
             run_benchmark(ScenarioSpec("B", n=20, seed=0, replications=2), mode="imse")
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"mode": "coverage", "ci_draws": 50}, {"mode": "test", "order": 1, "test_shape": CONVEX}],
+    )
+    def test_configuration_errors_propagate(self, options):
+        # too few band draws, or a shape the basis order cannot carry, fails
+        # every replication alike: it is the caller's error, not a failed replication
+        with pytest.raises(ConfigError):
+            run_benchmark(ScenarioSpec("B", n=30, seed=0, replications=3), **options)
+
+    def test_infeasible_replication_is_counted(self, monkeypatch):
+        import bernfit.simulation as simulation
+
+        generate = simulation.generate_scenario
+
+        def infeasible_first(spec, replication):
+            if replication == 0:
+                raise InfeasibleError("constraint system is infeasible")
+            return generate(spec, replication)
+
+        monkeypatch.setattr(simulation, "generate_scenario", infeasible_first)
+        table = run_benchmark(ScenarioSpec("A", n=30, seed=0, replications=2), mode="imse")
+        assert table.failures == 1
+        assert [row["replication"] for row in table.rows()] == [1]
 
     def test_test_mode_requires_null(self):
         with pytest.raises(ConfigError):
