@@ -3,7 +3,8 @@
 Subcommands: fit-sofr, fit-fosr, fit-flcm, fit-fofr, fit-qfosr, test-shape,
 ci, cv-order, simulate, bench. Results are written as JSON (plus plot-ready
 CSV alongside); diagnostics go to stderr. Exit codes: 0 success, 1 data
-error, 2 configuration error, 3 numerical failure.
+error or an input or output file that cannot be read or written, 2
+configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -426,6 +427,9 @@ def run_cli(argv=None) -> int:
         return 0
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an input or output path that cannot be read or written
+        print(f"input/output error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Linearly constrained least squares.
 
-The solver is a dual active-set method: the problem is reduced through the
-Cholesky factor of the Gram matrix to a least-distance program, which is
-solved by nonnegative least squares on its dual. Constraint multipliers fall
-out of the dual solution, so KKT certificates come for free. Everything is
-deterministic: ties in the dual pivoting resolve to the lowest index.
+The solver is a dual method: the problem is reduced through the Cholesky
+factor of the Gram matrix to a least-distance program, whose dual is a
+nonnegative least-squares problem solved by SciPy's compiled Lawson-Hanson
+NNLS. Constraint multipliers fall out of the dual solution, so KKT
+certificates come for free. Everything is deterministic: the same inputs give
+the same bits.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.optimize import nnls
 
 from .constraints import ConstraintSystem
 from .errors import InfeasibleError, NumericalError
@@ -20,41 +22,24 @@ from .errors import InfeasibleError, NumericalError
 FEASIBILITY_TOL = 1e-8
 
 # The per-solve systems are 2 to ~60 columns wide, where the argument checks of
-# scipy.linalg.solve_triangular and np.linalg.lstsq cost more than the LAPACK
-# work itself, so the solver calls the two routines it needs directly.
-_trtrs, _gels = get_lapack_funcs(("trtrs", "gels"), (np.empty(0),))
+# scipy.linalg.solve_triangular cost more than the LAPACK work itself, so the
+# solver calls trtrs directly.
+_trtrs = get_lapack_funcs("trtrs", (np.empty(0),))
 
 # squared NNLS residual below which the least-distance program counts as
 # infeasible (its solution would exceed 1e10 in norm)
 _ZERO_RESIDUAL2 = 1e-20
 
 
-@dataclass(frozen=True)
-class QpProblem:
-    """Least-squares problem in normal-equation form, plus constraints.
-
-    ``gram`` and ``rhs`` are Z'Z and Z'y; ``yty`` is y'y, needed to report
-    objective values.
-    """
-
-    gram: np.ndarray
-    rhs: np.ndarray
-    yty: float
-    constraints: ConstraintSystem | None = None
-
-    @classmethod
-    def from_design(cls, z, y, constraints=None) -> "QpProblem":
-        z = np.asarray(z, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if z.ndim != 2 or z.shape[0] != y.size:
-            raise ValueError("design and response dimensions do not agree")
-        if constraints is not None and constraints.coef_len != z.shape[1]:
-            raise ValueError("constraint width does not match the design")
-        return cls(z.T @ z, z.T @ y, float(y @ y), constraints)
-
-
 @dataclass
 class QpSolution:
+    """A constrained least-squares solution and its KKT certificate.
+
+    ``iterations`` is the number of positive dual variables (the active rows of
+    the least-distance program), and 0 when no dual solve ran because the
+    unconstrained minimizer was already feasible.
+    """
+
     beta: np.ndarray
     active_set: np.ndarray
     multipliers: np.ndarray
@@ -65,94 +50,29 @@ class QpSolution:
     iterations: int
 
 
-def _passive_lstsq(e: np.ndarray, f: np.ndarray, idx: np.ndarray, tol: float) -> np.ndarray | None:
-    """Least-squares coefficients of f on the columns idx of e, by QR.
-
-    None when those columns are numerically dependent: more columns than rows,
-    or a diagonal entry of R within tol of zero.
-    """
-    if idx.size > e.shape[0]:
-        return None
-    qr, sol, info = _gels(e[:, idx], f, overwrite_a=1)
-    if info != 0 or np.abs(np.diagonal(qr)).min() <= tol:
-        return None
-    return sol[: idx.size]
-
-
-def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
-    """Lawson-Hanson nonnegative least squares: min ||e x - f||, x >= 0.
-
-    As in Lawson and Hanson's NNLS, a column that would enter the passive set
-    numerically dependent on it, or with a nonpositive coefficient (both only
-    through roundoff), is set aside until the iterate next moves.
-    """
-    m, n = e.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    set_aside = np.zeros(n, dtype=bool)
-    grad_tol = 10.0 * np.finfo(float).eps * max(m, n) * max(np.abs(e).sum(axis=0).max(), 1.0)
-    w = e.T @ f
-    iters = 0
-    while True:
-        candidates = np.where(passive | set_aside, -np.inf, w)
-        j = int(np.argmax(candidates))
-        if candidates[j] <= grad_tol:
-            return x, iters
-        passive[j] = True
-        entering = True
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise NumericalError(
-                    f"nonnegative least squares failed to converge in {max_iter} iterations",
-                    last_iterate=x,
-                )
-            idx = np.flatnonzero(passive)
-            sol = _passive_lstsq(e, f, idx, grad_tol)
-            if entering and (sol is None or sol[np.searchsorted(idx, j)] <= 0.0):
-                passive[j] = False
-                set_aside[j] = True
-                break
-            if sol is None:  # a subset of independent columns; only roundoff gets here
-                raise NumericalError(
-                    "nonnegative least squares lost the independence of its passive set",
-                    last_iterate=x,
-                )
-            entering = False
-            if sol.min(initial=np.inf) > 0.0:
-                x = np.zeros(n)
-                x[idx] = sol
-                set_aside[:] = False
-                break
-            s_full = np.zeros(n)
-            s_full[idx] = sol
-            shrink = idx[sol <= 0.0]
-            steps = x[shrink] / (x[shrink] - s_full[shrink])
-            alpha = float(steps.min())
-            x = x + alpha * (s_full - x)
-            released = passive & (x <= 1e-14 * max(1.0, np.abs(x).max()))
-            x[released] = 0.0
-            passive[released] = False
-        r = f - e @ x
-        if r @ r <= _ZERO_RESIDUAL2:  # f is reached; the gradient below is roundoff
-            return x, iters
-        w = e.T @ r
+def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> np.ndarray:
+    """min ||e x - f|| subject to x >= 0, by SciPy's Lawson-Hanson NNLS."""
+    try:
+        return nnls(e, f, maxiter=max_iter)[0]
+    except (RuntimeError, ValueError) as exc:  # iteration limit, or non-finite input
+        raise NumericalError(f"nonnegative least squares failed: {exc}") from None
 
 
 def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Least distance program: min ||u|| subject to g @ u >= h.
 
-    Returns the minimizer, the constraint multipliers, and the iteration
-    count. Raises InfeasibleError when the polyhedron is (numerically) empty.
+    Returns the minimizer, the constraint multipliers, and the number of
+    positive dual variables. The minimizer is None when roundoff in a
+    degenerate dual leaves a residual that cannot be mapped back (at an exact
+    NNLS solution r[-1] = -||r||^2 < 0). Raises InfeasibleError when the
+    polyhedron is (numerically) empty and NumericalError when the dual does not
+    converge.
     """
-    n_rows, p = g.shape
-    # Fortran order, so that the column subsets handed to LAPACK need no copy
-    e = np.empty((p + 1, n_rows), order="F")
-    e[:p] = g.T
-    e[p] = h
+    p = g.shape[1]
+    e = np.vstack([g.T, h])
     f = np.zeros(p + 1)
     f[-1] = 1.0
-    x, iters = _nnls(e, f, max_iter)
+    x = _nnls(e, f, max_iter)
     r = e @ x - f
     rnorm2 = float(r @ r)
     if rnorm2 <= _ZERO_RESIDUAL2:
@@ -160,9 +80,8 @@ def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.nd
             "constraint system is infeasible (or its solution exceeds 1e10 in norm)",
             certificate=np.flatnonzero(x > 0),
         )
-    u = -r[:p] / r[-1]
-    lam = x / rnorm2
-    return u, lam, iters
+    u = -r[:p] / r[-1] if r[-1] < 0.0 else None
+    return u, x / rnorm2, int(np.count_nonzero(x))
 
 
 class ClsqSolver:
@@ -279,33 +198,42 @@ class ClsqSolver:
     def _polish(self, lam_ext: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Re-solve on the dual's active rows for a machine-precision KKT point.
 
+        The active rows are solved as equalities for beta; nonnegative
+        multipliers are then fitted to the stationarity equations by NNLS.
         ``solve`` calls this only when the point mapped back from the LDP misses
-        the KKT tolerance or violates A beta >= b, which takes an ill-conditioned
-        Cholesky factor. On the benchmark's paper-size Monte Carlo and n=2000
-        workloads that never happens (0 of 7579 solves in one pass of each), but
-        the auto-ridged order-6 tensor Gram of a bivariate_monotone FOFR fit
-        needs it to pass the 1e-8 shape certificate.
+        the KKT tolerance or violates A beta >= b. On the benchmark's paper-size
+        Monte Carlo and n=2000 workloads that never happens (0 of 7012 solves in
+        one pass of each). An ill-conditioned Cholesky factor causes it: the
+        auto-ridged order-6 tensor Gram of a bivariate_monotone FOFR fit needs
+        the polish to pass the 1e-8 shape certificate. So does a degenerate
+        dual, where rows that are tight at every feasible point make the
+        multipliers non-unique and let NNLS return them at 1e12, with a
+        mapped-back point far outside the polyhedron or with no point to map
+        back at all.
         """
         act = np.flatnonzero(lam_ext > 0)
         p = self.gram.shape[0]
         a_act = self._a_ext[act]
-        size = p + act.size
-        kkt = np.zeros((size, size))
-        kkt[:p, :p] = self.gram + self.ridge * np.eye(p)
-        kkt[:p, p:] = -a_act.T
-        kkt[p:, :p] = a_act
+        gram_r = self.gram + self.ridge * np.eye(p)
+        kkt = np.block([[gram_r, -a_act.T], [a_act, np.zeros((act.size, act.size))]])
         target = np.concatenate([rhs, self._b_ext[act]])
-        sol, *_ = np.linalg.lstsq(kkt, target, rcond=None)
-        beta, lam_act = sol[:p], sol[p:]
+        beta = np.linalg.lstsq(kkt, target, rcond=None)[0][:p]
         slack = self._a_ext @ beta - self._b_ext
-        if (slack.min(initial=0.0) < -FEASIBILITY_TOL * self._scale
-                or lam_act.min(initial=0.0) < -FEASIBILITY_TOL):
+        if slack.min(initial=0.0) < -FEASIBILITY_TOL * self._scale:
             return None
         lam_full = np.zeros(self._a_ext.shape[0])
-        lam_full[act] = np.maximum(lam_act, 0.0)
+        lam_full[act] = _nnls(a_act.T, gram_r @ beta - rhs, self.max_iter)
         return beta, lam_full
 
     def solve(self, rhs: np.ndarray, yty: float = 0.0) -> QpSolution:
+        """Minimize beta' G beta - 2 rhs' beta + yty subject to the constraints.
+
+        With G = Z'Z, rhs = Z'y and yty = y'y this is min ||Z beta - y||^2. The
+        solution satisfies A beta >= b - FEASIBILITY_TOL (1 + max|b|)
+        componentwise (equality rows to the same tolerance; otherwise
+        NumericalError is raised), has nonnegative multipliers on active
+        inequalities, and certifies stationarity through its KKT residual.
+        """
         rhs = np.asarray(rhs, dtype=float).ravel()
         beta_u, w = self._unconstrained(rhs)
         cons = self.constraints
@@ -316,25 +244,27 @@ class ClsqSolver:
             return self._finish(beta_u, np.zeros(cons.n_rows), rhs, yty, 0)[0]
         h = self._b_ext - self._g_ext @ w
         u, lam_ext, iters = _ldp(self._g_ext, h, self.max_iter)
-        beta = self._tri_solve(u + w, 0)
-        mult = self._fold_multipliers(lam_ext)
-        sol, feasible = self._finish(beta, mult, rhs, yty, iters)
+        sol, feasible = None, False
+        if u is not None:
+            beta = self._tri_solve(u + w, 0)
+            sol, feasible = self._finish(beta, self._fold_multipliers(lam_ext), rhs, yty, iters)
         tol_kkt = FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        # an ill-conditioned factor can leave the mapped-back LDP point outside
-        # the polyhedron; the KKT re-solve on the dual's active rows restores it
-        if sol.kkt_residual > tol_kkt or not feasible:
+        # an ill-conditioned factor or a degenerate dual can leave the mapped-back
+        # LDP point outside the polyhedron, or leave none; the KKT re-solve on the
+        # dual's active rows restores it
+        if sol is None or sol.kkt_residual > tol_kkt or not feasible:
             polished = self._polish(lam_ext, rhs)
             if polished is not None:
                 beta_p, lam_p = polished
                 mult_p = self._fold_multipliers(lam_p)
                 candidate, candidate_feasible = self._finish(beta_p, mult_p, rhs, yty, iters)
-                if candidate.kkt_residual < sol.kkt_residual or not feasible:
+                if not feasible or candidate.kkt_residual < sol.kkt_residual:
                     sol, feasible = candidate, candidate_feasible
             if not feasible:
                 raise NumericalError(
                     "constrained solve violates its constraints by more than "
                     f"{FEASIBILITY_TOL:.1e}",
-                    last_iterate=sol.beta,
+                    last_iterate=None if sol is None else sol.beta,
                 )
             if sol.kkt_residual > tol_kkt * 100.0:
                 raise NumericalError(
@@ -343,13 +273,3 @@ class ClsqSolver:
                 )
         return sol
 
-
-def solve_clsq(problem: QpProblem) -> QpSolution:
-    """Solve one constrained least-squares problem.
-
-    The solution satisfies A beta >= b - FEASIBILITY_TOL (1 + max|b|) componentwise
-    (equality rows to the same tolerance; otherwise NumericalError is
-    raised), has nonnegative multipliers on active inequalities, and
-    certifies stationarity through its KKT residual.
-    """
-    return ClsqSolver(problem.gram, problem.constraints).solve(problem.rhs, problem.yty)

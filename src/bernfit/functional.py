@@ -70,31 +70,46 @@ class CovarianceModel:
         return self.n_components == 0 and self.nugget == 1.0
 
     def _low_rank(self, idx=None) -> np.ndarray:
-        phi = self.eigenfunctions if idx is None else self.eigenfunctions[:, idx]
+        """sum_k lambda_k phi_k phi_k' on the grid, an index subset or a stack of subsets."""
+        if idx is None:
+            idx = np.arange(self.grid_points.size)
+        idx = np.asarray(idx)
         if self.n_components == 0:
-            m = self.grid_points.size if idx is None else len(idx)
-            return np.zeros((m, m))
-        base = (phi.T * self.eigenvalues) @ phi
-        return 0.5 * (base + base.T)  # exact symmetry
+            return np.zeros(idx.shape + idx.shape[-1:])
+        phi = np.moveaxis(self.eigenfunctions[:, idx], 0, -2)
+        base = (np.swapaxes(phi, -1, -2) * self.eigenvalues) @ phi
+        return 0.5 * (base + np.swapaxes(base, -1, -2))  # exact symmetry
 
-    def _floor(self, base_trace: float, m: int) -> float:
-        floor = max(self.nugget, 1e-8 * (base_trace + m * self.nugget) / m)
-        return floor if floor > 0 else 1e-8
+    def _floor(self, base_trace, m: int) -> np.ndarray:
+        floor = np.maximum(self.nugget, 1e-8 * (base_trace + m * self.nugget) / m)
+        return np.where(floor > 0, floor, 1e-8)
 
     def matrix(self, idx=None) -> np.ndarray:
-        """Covariance matrix on the full grid or a subset of its indices."""
+        """Covariance matrix on the full grid, or on each row of grid indices in ``idx``.
+
+        ``idx`` is one index subset (giving one matrix) or a (g, k) stack of
+        them (giving a (g, k, k) stack).
+        """
         base = self._low_rank(idx)
-        m = base.shape[0]
-        return base + self._floor(float(np.trace(base)), m) * np.eye(m)
+        m = base.shape[-1]
+        floor = self._floor(np.trace(base, axis1=-2, axis2=-1), m)
+        return base + floor[..., None, None] * np.eye(m)
 
     def inverse_sqrt(self, idx=None) -> np.ndarray:
-        """Symmetric inverse square root of ``matrix(idx)``."""
+        """Symmetric inverse square root of ``matrix(idx)``, stacked like it."""
         if self.n_components == 0:
-            m = self.grid_points.size if idx is None else len(idx)
-            scale = self._floor(0.0, m)
-            return np.eye(m) if scale == 1.0 else np.eye(m) / np.sqrt(scale)
+            m = self.grid_points.size if idx is None else np.shape(idx)[-1]
+            scale = float(self._floor(0.0, m))
+            eye = np.eye(m) if scale == 1.0 else np.eye(m) / np.sqrt(scale)
+            return eye if idx is None else np.broadcast_to(eye, np.shape(idx) + (m,))
         evals, evecs = np.linalg.eigh(self.matrix(idx))
-        return (evecs / np.sqrt(evals)) @ evecs.T
+        return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
+
+
+def _count_groups(counts: np.ndarray):
+    """(k, indices of the entries of ``counts`` equal to k) for each distinct k."""
+    for k in np.unique(counts):
+        yield int(k), np.flatnonzero(counts == k)
 
 
 def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceModel:
@@ -251,12 +266,14 @@ class StackedDesign:
             z = np.matmul(s, self.z.reshape(n, m, -1)).reshape(self.z.shape)
             y = (self.y.reshape(n, m) @ s.T).ravel()
         else:
+            # one batched whitening per group of subjects with the same count of rows
             z, y = np.empty_like(self.z), np.empty_like(self.y)
             bounds = self.subject_bounds()
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                s = cov.inverse_sqrt(self.point[lo:hi])
-                z[lo:hi] = s @ self.z[lo:hi]
-                y[lo:hi] = s @ self.y[lo:hi]
+            for k, subjects in _count_groups(np.diff(bounds)):
+                rows = bounds[subjects, None] + np.arange(k)
+                s = cov.inverse_sqrt(self.point[rows])
+                z[rows] = s @ self.z[rows]
+                y[rows] = (s @ self.y[rows][..., None])[..., 0]
         return replace(self, z=z, y=y)
 
 
@@ -271,7 +288,6 @@ class FunctionalFit:
     covariance: CovarianceModel | None
     rss_raw: float
     rss_whitened: float | None
-    residual_matrix: np.ndarray
     ridge_used: float
 
     def beta0_fn(self, t) -> np.ndarray:
@@ -407,7 +423,6 @@ def fit_functional(
     if shape is not None:
         constraints = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
     sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit, covariance)
-    residual_matrix = _raw_residuals(design, sol.beta)
     return FunctionalFit(
         model=model,
         basis0=spec.spec_t if model == "fofr" else spec,
@@ -416,9 +431,8 @@ def fit_functional(
         beta1_coefs=sol.beta[design.n_free :],
         shape=shape,
         covariance=cov,
-        rss_raw=float(np.nansum(residual_matrix**2)),
+        rss_raw=float(np.sum(design.residuals(sol.beta) ** 2)),
         rss_whitened=sol.rss if whiten_fit else None,
-        residual_matrix=residual_matrix,
         ridge_used=sol.ridge,
     )
 
@@ -452,16 +466,20 @@ def reconstruct_sparse(data: FunctionalDataset, pve: float = 0.95) -> Functional
     lam = cov.eigenvalues
     phi = cov.eigenfunctions
     completed = data.x_curves.copy()
-    for i in range(data.n_subjects):
-        idx = np.flatnonzero(mask[i])
-        missing = np.flatnonzero(~mask[i])
-        if missing.size == 0 or lam.size == 0:
+    m = mask.shape[1]
+    # one batched score solve per group of subjects with the same count of observed points
+    for k, subjects in _count_groups(mask.sum(axis=1)):
+        if k == m or lam.size == 0:
             continue
-        phi_obs = phi[:, idx]
-        sigma_obs = (phi_obs.T * lam) @ phi_obs + (cov.nugget + _SCORE_RIDGE) * np.eye(idx.size)
-        centered = data.x_curves[i, idx] - mu[idx]
-        scores = lam * (phi_obs @ np.linalg.solve(sigma_obs, centered))
-        completed[i, missing] = mu[missing] + scores @ phi[:, missing]
+        idx = np.nonzero(mask[subjects])[1].reshape(-1, k)
+        missing = np.nonzero(~mask[subjects])[1].reshape(-1, m - k)
+        phi_obs = np.moveaxis(phi[:, idx], 0, -2)
+        sigma_obs = (np.swapaxes(phi_obs, -1, -2) * lam) @ phi_obs
+        sigma_obs += (cov.nugget + _SCORE_RIDGE) * np.eye(k)
+        centered = np.take_along_axis(data.x_curves[subjects], idx, axis=1) - mu[idx]
+        scores = lam * (phi_obs @ np.linalg.solve(sigma_obs, centered[..., None]))[..., 0]
+        phi_missing = np.moveaxis(phi[:, missing], 0, -2)
+        completed[subjects[:, None], missing] = mu[missing] + (scores[:, None] @ phi_missing)[:, 0]
     out = data.subset(np.arange(data.n_subjects))
     out.x_curves = completed
     return out

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import nnls
 
 
 def bernstein_direct(t: float, k: int, order: int) -> float:
@@ -23,6 +24,14 @@ def enumerate_clsq(z: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -
     Solves the equality-constrained problem for every subset of rows, keeps
     candidates that are primal feasible with nonnegative multipliers, and
     returns the feasible candidate with the smallest objective.
+
+    The consistency and multiplier cuts are relative to the size of the terms
+    they compare. At a degenerate vertex (more tight rows than the rows' rank)
+    the multipliers are not unique and the least-squares ones can be negative,
+    so the multiplier cut asks whether any nonnegative multipliers meet
+    stationarity (a small NNLS fit on the subset's rows, not the solver's
+    least-distance dual). The feasibility cut stays absolute: scaling it admits
+    slightly infeasible candidates whose objective undercuts the optimum.
     """
     n_rows = a.shape[0]
     p = z.shape[1]
@@ -45,13 +54,16 @@ def enumerate_clsq(z: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -
             except np.linalg.LinAlgError:
                 continue
             beta = sol[:p]
-            lam = sol[p:]
-            if np.abs(kkt @ sol - target).max(initial=0.0) > 1e-7:
+            kkt_scale = 1.0 + np.abs(kkt).max() * np.abs(sol).max() + np.abs(target).max()
+            if np.abs(kkt @ sol - target).max(initial=0.0) > 1e-9 * kkt_scale:
                 continue  # inconsistent equality system for this subset
             if (a @ beta - b).min(initial=0.0) < -1e-9:
                 continue
-            if lam.min(initial=0.0) < -1e-9:
-                continue
+            if idx:
+                gradient = gram @ beta - rhs
+                stat_scale = 1.0 + np.abs(gram).max() * np.abs(beta).max() + np.abs(rhs).max()
+                if nnls(a_sub.T, gradient)[1] > 1e-9 * stat_scale:
+                    continue  # no nonnegative multipliers
             obj = float(np.sum((z @ beta - y) ** 2))
             if obj < best_obj - 1e-12:
                 best_obj = obj

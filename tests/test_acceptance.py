@@ -16,7 +16,6 @@ from bernfit import (
     ClsqSolver,
     ConstraintSystem,
     CovarianceModel,
-    QpProblem,
     ScenarioSpec,
     TensorBasisSpec,
     bivariate_monotone,
@@ -28,7 +27,6 @@ from bernfit import (
     generate_scenario,
     partial_convex,
     run_benchmark,
-    solve_clsq,
 )
 from bernfit.basis import eval_basis_matrix
 from bernfit.constraints import NON_INCREASING
@@ -96,7 +94,7 @@ class TestAcceptance:
             b = np.minimum(
                 rng.normal(scale=0.5, size=r), a @ interior - rng.uniform(0.1, 1.0, size=r)
             )
-            sol = solve_clsq(QpProblem.from_design(z, y, ConstraintSystem(a, b)))
+            sol = ClsqSolver(z.T @ z, ConstraintSystem(a, b)).solve(z.T @ y, y @ y)
             oracle = enumerate_clsq(z, y, a, b)
             gap = abs(
                 float(np.sum((z @ sol.beta - y) ** 2)) - float(np.sum((z @ oracle - y) ** 2))

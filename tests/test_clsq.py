@@ -12,15 +12,19 @@ from bernfit import (
     ClsqSolver,
     ConstraintSystem,
     InfeasibleError,
-    QpProblem,
+    NumericalError,
     build_constraints,
     fixed_boundaries,
-    solve_clsq,
 )
 
 from bernfit.inference import _project
 
 from helpers import enumerate_clsq, grid_search_projection_2d
+
+
+def solve(z, y, system=None):
+    """Constrained least squares min ||z beta - y||^2 through the solver's normal equations."""
+    return ClsqSolver(z.T @ z, system).solve(z.T @ y, y @ y)
 
 
 def random_problem(rng, n_rows=12, p=None, r=None):
@@ -41,7 +45,7 @@ class TestSolveClsq:
         rng = np.random.default_rng(0)
         z = rng.normal(size=(20, 4))
         y = rng.normal(size=20)
-        sol = solve_clsq(QpProblem.from_design(z, y))
+        sol = solve(z, y)
         expected = np.linalg.lstsq(z, y, rcond=None)[0]
         assert np.allclose(sol.beta, expected, atol=1e-10)
         assert sol.kkt_residual <= 1e-8 * (1 + np.abs(z.T @ y).max())
@@ -50,7 +54,7 @@ class TestSolveClsq:
         z = np.eye(2)
         y = np.array([-3.0, 5.0])
         system = build_constraints(NON_NEGATIVE, BasisSpec(1))
-        sol = solve_clsq(QpProblem.from_design(z, y, system))
+        sol = solve(z, y, system)
         assert np.allclose(sol.beta, [0.0, 5.0], atol=1e-10)
         assert np.array_equal(sol.active_set, [0])
         assert sol.multipliers[0] > 0
@@ -61,7 +65,7 @@ class TestSolveClsq:
         z = rng.normal(size=(30, 6))
         y = rng.normal(size=30)
         system = build_constraints(NON_DECREASING, BasisSpec(5))
-        sol = solve_clsq(QpProblem.from_design(z, y, system))
+        sol = solve(z, y, system)
         oracle = enumerate_clsq(z, y, system.a, system.b)
         assert np.sum((z @ sol.beta - y) ** 2) == pytest.approx(
             np.sum((z @ oracle - y) ** 2), abs=1e-8
@@ -72,7 +76,7 @@ class TestSolveClsq:
         for trial in range(200):
             z, y, a, b = random_problem(rng)
             system = ConstraintSystem(a, b)
-            sol = solve_clsq(QpProblem.from_design(z, y, system))
+            sol = solve(z, y, system)
             oracle = enumerate_clsq(z, y, a, b)
             obj_solver = float(np.sum((z @ sol.beta - y) ** 2))
             obj_oracle = float(np.sum((z @ oracle - y) ** 2))
@@ -84,7 +88,7 @@ class TestSolveClsq:
         rng = np.random.default_rng(5)
         z, y, a, b = random_problem(rng, p=5, r=4)
         system = ConstraintSystem(a, b)
-        sol = solve_clsq(QpProblem.from_design(z, y, system))
+        sol = solve(z, y, system)
         assert sol.multipliers.min() >= -1e-8
         slack = a @ sol.beta - b
         assert np.abs(sol.multipliers * slack).max() <= 1e-6
@@ -94,7 +98,7 @@ class TestSolveClsq:
         z = rng.normal(size=(25, 4))
         y = rng.normal(size=25)
         system = build_constraints(fixed_boundaries(1.0, -2.0), BasisSpec(3))
-        sol = solve_clsq(QpProblem.from_design(z, y, system))
+        sol = solve(z, y, system)
         assert sol.beta[0] == pytest.approx(1.0, abs=1e-8)
         assert sol.beta[-1] == pytest.approx(-2.0, abs=1e-8)
 
@@ -105,7 +109,7 @@ class TestSolveClsq:
         b = np.array([0.0, 1.0])
         system = ConstraintSystem(a, b, equality=np.array([True, True]))
         with pytest.raises(InfeasibleError) as excinfo:
-            solve_clsq(QpProblem.from_design(z, y, system))
+            solve(z, y, system)
         assert len(excinfo.value.certificate) > 0
 
     def test_rss_ordering(self):
@@ -113,8 +117,8 @@ class TestSolveClsq:
         for _ in range(20):
             z, y, a, b = random_problem(rng)
             system = ConstraintSystem(a, b)
-            constrained = solve_clsq(QpProblem.from_design(z, y, system))
-            unconstrained = solve_clsq(QpProblem.from_design(z, y))
+            constrained = solve(z, y, system)
+            unconstrained = solve(z, y)
             assert constrained.objective >= unconstrained.objective - 1e-10
             feasible = (a @ unconstrained.beta - b).min() >= 0
             if feasible:
@@ -124,15 +128,15 @@ class TestSolveClsq:
         rng = np.random.default_rng(8)
         z, y, a, b = random_problem(rng)
         system = ConstraintSystem(a, b)
-        first = solve_clsq(QpProblem.from_design(z, y, system))
-        second = solve_clsq(QpProblem.from_design(z, y, system))
+        first = solve(z, y, system)
+        second = solve(z, y, system)
         assert first.beta.tobytes() == second.beta.tobytes()
         assert first.multipliers.tobytes() == second.multipliers.tobytes()
 
     def test_rank_deficient_gram_gets_ridge(self):
         z = np.ones((10, 3))  # rank one
         y = np.arange(10.0)
-        sol = solve_clsq(QpProblem.from_design(z, y))
+        sol = solve(z, y)
         assert sol.ridge > 0
         assert np.all(np.isfinite(sol.beta))
 
@@ -143,10 +147,30 @@ class TestSolveClsq:
         solver = ClsqSolver(z.T @ z, system)
         for _ in range(5):
             y = rng.normal(size=40)
-            fresh = solve_clsq(QpProblem.from_design(z, y, system))
+            fresh = solve(z, y, system)
             reused = solver.solve(z.T @ y, float(y @ y))
             assert np.allclose(fresh.beta, reused.beta, atol=1e-12)
             assert fresh.rss == pytest.approx(reused.rss, abs=1e-9)
+
+
+def small_problem(rng, p, n_eq, n_ineq, rank, tight, infeasible):
+    """Constrained problem on 12 observations with a rank-``rank`` design and
+    n_eq equality plus n_ineq inequality rows that all hold at a random point,
+    the inequalities with slack 0 when ``tight``. ``infeasible`` ("inequality"
+    or "equality") appends a contradictory pair of rows of that kind."""
+    z = rng.normal(size=(12, rank)) @ rng.normal(size=(rank, p))
+    y = rng.normal(size=12)
+    a = rng.normal(size=(n_eq + n_ineq, p))
+    point = rng.normal(size=p)
+    slack = np.zeros(n_ineq) if tight else rng.uniform(0.0, 1.0, n_ineq)
+    b = a @ point - np.concatenate([np.zeros(n_eq), slack])
+    equality = np.arange(a.shape[0]) < n_eq
+    if infeasible is not None:
+        row = rng.normal(size=p)
+        a = np.vstack([a, row, -row])
+        b = np.concatenate([b, [1.0, 0.5] if infeasible == "inequality" else [1.0, -0.5]])
+        equality = np.concatenate([equality, [infeasible == "equality"] * 2])
+    return z, y, ConstraintSystem(a, b, equality)
 
 
 @st.composite
@@ -160,33 +184,20 @@ def small_problems(draw):
     tight = draw(st.booleans())
     infeasible = draw(st.sampled_from([None, "inequality", "equality"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    z = rng.normal(size=(12, rank)) @ rng.normal(size=(rank, p))
-    y = rng.normal(size=12)
-    a = rng.normal(size=(n_eq + n_ineq, p))
-    # every row holds at a random point, the inequalities with slack 0 when tight
-    point = rng.normal(size=p)
-    slack = np.zeros(n_ineq) if tight else rng.uniform(0.0, 1.0, n_ineq)
-    b = a @ point - np.concatenate([np.zeros(n_eq), slack])
-    equality = np.arange(a.shape[0]) < n_eq
-    if infeasible is not None:
-        row = rng.normal(size=p)
-        a = np.vstack([a, row, -row])
-        b = np.concatenate([b, [1.0, 0.5] if infeasible == "inequality" else [1.0, -0.5]])
-        equality = np.concatenate([equality, [infeasible == "equality"] * 2])
-    return z, y, ConstraintSystem(a, b, equality), rank < p, infeasible is not None
+    z, y, system = small_problem(rng, p, n_eq, n_ineq, rank, tight, infeasible)
+    return z, y, system, rank < p, infeasible is not None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(small_problems())
 def test_solver_properties_against_enumeration(problem):
     z, y, system, rank_deficient, infeasible = problem
-    qp = QpProblem.from_design(z, y, system)
     if infeasible:
         with pytest.raises(InfeasibleError) as excinfo:
-            solve_clsq(qp)
+            solve(z, y, system)
         assert len(excinfo.value.certificate) > 0
         return
-    sol = solve_clsq(qp)
+    sol = solve(z, y, system)
     assert (sol.ridge > 0) == rank_deficient
     eq = system.equality
     scale = 1.0 + np.abs(system.b).max()
@@ -194,7 +205,7 @@ def test_solver_properties_against_enumeration(problem):
     assert np.abs(resid[eq]).max(initial=0.0) <= 1e-8 * scale
     assert resid[~eq].min(initial=0.0) >= -1e-8 * scale
     assert sol.multipliers[~eq].min(initial=0.0) >= -1e-8
-    assert sol.kkt_residual <= 1e-8 * (1.0 + np.abs(qp.rhs).max())
+    assert sol.kkt_residual <= 1e-8 * (1.0 + np.abs(z.T @ y).max())
     # brute force on the ridged problem, each equality row as a pair of inequalities
     z_aug = np.vstack([z, np.sqrt(sol.ridge) * np.eye(z.shape[1])])
     y_aug = np.concatenate([y, np.zeros(z.shape[1])])
@@ -203,6 +214,55 @@ def test_solver_properties_against_enumeration(problem):
     )
     best = float(np.sum((z_aug @ oracle - y_aug) ** 2))
     assert abs(sol.objective - best) <= 1e-9 * max(best, 1.0)
+
+
+def test_no_stalls_on_rank_deficient_or_infeasible_problems():
+    # the problems of the property test where a dual solver is most likely to
+    # stall: 3000 with a rank-deficient Gram (auto-ridged) and 3000 infeasible
+    # ones; a NumericalError from either kind fails the test
+    rng = np.random.default_rng(20220909)
+    for infeasible in (None, "inequality", "equality"):
+        for _ in range(3000 if infeasible is None else 1500):
+            p = int(rng.integers(2 if infeasible is None else 1, 7))
+            n_eq = int(rng.integers(0, min(2, p - 1) + 1))
+            n_ineq = int(rng.integers(1 - min(n_eq, 1), 9 - n_eq))
+            rank = int(rng.integers(1, p + (infeasible is not None)))
+            z, y, system = small_problem(rng, p, n_eq, n_ineq, rank, rng.random() < 0.5, infeasible)
+            if infeasible is None:
+                sol = solve(z, y, system)
+                assert sol.ridge > 0
+                assert system.worst_violation(sol.beta) <= 1e-8 * (1.0 + np.abs(system.b).max())
+            else:
+                with pytest.raises(InfeasibleError) as excinfo:
+                    solve(z, y, system)
+                assert len(excinfo.value.certificate) > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_tight_problems_solve_cleanly():
+    # every inequality is tight at one point, so the feasible set can be that
+    # point alone and the LDP dual degenerate; roundoff then once left a dual
+    # residual that divided by zero when mapped back (problem 565 of this seed)
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        p = int(rng.integers(1, 7))
+        n_eq = int(rng.integers(0, min(2, p - 1) + 1))
+        n_ineq = int(rng.integers(1 - min(n_eq, 1), 9 - n_eq))
+        z, y, system = small_problem(rng, p, n_eq, n_ineq, p, True, None)
+        sol = solve(z, y, system)
+        assert system.worst_violation(sol.beta) <= 1e-8 * (1.0 + np.abs(system.b).max())
+        assert sol.kkt_residual <= 1e-8 * (1.0 + np.abs(z.T @ y).max())
+
+
+def test_iteration_limit_is_a_numerical_error():
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(30, 6))
+    y = z @ np.array([3.0, 2.0, 1.0, 0.0, -1.0, -2.0])
+    solver = ClsqSolver(z.T @ z, build_constraints(NON_DECREASING, BasisSpec(5)))
+    assert solver.solve(z.T @ y, y @ y).iterations > 1
+    solver.max_iter = 1
+    with pytest.raises(NumericalError, match="nonnegative least squares"):
+        solver.solve(z.T @ y, y @ y)
 
 
 def band_project(z, omega, system):
@@ -258,8 +318,6 @@ class TestProjectOmega:
             assert omega_norm(projected - feasible) <= omega_norm(z - feasible) + 1e-9
 
     def test_non_spd_rejected(self):
-        from bernfit import NumericalError
-
         system = build_constraints(NON_NEGATIVE, BasisSpec(1))
         omega = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalError):
@@ -272,7 +330,7 @@ class TestScaleRobustness:
         z = rng.normal(size=(50, 4)) * 100
         y = rng.normal(size=50) * 1e3
         system = build_constraints(NON_DECREASING, BasisSpec(3))
-        sol = solve_clsq(QpProblem.from_design(z, y, system))
+        sol = solve(z, y, system)
         assert (system.a @ sol.beta).min() >= -1e-8
         assert sol.kkt_residual <= 1e-8 * (1 + np.abs(z.T @ y).max())
 
@@ -284,5 +342,5 @@ class TestScaleRobustness:
         from bernfit import combination, CONCAVE
 
         system = build_constraints(combination(NON_DECREASING, CONCAVE, NON_NEGATIVE), BasisSpec(order))
-        sol = solve_clsq(QpProblem.from_design(z, y, system))
+        sol = solve(z, y, system)
         assert system.worst_violation(sol.beta) <= 1e-8

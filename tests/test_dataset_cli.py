@@ -490,22 +490,42 @@ _MALFORMED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+# command lines whose output path cannot be written
+_UNWRITABLE_OUTPUTS = {
+    "output-missing-dir": lambda tmp: [
+        "simulate", "--scenario", "B", "--n", "30", "--out", str(tmp / "missing" / "x.csv")
+    ],
+    "output-is-directory": lambda tmp: ["simulate", "--scenario", "B", "--n", "30", "--out", str(tmp)],
+    "output-json-is-directory": lambda tmp: [
+        "bench", "--scenario", "B", "--n", "30", "--reps", "1", "--out", str(tmp)
+    ],
+}
+
+_ERROR_PREFIX = {"config": "configuration error:", "data": "data error:",
+                 "output": "input/output error:"}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS) + list(_UNWRITABLE_OUTPUTS))
 def test_malformed_input_maps_to_documented_exit_code(tmp_path, capsys, case):
-    """Wrong-typed or unreadable configs exit 2, unreadable data files exit 1, never a traceback."""
-    command, config, data = _MALFORMED_INPUTS[case]
-    data_path = _write_sofr_data(tmp_path, n=20)
-    if data is not None:
-        data_path = tmp_path / "bad.csv"
-        data_path.write_bytes(data)
-    config_path = tmp_path / "config.json"
-    config_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-    argv = [command, "--data", str(data_path), "--config", str(config_path),
-            "--out", str(tmp_path / "out.json")]
+    """Wrong-typed or unreadable configs exit 2, unreadable data files and unwritable
+    outputs exit 1, each with a one-line message and never a traceback."""
+    if case in _UNWRITABLE_OUTPUTS:
+        argv = _UNWRITABLE_OUTPUTS[case](tmp_path)
+    else:
+        command, config, data = _MALFORMED_INPUTS[case]
+        data_path = _write_sofr_data(tmp_path, n=20)
+        if data is not None:
+            data_path = tmp_path / "bad.csv"
+            data_path.write_bytes(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv = [command, "--data", str(data_path), "--config", str(config_path),
+                "--out", str(tmp_path / "out.json")]
     expected = 2 if case.startswith("config-") else 1
     assert run_cli(argv) == expected
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:" if expected == 2 else "data error:")
+    assert err.startswith(_ERROR_PREFIX[case.split("-")[0]])
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

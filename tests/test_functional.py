@@ -48,7 +48,7 @@ class TestUnconstrainedOls:
         fit = fit_functional(data, "flcm", spec, whiten_fit=False)
         assert np.abs(fit.beta0_coefs - b0).max() <= 1e-6
         assert np.abs(fit.beta1_coefs - b1).max() <= 1e-6
-        assert np.nanmax(np.abs(fit.residual_matrix)) <= 1e-6
+        assert np.nanmax(np.abs(data.y_curves - fit.predict(data))) <= 1e-6
 
     def test_zero_covariate_engages_ridge(self):
         data, spec, b0, _ = make_flcm_dataset(noise=0.0)
@@ -209,7 +209,7 @@ class TestEstimateCovariance:
         data = generate_scenario(ScenarioSpec("B", n=400, seed=21), 0)
         spec = BasisSpec(5)
         fit = fit_functional(data, "flcm", spec, whiten_fit=False)
-        cov = estimate_covariance(fit.residual_matrix, data.grid, pve=0.95)
+        cov = estimate_covariance(data.y_curves - fit.predict(data), data.grid, pve=0.95)
         top2_share = cov.eigenvalues[:2].sum() / cov.eigenvalues.sum()
         assert top2_share >= 0.5
         # compare against the eigendecomposition of the true smooth kernel
@@ -395,6 +395,37 @@ class TestSparse:
         )
         fit = fit_functional(data, "flcm", BasisSpec(order), NON_INCREASING)
         assert np.abs(fit.beta1_coefs - b1).max() <= 1e-5
+
+    def test_batched_sparse_paths_match_per_subject_loops(self):
+        # whitening and score completion batch the subjects that share a count
+        # of observed points; the same arithmetic subject by subject is the reference
+        data = generate_scenario(ScenarioSpec("B_sparse", n=60, seed=2), 0)
+        design = build_design(data, "flcm", BasisSpec(4))
+        step1 = fit_functional(data, "flcm", BasisSpec(4), whiten_fit=False)
+        cov = estimate_covariance(data.y_curves - step1.predict(data), data.grid)
+        assert cov.n_components > 0
+        whitened = design.whitened(cov)
+        bounds = design.subject_bounds()
+        assert np.unique(np.diff(bounds)).size > 1
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            s = cov.inverse_sqrt(design.point[lo:hi])
+            z_ref, y_ref = s @ design.z[lo:hi], s @ design.y[lo:hi]
+            assert np.abs(whitened.z[lo:hi] - z_ref).max() <= 1e-13 * np.abs(z_ref).max()
+            assert np.abs(whitened.y[lo:hi] - y_ref).max() <= 1e-13 * np.abs(y_ref).max()
+
+        completed = reconstruct_sparse(data).x_curves
+        mask = np.isfinite(data.x_curves)
+        assert mask.sum(axis=1).min() >= 2 and not mask.all(axis=1).any()
+        x_cov = estimate_covariance(data.x_curves, data.grid)
+        lam, phi = x_cov.eigenvalues, x_cov.eigenfunctions
+        mu = np.nansum(data.x_curves, axis=0) / mask.sum(axis=0)
+        for i in range(data.n_subjects):
+            idx, missing = np.flatnonzero(mask[i]), np.flatnonzero(~mask[i])
+            phi_obs = phi[:, idx]
+            sigma = (phi_obs.T * lam) @ phi_obs + (x_cov.nugget + 1e-8) * np.eye(idx.size)
+            scores = lam * (phi_obs @ np.linalg.solve(sigma, data.x_curves[i, idx] - mu[idx]))
+            ref = mu[missing] + scores @ phi[:, missing]
+            assert np.abs(completed[i, missing] - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_sparse_whitening_matches_per_subject_gls(self):
         # with a supplied covariance the unconstrained fit is the GLS estimate
