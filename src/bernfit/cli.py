@@ -4,7 +4,9 @@ Subcommands: fit-sofr, fit-fosr, fit-flcm, fit-fofr, fit-qfosr, test-shape,
 ci, cv-order, simulate, bench. Results are written as JSON (plus plot-ready
 CSV alongside); diagnostics go to stderr. Exit codes: 0 success, 1 data
 error or an input or output file that cannot be read or written, 2
-configuration error, 3 numerical failure.
+configuration error, 3 numerical failure or an internal error (any other
+exception, reported as one ``internal error: <Type>: <message>`` line).
+Replications run serially; ``--threads`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .model_selection import cv_select_order
 from .qfosr import fit_qfosr
 from .simulation import SCENARIO_KINDS, ScenarioSpec, generate_scenario, run_benchmark
 from .sofr import fit_sofr
-from .utils import resolve_threads
 
 REPORT_POINTS = 200
 
@@ -78,11 +79,13 @@ class RunConfig:
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie in (0, 1)")
 
-    def basis(self, model: str) -> BasisSpec | TensorBasisSpec:
-        """The model's coefficient basis on [0, 1]: a tensor product for fofr."""
+    def basis(self, model: str, domain: tuple[float, float]) -> BasisSpec | TensorBasisSpec:
+        """The model's coefficient basis on ``domain``: a tensor product for fofr."""
         if self.order is None:
             raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
-        return TensorBasisSpec(self.order) if model == "fofr" else BasisSpec(self.order)
+        if model == "fofr":
+            return TensorBasisSpec(self.order, domain, domain)
+        return BasisSpec(self.order, domain)
 
 
 def _load_config(path: str | None, seed_override: int | None) -> RunConfig:
@@ -129,9 +132,18 @@ def _write_csv(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _report_grid() -> np.ndarray:
-    """Where reported curves are evaluated: every CLI basis spans [0, 1]."""
-    return np.linspace(0.0, 1.0, REPORT_POINTS)
+def _domain(data) -> tuple[float, float]:
+    """Domain of the CLI bases: [0, 1], or the data's own span if its grid leaves [0, 1].
+
+    A one-point grid has no span; it keeps [0, 1] and fails as a data error.
+    """
+    a, b = data.domain
+    return (a, b) if (a < 0.0 or b > 1.0) and a < b else (0.0, 1.0)
+
+
+def _report_grid(domain=(0.0, 1.0)) -> np.ndarray:
+    """Where reported curves are evaluated: across the basis domain."""
+    return np.linspace(domain[0], domain[1], REPORT_POINTS)
 
 
 def _shape_report(coefs, shape, spec) -> dict:
@@ -155,13 +167,14 @@ def _cmd_fit(args) -> dict:
     config = _load_config(args.config, args.seed)
     model = _FIT_MODELS[args.command]
     data = _read_cli_dataset(args)
-    spec = config.basis(model)
+    domain = _domain(data)
+    spec = config.basis(model, domain)
     payload: dict = {"model": model, "seed": config.seed, "order": spec.order}
     if model != "fosr":
         data = reconstruct_sparse(data, pve=config.pve)
     if model == "sofr":
         fit = fit_sofr(data, spec, config.shape)
-        grid = _report_grid()
+        grid = _report_grid(domain)
         payload.update(
             {
                 "alpha": fit.alpha,
@@ -202,7 +215,7 @@ def _cmd_fit(args) -> dict:
                 for j, t_val in enumerate(side)
             ]
         else:
-            grid = _report_grid()
+            grid = _report_grid(domain)
             payload["grid"] = grid.tolist()
             payload["beta0_values"] = fit.beta0_fn(grid).tolist()
             payload["beta1_values"] = fit.beta1_fn(grid).tolist()
@@ -214,12 +227,13 @@ def _cmd_fit(args) -> dict:
 def _cmd_fit_qfosr(args) -> dict:
     config = _load_config(args.config, args.seed)
     data = _read_cli_dataset(args)
-    spec = config.basis("qfosr")
+    domain = _domain(data)
+    spec = config.basis("qfosr", domain)
     fit = fit_qfosr(
         data, spec, extra_shapes=config.extra_shapes or None, pve=config.pve,
         whiten_fit=config.whiten,
     )
-    grid = _report_grid()
+    grid = _report_grid(domain)
     blocks = {
         name: fit.coefficient_fn(j + 1, grid).tolist()
         for j, name in enumerate(fit.predictor_names)
@@ -255,8 +269,9 @@ def _cmd_test_shape(args) -> dict:
     if config.model is None or config.shape is None:
         raise ConfigError("test-shape needs 'model' and 'shape' in the config")
     data = _read_cli_dataset(args)
+    spec = config.basis(config.model, _domain(data))
     report = bootstrap_shape_test(
-        data, config.model, config.basis(config.model), config.shape, config.bootstrap, config.seed
+        data, config.model, spec, config.shape, config.bootstrap, config.seed
     )
     payload = {"model": config.model, **report.to_json()}
     rows = [{"draw": i, "statistic": s} for i, s in enumerate(report.bootstrap_stats)]
@@ -268,12 +283,13 @@ def _cmd_ci(args) -> dict:
     if config.model is None:
         raise ConfigError("ci needs 'model' in the config")
     data = _read_cli_dataset(args)
-    spec = config.basis(config.model)
+    domain = _domain(data)
+    spec = config.basis(config.model, domain)
     common = {
         "level": config.level,
         "draws": config.draws,
         "seed": config.seed,
-        "eval_grid": _report_grid(),
+        "eval_grid": _report_grid(domain),
         "pve": config.pve,
         "whiten_fit": config.whiten,
     }
@@ -313,6 +329,7 @@ def _cmd_simulate(args) -> dict:
     data = generate_scenario(spec, args.rep)
     out = Path(args.out or f"scenario_{args.scenario}.csv")
     fmt = "wide_csv" if spec.model == "sofr" else "long_csv"
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(data, out, fmt=fmt)
     grid = _report_grid()
     payload = {
@@ -346,7 +363,6 @@ def _cmd_bench(args) -> dict:
         ci_draws=args.ci_draws,
         bootstrap_draws=args.bootstrap_draws,
         test_shape=shape,
-        threads=resolve_threads(args.threads),
     )
     return {
         "payload": table.summary(),
@@ -381,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output JSON path")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
 
     for name in (*_FIT_MODELS, "fit-qfosr", "test-shape", "ci", "cv-order"):
         p = sub.add_parser(name)
@@ -393,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="dataset output path")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
 
     p = sub.add_parser("bench")
     p.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
@@ -406,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-shape", help="JSON shape for test mode")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output JSON path")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     return parser
 
 
@@ -439,6 +455,9 @@ def run_cli(argv=None) -> int:
         return 3
     except BernfitError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect: still one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -370,31 +370,15 @@ def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:
     return _build_univariate(shape, spec.order)
 
 
-def _infer_spec(beta: np.ndarray, shape: ShapeSpec):
-    """Reconstruct the basis spec implied by a coefficient vector's length."""
-    size = beta.size
-    if shape.kind == "quantile_monotone":
-        blocks = shape.n_predictors + 1
-        if size % blocks:
-            raise ValueError(f"coefficient length {size} is not divisible into {blocks} blocks")
-        return BasisSpec(size // blocks - 1)
-    if shape.bivariate:
-        side = int(round(np.sqrt(size)))
-        if side * side != size:
-            raise ValueError(f"coefficient length {size} is not a perfect square")
-        return TensorBasisSpec(side - 1)
-    return BasisSpec(size - 1)
-
-
-def check_shape(beta, shape: ShapeSpec, tol: float = 1e-8, spec=None) -> ShapeReport:
-    """Certify a coefficient vector against the shape's constraint system.
+def check_shape(beta, shape: ShapeSpec, spec, tol: float = 1e-8) -> ShapeReport:
+    """Certify a coefficient vector against the shape's constraint system on ``spec``.
 
     Because the constraints are sufficient conditions on coefficients, a
     feasible report certifies the shape everywhere on the domain, not only
     at evaluation points.
     """
     beta = np.asarray(beta, dtype=float).ravel()
-    system = build_constraints(shape, spec if spec is not None else _infer_spec(beta, shape))
+    system = build_constraints(shape, spec)
     viol = system.violations(beta)
     bad = np.flatnonzero(viol > tol)
     return ShapeReport(

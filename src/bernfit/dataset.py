@@ -117,6 +117,13 @@ def _parse_float(cell: str, where: str) -> float:
         raise DataError(f"non-numeric value {cell!r} at {where}") from None
 
 
+def _parse_time(cell: str, where: str) -> float:
+    t = _parse_float(cell, where)
+    if not np.isfinite(t):
+        raise DataError(f"non-finite time {cell!r} at {where}")
+    return t
+
+
 def read_dataset(path, fmt: str = "wide_csv", scalars_path=None) -> FunctionalDataset:
     """Load a dataset from disk; see the module docstring for layouts."""
     try:
@@ -142,7 +149,7 @@ def _read_wide(path) -> FunctionalDataset:
         raise DataError(f"{path}: no 't=<value>' columns found")
     times = []
     for j, name in t_cols:
-        times.append(_parse_float(name[2:], f"header column {j + 1}"))
+        times.append(_parse_time(name[2:], f"header column {j + 1}"))
     order = np.argsort(times)
     times_sorted = np.asarray(times, dtype=float)[order]
     if np.unique(times_sorted).size != times_sorted.size:
@@ -190,10 +197,11 @@ def _read_wide(path) -> FunctionalDataset:
 
 def _read_long(path, scalars_path) -> FunctionalDataset:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        # a short row reads as empty trailing cells, as in the wide layout
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
-        fields = [f.strip() for f in reader.fieldnames]
+        fields = reader.fieldnames = [f.strip() for f in reader.fieldnames]
         if "id" not in fields or "t" not in fields:
             raise DataError(f"{path}: long format needs 'id' and 't' columns")
         has_x = "x" in fields
@@ -203,7 +211,7 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
         records = []
         for r, row in enumerate(reader, start=2):
             where = f"{path}:{r}"
-            t = _parse_float(row["t"], where)
+            t = _parse_time(row["t"], where)
             x = _parse_float(row["x"], where) if has_x and row.get("x", "").strip() else np.nan
             y = _parse_float(row["y_t"], where) if has_y and row.get("y_t", "").strip() else np.nan
             records.append((row["id"].strip(), t, x, y, r))
@@ -245,7 +253,7 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
 
 def _read_scalar_file(path, ids):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or "id" not in reader.fieldnames:
             raise DataError(f"{path}: scalar file needs an 'id' column")
         fields = [f for f in reader.fieldnames if f != "id"]

@@ -54,20 +54,10 @@ class CovarianceModel:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     nugget: float
-    pve: float
-
-    @classmethod
-    def identity(cls, grid_points) -> "CovarianceModel":
-        pts = np.asarray(grid_points, dtype=float)
-        return cls(pts, np.empty(0), np.empty((0, pts.size)), nugget=1.0, pve=1.0)
 
     @property
     def n_components(self) -> int:
         return int(self.eigenvalues.size)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.n_components == 0 and self.nugget == 1.0
 
     def _low_rank(self, idx=None) -> np.ndarray:
         """sum_k lambda_k phi_k phi_k' on the grid, an index subset or a stack of subsets."""
@@ -100,7 +90,7 @@ class CovarianceModel:
         if self.n_components == 0:
             m = self.grid_points.size if idx is None else np.shape(idx)[-1]
             scale = float(self._floor(0.0, m))
-            eye = np.eye(m) if scale == 1.0 else np.eye(m) / np.sqrt(scale)
+            eye = np.eye(m) / np.sqrt(scale)
             return eye if idx is None else np.broadcast_to(eye, np.shape(idx) + (m,))
         evals, evecs = np.linalg.eigh(self.matrix(idx))
         return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
@@ -171,7 +161,7 @@ def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceM
     evecs = evecs[:, order]
     total = float(evals.sum())
     if total <= 0.0:
-        return CovarianceModel(pts, np.empty(0), np.empty((0, m)), nugget=nugget, pve=pve)
+        return CovarianceModel(pts, np.empty(0), np.empty((0, m)), nugget=nugget)
     share = np.cumsum(evals) / total
     k = int(np.searchsorted(share, pve) + 1)
     k = min(k, int((evals > 0).sum()))
@@ -181,7 +171,7 @@ def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceM
         peak = row[np.argmax(np.abs(row))]
         if peak < 0:
             row *= -1.0
-    return CovarianceModel(pts, evals[:k], phis, nugget=nugget, pve=pve)
+    return CovarianceModel(pts, evals[:k], phis, nugget=nugget)
 
 
 def _kernel_smooth_offdiag(cov: np.ndarray, counts: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -258,8 +248,6 @@ class StackedDesign:
         return self.z.T @ self.z, self.z.T @ self.y, float(self.y @ self.y)
 
     def whitened(self, cov: CovarianceModel) -> "StackedDesign":
-        if cov.is_identity:
-            return self
         n, m = self.n_subjects, self.n_points
         if self.y.size == n * m:
             s = cov.inverse_sqrt()
@@ -377,20 +365,14 @@ def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prewhiten(design: StackedDesign, data, pve, covariance=None):
-    """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design.
-
-    A supplied ``covariance`` skips the step-1 solve and the FPCA.
-    """
-    cov = covariance
-    if cov is None:
-        step1 = _solve_stacked(design, None)
-        resid = _raw_residuals(design, step1.beta)
-        cov = estimate_covariance(resid, data.grid, pve)
+def _prewhiten(design: StackedDesign, data, pve):
+    """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design."""
+    step1 = _solve_stacked(design, None)
+    cov = estimate_covariance(_raw_residuals(design, step1.beta), data.grid, pve)
     return design.whitened(cov), cov
 
 
-def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None):
+def _solve_two_step(design, data, constraints, pve, whiten_fit):
     """Constrained solve on the pre-whitened design, or on the raw one.
 
     Returns the solution and the covariance used (None without whitening);
@@ -398,7 +380,7 @@ def _solve_two_step(design, data, constraints, pve, whiten_fit, covariance=None)
     """
     cov = None
     if whiten_fit:
-        design, cov = _prewhiten(design, data, pve, covariance)
+        design, cov = _prewhiten(design, data, pve)
     return _solve_stacked(design, constraints), cov
 
 
@@ -409,20 +391,19 @@ def fit_functional(
     shape: ShapeSpec | None = None,
     pve: float = 0.95,
     whiten_fit: bool = True,
-    covariance: CovarianceModel | None = None,
 ) -> FunctionalFit:
     """Fit a functional-response model, optionally shape-constrained.
 
     ``spec`` is the slope's basis, as for ``build_design``.
     ``whiten_fit=False`` skips covariance estimation entirely and solves the
     raw stacked least-squares problem (the bootstrap-test path); otherwise
-    step 1 residuals feed the FPCA covariance unless one is supplied.
+    step 1 residuals feed the FPCA covariance.
     """
     design = build_design(data, model, spec)
     constraints = None
     if shape is not None:
         constraints = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
-    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit, covariance)
+    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)
     return FunctionalFit(
         model=model,
         basis0=spec.spec_t if model == "fofr" else spec,

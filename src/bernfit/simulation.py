@@ -166,9 +166,9 @@ def generate_scenario(spec: ScenarioSpec, replication: int = 0) -> FunctionalDat
     )
 
 
-def imse(beta_hat, beta_true, domain: tuple[float, float] = (0.0, 1.0), n_points: int = 200) -> float:
-    """Trapezoid integral of the squared estimation error over the domain."""
-    t = np.linspace(domain[0], domain[1], n_points)
+def imse(beta_hat, beta_true) -> float:
+    """Trapezoid integral of the squared estimation error over [0, 1] at 200 points."""
+    t = np.linspace(0.0, 1.0, 200)
     diff = np.asarray(beta_hat(t), dtype=float) - np.asarray(beta_true(t), dtype=float)
     return float(np.trapezoid(diff**2, t))
 
@@ -249,9 +249,7 @@ class MetricTable:
 
     def rows(self) -> list[dict]:
         rows = []
-        reps = max(self.imse_constrained.size, self.coverage.size, self.rejections.size)
-        labels = self.replication_ids if self.replication_ids.size == reps else np.arange(reps)
-        for r, label in enumerate(labels):
+        for r, label in enumerate(self.replication_ids):
             row: dict = {"replication": int(label)}
             if self.imse_constrained.size:
                 row["imse_constrained"] = float(self.imse_constrained[r])
@@ -279,7 +277,8 @@ def run_benchmark(
     ``mode`` selects the protocol: paired constrained/unconstrained IMSE under
     the scenario's shape, 95% pointwise interval coverage of the true
     coefficient, or bootstrap shape-test rejections of ``test_shape`` at the
-    5% level.
+    5% level. Replications run serially; ``threads`` is accepted and has no
+    effect.
     """
     from .inference import bootstrap_shape_test, projection_ci
     from .functional import fit_functional, reconstruct_sparse
@@ -326,7 +325,7 @@ def run_benchmark(
         )
         return int(report.p_value <= 0.05)
 
-    outcomes = parallel_map(_Catcher(one_replication), range(spec.replications), threads)
+    outcomes = parallel_map(_Catcher(one_replication), range(spec.replications))
     ok = [rep for rep, outcome in enumerate(outcomes) if outcome is not None]
     results = [outcomes[rep] for rep in ok]
     table = MetricTable(scenario=spec.kind, n=spec.n, mode=mode, seed=spec.seed)

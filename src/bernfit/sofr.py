@@ -26,7 +26,6 @@ class SofrFit:
     basis: BasisSpec
     shape: ShapeSpec | None
     rss: float
-    residuals: np.ndarray
     ridge_used: float
 
     def beta_fn(self, t) -> np.ndarray:
@@ -83,7 +82,6 @@ def fit_sofr(
         basis=spec,
         shape=shape,
         rss=float(residuals @ residuals),
-        residuals=residuals,
         ridge_used=sol.ridge,
     )
 

@@ -1,19 +1,14 @@
-"""Seeding and parallel-execution helpers.
+"""Seeding and replication helpers.
 
 Every random draw in the package flows through ``spawn_rng`` so that a
-(seed, stream-key) pair fully determines the stream. Work scheduled through
-``parallel_map`` reduces in submission order, so results are identical for
-any worker count.
+(seed, stream-key) pair fully determines the stream. Replications run
+serially, in order, through ``parallel_map``: a thread pool over them
+measured no faster on two cores, so the thread count has no effect.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-THREADS_ENV_VAR = "BERNFIT_THREADS"
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -21,24 +16,6 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread count from the argument, the environment, or 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, preserving order regardless of thread count."""
-    items = list(items)
-    threads = min(resolve_threads(threads), max(1, len(items)))
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items) -> list:
+    """Map ``fn`` over ``items`` serially, in order."""
+    return [fn(item) for item in items]

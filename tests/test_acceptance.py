@@ -15,7 +15,6 @@ from bernfit import (
     BasisSpec,
     ClsqSolver,
     ConstraintSystem,
-    CovarianceModel,
     ScenarioSpec,
     TensorBasisSpec,
     bivariate_monotone,
@@ -30,6 +29,7 @@ from bernfit import (
 )
 from bernfit.basis import eval_basis_matrix
 from bernfit.constraints import NON_INCREASING
+from bernfit.functional import CovarianceModel, _solve_stacked, build_design
 from bernfit.inference import _project
 
 from helpers import enumerate_clsq
@@ -272,17 +272,23 @@ class TestAcceptance:
             con = fit_sofr(data, BasisSpec(4), NON_NEGATIVE)
             unc = fit_sofr(data, BasisSpec(4), None)
             ok &= con.rss >= unc.rss - 1e-10
-            ok &= check_shape(con.beta_coefs, NON_NEGATIVE).feasible
+            ok &= check_shape(con.beta_coefs, NON_NEGATIVE, spec=BasisSpec(4)).feasible
             fdata = generate_scenario(ScenarioSpec("B", n=40, seed=5), rep)
             fcon = fit_functional(fdata, "flcm", BasisSpec(5), NON_INCREASING)
             func = fit_functional(fdata, "flcm", BasisSpec(5), None, whiten_fit=False)
-            ok &= fcon.rss_raw >= 0 and check_shape(fcon.beta1_coefs, NON_INCREASING).feasible
+            ok &= fcon.rss_raw >= 0 and check_shape(
+                fcon.beta1_coefs, NON_INCREASING, spec=BasisSpec(5)
+            ).feasible
 
         # whitening-identity reduction, bitwise
-        identity = CovarianceModel.identity(fdata.grid.points)
-        w_fit = fit_functional(fdata, "flcm", BasisSpec(5), NON_INCREASING, covariance=identity)
+        pts = fdata.grid.points
+        identity = CovarianceModel(pts, np.empty(0), np.empty((0, pts.size)), nugget=1.0)
+        design = build_design(fdata, "flcm", BasisSpec(5))
+        system = build_constraints(NON_INCREASING, BasisSpec(5))
+        system = system.padded(design.n_free, design.n_coefs)
+        w_beta = _solve_stacked(design.whitened(identity), system).beta
         r_fit = fit_functional(fdata, "flcm", BasisSpec(5), NON_INCREASING, whiten_fit=False)
-        ok &= w_fit.beta1_coefs.tobytes() == r_fit.beta1_coefs.tobytes()
+        ok &= w_beta[design.n_free :].tobytes() == r_fit.beta1_coefs.tobytes()
 
         # determinism across thread counts
         spec = ScenarioSpec("A", n=50, seed=9, replications=6)

@@ -186,13 +186,13 @@ class TestSufficiency:
 
 class TestCheckShape:
     def test_feasible_vector(self):
-        report = check_shape([0.0, 1.0, 2.0], NON_DECREASING)
+        report = check_shape([0.0, 1.0, 2.0], NON_DECREASING, spec=BasisSpec(2))
         assert report.feasible
         assert report.worst_violation == 0.0
         assert report.violated_rows.size == 0
 
     def test_infeasible_vector(self):
-        report = check_shape([0.0, 2.0, 1.0], NON_DECREASING)
+        report = check_shape([0.0, 2.0, 1.0], NON_DECREASING, spec=BasisSpec(2))
         assert not report.feasible
         assert report.worst_violation == pytest.approx(1.0)
         assert np.array_equal(report.violated_rows, [1])
@@ -203,7 +203,7 @@ class TestCheckShape:
         accepted = 0
         while accepted < 10:
             beta = rng.normal(size=order + 1)
-            report = check_shape(beta, NON_NEGATIVE, tol=0.0)
+            report = check_shape(beta, NON_NEGATIVE, spec=BasisSpec(order), tol=0.0)
             if np.all(beta >= 0):
                 assert report.feasible
                 accepted += 1

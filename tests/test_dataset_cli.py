@@ -3,11 +3,26 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bernfit import DataError, ScenarioSpec, generate_scenario, read_dataset, write_dataset
+from bernfit import (
+    NON_INCREASING,
+    BasisSpec,
+    DataError,
+    FunctionalDataset,
+    Grid,
+    ScenarioSpec,
+    fit_functional,
+    generate_scenario,
+    read_dataset,
+    write_dataset,
+)
+from bernfit import cli
 from bernfit.cli import run_cli
 
 
@@ -449,7 +464,8 @@ class TestCli:
             assert "Traceback" not in capsys.readouterr().err
 
 
-# (subcommand, config object or raw config bytes, raw data bytes or None for valid data)
+# (subcommand, config object or raw config bytes, raw data bytes or None for valid data);
+# a (long-layout data bytes, companion scalar bytes or None) pair is read as long_csv
 _MALFORMED_INPUTS = {
     "config-order": ("fit-sofr", {"order": "four"}, None),
     "config-draws": ("ci", {"model": "sofr", "order": 4, "draws": "many"}, None),
@@ -487,14 +503,18 @@ _MALFORMED_INPUTS = {
     "data-not-utf8": (
         "fit-sofr", {"order": 4}, "id,y,t=0.0,t=1.0\nJos\xe9,1.0,0.5,0.25\n".encode("latin-1")
     ),
+    "data-long-short-row": ("fit-flcm", {"order": 4}, (b"id,t,x\ns1,0.0,1.0\ns1\n", None)),
+    "data-scalars-short-row": (
+        "fit-sofr", {"order": 4}, (b"id,t,x\ns1,0.0,1.0\ns1,1.0,2.0\n", b"id,y\ns1\n")
+    ),
+    "data-one-point-grid-outside-unit": (
+        "fit-flcm", {"order": 3}, (b"id,t,x,y_t\ns1,5.0,1.0,2.0\ns2,5.0,1.5,2.5\n", None)
+    ),
 }
 
 
 # command lines whose output path cannot be written
 _UNWRITABLE_OUTPUTS = {
-    "output-missing-dir": lambda tmp: [
-        "simulate", "--scenario", "B", "--n", "30", "--out", str(tmp / "missing" / "x.csv")
-    ],
     "output-is-directory": lambda tmp: ["simulate", "--scenario", "B", "--n", "30", "--out", str(tmp)],
     "output-json-is-directory": lambda tmp: [
         "bench", "--scenario", "B", "--n", "30", "--reps", "1", "--out", str(tmp)
@@ -514,12 +534,19 @@ def test_malformed_input_maps_to_documented_exit_code(tmp_path, capsys, case):
     else:
         command, config, data = _MALFORMED_INPUTS[case]
         data_path = _write_sofr_data(tmp_path, n=20)
+        layout = []
+        if isinstance(data, tuple):
+            data, scalars = data
+            layout = ["--format", "long_csv"]
+            if scalars is not None:
+                (tmp_path / "scalars.csv").write_bytes(scalars)
+                layout += ["--scalars", str(tmp_path / "scalars.csv")]
         if data is not None:
             data_path = tmp_path / "bad.csv"
             data_path.write_bytes(data)
         config_path = tmp_path / "config.json"
         config_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-        argv = [command, "--data", str(data_path), "--config", str(config_path),
+        argv = [command, "--data", str(data_path), *layout, "--config", str(config_path),
                 "--out", str(tmp_path / "out.json")]
     expected = 2 if case.startswith("config-") else 1
     assert run_cli(argv) == expected
@@ -542,3 +569,92 @@ def test_bench_configuration_error_exits_2(tmp_path, capsys, options):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_simulate_creates_missing_output_directory(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(["simulate", "--scenario", "B", "--n", "30", "--out", str(out)]) == 0
+    assert out.is_file()
+    assert Path(str(out) + ".meta.json").is_file()
+
+
+def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        return 1 / 0
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+    argv = ["simulate", "--scenario", "B", "--n", "30", "--out", str(tmp_path / "x.csv")]
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_fit_on_grid_beyond_unit_interval_uses_data_domain(tmp_path):
+    data = generate_scenario(ScenarioSpec("B", n=40, seed=3), 0)
+    scaled = FunctionalDataset(
+        grid=Grid(10.0 * data.grid.points), ids=data.ids,
+        x_curves=data.x_curves, y_curves=data.y_curves,
+    )
+    data_path = tmp_path / "b10.csv"
+    write_dataset(scaled, data_path, "long_csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"order": 5, "shape": {"kind": "non_increasing"}}))
+    out = tmp_path / "fit.json"
+    argv = ["fit-flcm", "--data", str(data_path), "--format", "long_csv",
+            "--config", str(config), "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text())
+    read = read_dataset(data_path, "long_csv")
+    assert read.domain == (0.0, 10.0)
+    fit = fit_functional(read, "flcm", BasisSpec(5, read.domain), NON_INCREASING)
+    assert payload["beta0_coefs"] == fit.beta0_coefs.tolist()
+    assert payload["beta1_coefs"] == fit.beta1_coefs.tolist()
+    assert (payload["grid"][0], payload["grid"][-1]) == (0.0, 10.0)
+
+
+_TIMES = ["0", "0.5", "1", "0.25", "nan", "inf", "-inf", "x", ""]
+_CELLS = ["s1", "s2", "", " ", "0", "0.5", "-2.5", "1e3", "nan", "inf", "-inf", "x"]
+_rows = st.lists(st.lists(st.sampled_from(_CELLS + _TIMES), max_size=7), max_size=6)
+
+
+def _csv(header, rows) -> str:
+    lines = [] if header is None else [",".join(header)]
+    return "".join(line + "\n" for line in lines + [",".join(row) for row in rows])
+
+
+@st.composite
+def _wide_text(draw):
+    if draw(st.booleans()) and draw(st.booleans()):
+        return ""
+    scalars = draw(st.lists(st.sampled_from(["y", "x", "z_a"]), unique=True))
+    times = draw(st.lists(st.sampled_from(_TIMES), max_size=5))
+    return _csv(["id", *scalars, *(f"t={t}" for t in times)], draw(_rows))
+
+
+@st.composite
+def _long_text(draw):
+    if draw(st.booleans()) and draw(st.booleans()):
+        return "", None
+    columns = draw(st.permutations(["id", "t", *draw(st.sets(st.sampled_from(["x", "y_t"])))]))
+    scalars = None
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(["y", "x", "z_a"]), unique=True))
+        scalars = _csv(["id", *names], draw(_rows))
+    return _csv(columns, draw(_rows)), scalars
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wide=_wide_text(), long=_long_text())
+def test_read_dataset_returns_or_raises_data_error(tmp_path, wide, long):
+    """Ragged rows, non-finite tokens, duplicate ids, unsorted times and empty or
+    header-only files either load or raise DataError, never anything else."""
+    data_path, scalars_path = tmp_path / "data.csv", tmp_path / "scalars.csv"
+    long_text, scalars = long
+    for fmt, text, companion in (("wide_csv", wide, None), ("long_csv", long_text, scalars)):
+        data_path.write_text(text)
+        if companion is not None:
+            scalars_path.write_text(companion)
+        try:
+            read_dataset(data_path, fmt, scalars_path if companion is not None else None)
+        except DataError:
+            pass

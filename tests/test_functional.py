@@ -1,5 +1,7 @@
 """Tests for functional-response fitting, covariance estimation, and whitening."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,36 @@ from bernfit import (
     projection_ci,
 )
 from bernfit.basis import eval_basis_matrix, fofr_design
+from bernfit.constraints import build_constraints
 from bernfit.dataset import FunctionalDataset
 from bernfit.functional import (
     CovarianceModel,
+    _solve_stacked,
     build_design,
     estimate_covariance,
     fit_functional,
     reconstruct_sparse,
 )
+
+
+def unit_nugget(points) -> CovarianceModel:
+    """The identity covariance: no components and a unit nugget."""
+    pts = np.asarray(points, dtype=float)
+    return CovarianceModel(pts, np.empty(0), np.empty((0, pts.size)), nugget=1.0)
+
+
+def gls_fit(data, model, spec, shape, cov):
+    """Coefficients and whitened RSS of the solve on the design whitened with ``cov``."""
+    design = build_design(data, model, spec).whitened(cov)
+    system = None
+    if shape is not None:
+        system = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
+    sol = _solve_stacked(design, system)
+    return SimpleNamespace(
+        beta0_coefs=sol.beta[: design.n_free],
+        beta1_coefs=sol.beta[design.n_free :],
+        rss_whitened=sol.rss,
+    )
 
 
 def make_flcm_dataset(n=40, m=30, seed=0, noise=0.0, beta0=None, beta1=None, order=3):
@@ -243,13 +267,13 @@ class TestEstimateCovariance:
 
 class TestWhiten:
     def test_identity_covariance_is_noop(self):
-        cov = CovarianceModel.identity(np.linspace(0, 1, 8))
+        cov = unit_nugget(np.linspace(0, 1, 8))
         block = np.arange(24.0).reshape(8, 3)
         assert np.array_equal(cov.inverse_sqrt() @ block, block)
 
     def test_scaled_identity_divides(self):
         pts = np.linspace(0, 1, 6)
-        cov = CovarianceModel(pts, np.empty(0), np.empty((0, 6)), nugget=4.0, pve=1.0)
+        cov = CovarianceModel(pts, np.empty(0), np.empty((0, 6)), nugget=4.0)
         vec = np.ones(6)
         assert np.allclose(cov.inverse_sqrt() @ vec, 0.5)
 
@@ -298,20 +322,20 @@ class TestConstrainedGls:
     def test_shape_certificate(self):
         data, spec, _, _ = make_flcm_dataset(beta1=[0.5, 1.0, 1.5, 2.0], noise=0.4, seed=8)
         fit = fit_functional(data, "flcm", spec, NON_DECREASING)
-        report = check_shape(fit.beta1_coefs, NON_DECREASING, tol=1e-8)
+        report = check_shape(fit.beta1_coefs, NON_DECREASING, spec=spec, tol=1e-8)
         assert report.feasible
 
     def test_whitened_rss_ordering(self):
         data, spec, _, _ = make_flcm_dataset(beta1=[2.0, 1.0, 0.7, 0.1], noise=0.5, seed=9)
         cov_est = fit_functional(data, "flcm", spec, None).covariance
-        constrained = fit_functional(data, "flcm", spec, NON_INCREASING, covariance=cov_est)
-        unconstrained = fit_functional(data, "flcm", spec, None, covariance=cov_est)
+        constrained = gls_fit(data, "flcm", spec, NON_INCREASING, cov_est)
+        unconstrained = gls_fit(data, "flcm", spec, None, cov_est)
         assert constrained.rss_whitened >= unconstrained.rss_whitened - 1e-9
 
     def test_identity_covariance_matches_raw_fit_bitwise(self):
         data, spec, _, _ = make_flcm_dataset(noise=0.3, seed=10)
-        identity = CovarianceModel.identity(data.grid.points)
-        whitened = fit_functional(data, "flcm", spec, NON_INCREASING, covariance=identity)
+        identity = unit_nugget(data.grid.points)
+        whitened = gls_fit(data, "flcm", spec, NON_INCREASING, identity)
         raw = fit_functional(data, "flcm", spec, NON_INCREASING, whiten_fit=False)
         assert whitened.beta1_coefs.tobytes() == raw.beta1_coefs.tobytes()
         assert whitened.beta0_coefs.tobytes() == raw.beta0_coefs.tobytes()
@@ -337,7 +361,7 @@ class TestConstrainedGls:
         )
         data = FunctionalDataset(grid=grid, ids=list(range(n)), x_curves=x, y_curves=y)
         fit = fit_functional(data, "fofr", tensor, bivariate_monotone())
-        report = check_shape(fit.beta1_coefs, bivariate_monotone(), tol=1e-8)
+        report = check_shape(fit.beta1_coefs, bivariate_monotone(), spec=tensor, tol=1e-8)
         assert report.feasible
 
 
@@ -428,7 +452,7 @@ class TestSparse:
             assert np.abs(completed[i, missing] - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_sparse_whitening_matches_per_subject_gls(self):
-        # with a supplied covariance the unconstrained fit is the GLS estimate
+        # on a design whitened with a given covariance the unconstrained fit is the GLS estimate
         # sum_i Z_i' C_i^-1 Z_i beta = sum_i Z_i' C_i^-1 y_i, C_i the covariance
         # restricted to subject i's observed points
         rng = np.random.default_rng(4)
@@ -446,8 +470,8 @@ class TestSparse:
         )
         w = np.sqrt(np.gradient(pts))  # any smooth functions work for the oracle
         phis = np.vstack([np.ones(m), np.cos(np.pi * pts), pts**2]) / w
-        cov = CovarianceModel(pts, np.array([2.0, 0.7, 0.2]), phis, nugget=0.3, pve=0.95)
-        fit = fit_functional(data, "flcm", BasisSpec(order), covariance=cov)
+        cov = CovarianceModel(pts, np.array([2.0, 0.7, 0.2]), phis, nugget=0.3)
+        fit = gls_fit(data, "flcm", BasisSpec(order), None, cov)
 
         p = 2 * (order + 1)
         lhs, rhs = np.zeros((p, p)), np.zeros(p)

@@ -194,12 +194,3 @@ class TestRunBenchmark:
     def test_test_mode_requires_null(self):
         with pytest.raises(ConfigError):
             run_benchmark(ScenarioSpec("A", n=50, seed=7, replications=2), mode="test")
-
-    def test_threads_env_var_fallback(self, monkeypatch):
-        from bernfit.utils import resolve_threads
-
-        monkeypatch.setenv("BERNFIT_THREADS", "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(2) == 2  # explicit argument wins
-        monkeypatch.setenv("BERNFIT_THREADS", "junk")
-        assert resolve_threads(None) == 1
