@@ -36,22 +36,21 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class TensorBasisSpec:
-    """Tensor product of two univariate Bernstein bases of one order.
+    """Tensor product of two univariate Bernstein bases of one order and domain.
 
     The coefficient vector for a surface is stacked k1-major: the column for
     the (k1, k2) product basis sits at index ``k1 * (order + 1) + k2``.
     """
 
     order: int
-    domain_s: tuple[float, float] = (0.0, 1.0)
-    domain_t: tuple[float, float] = (0.0, 1.0)
+    domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.order < 1:
             raise ConfigError("tensor basis order must be >= 1")
-        for a, b in (self.domain_s, self.domain_t):
-            if not a < b:
-                raise ConfigError(f"domain must satisfy a < b, got [{a}, {b}]")
+        a, b = self.domain
+        if not a < b:
+            raise ConfigError(f"domain must satisfy a < b, got [{a}, {b}]")
 
     @property
     def n_coefs(self) -> int:
@@ -59,11 +58,11 @@ class TensorBasisSpec:
 
     @property
     def spec_s(self) -> BasisSpec:
-        return BasisSpec(self.order, self.domain_s)
+        return BasisSpec(self.order, self.domain)
 
     @property
     def spec_t(self) -> BasisSpec:
-        return BasisSpec(self.order, self.domain_t)
+        return BasisSpec(self.order, self.domain)
 
 
 @dataclass(frozen=True)

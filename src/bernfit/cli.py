@@ -7,6 +7,8 @@ error or an input or output file that cannot be read or written, 2
 configuration error, 3 numerical failure or an internal error (any other
 exception, reported as one ``internal error: <Type>: <message>`` line).
 Replications run serially; ``--threads`` is accepted and has no effect.
+Every data subcommand starts with one set-up (``_setup``), which also
+completes sparse covariate curves, so all of them see the same data.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .sofr import fit_sofr
 
 REPORT_POINTS = 200
 
-_FIT_MODELS = {"fit-sofr": "sofr", "fit-fosr": "fosr", "fit-flcm": "flcm", "fit-fofr": "fofr"}
+_FIT_MODELS = {f"fit-{model}": model for model in ("sofr", "fosr", "flcm", "fofr", "qfosr")}
 
 
 class RunConfig:
@@ -83,9 +85,7 @@ class RunConfig:
         """The model's coefficient basis on ``domain``: a tensor product for fofr."""
         if self.order is None:
             raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
-        if model == "fofr":
-            return TensorBasisSpec(self.order, domain, domain)
-        return BasisSpec(self.order, domain)
+        return (TensorBasisSpec if model == "fofr" else BasisSpec)(self.order, domain)
 
 
 def _load_config(path: str | None, seed_override: int | None) -> RunConfig:
@@ -132,15 +132,6 @@ def _write_csv(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _domain(data) -> tuple[float, float]:
-    """Domain of the CLI bases: [0, 1], or the data's own span if its grid leaves [0, 1].
-
-    A one-point grid has no span; it keeps [0, 1] and fails as a data error.
-    """
-    a, b = data.domain
-    return (a, b) if (a < 0.0 or b > 1.0) and a < b else (0.0, 1.0)
-
-
 def _report_grid(domain=(0.0, 1.0)) -> np.ndarray:
     """Where reported curves are evaluated: across the basis domain."""
     return np.linspace(domain[0], domain[1], REPORT_POINTS)
@@ -157,24 +148,29 @@ def _shape_report(coefs, shape, spec) -> dict:
     }
 
 
-def _read_cli_dataset(args):
+def _setup(args):
+    """Config, model, dataset and basis (on the dataset's domain; none for cv-order)
+    of a data subcommand. Sparse covariate curves of the models with a functional
+    covariate are completed once the basis is validated."""
+    config = _load_config(args.config, args.seed)
+    model = _FIT_MODELS.get(args.command, config.model)
+    if model is None:
+        raise ConfigError(f"{args.command} needs 'model' in the config")
     if not args.data:
         raise ConfigError("this subcommand needs --data")
-    return read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
+    data = read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
+    spec = None if args.command == "cv-order" else config.basis(model, data.domain)
+    if model in ("sofr", "flcm", "fofr"):
+        data = reconstruct_sparse(data, pve=config.pve)
+    return config, model, data, spec
 
 
 def _cmd_fit(args) -> dict:
-    config = _load_config(args.config, args.seed)
-    model = _FIT_MODELS[args.command]
-    data = _read_cli_dataset(args)
-    domain = _domain(data)
-    spec = config.basis(model, domain)
+    config, model, data, spec = _setup(args)
     payload: dict = {"model": model, "seed": config.seed, "order": spec.order}
-    if model != "fosr":
-        data = reconstruct_sparse(data, pve=config.pve)
     if model == "sofr":
         fit = fit_sofr(data, spec, config.shape)
-        grid = _report_grid(domain)
+        grid = _report_grid(spec.domain)
         payload.update(
             {
                 "alpha": fit.alpha,
@@ -205,7 +201,7 @@ def _cmd_fit(args) -> dict:
             }
         )
         if model == "fofr":
-            side = np.linspace(spec.domain_s[0], spec.domain_s[1], 50)
+            side = np.linspace(spec.domain[0], spec.domain[1], 50)
             surface = fit.beta1_fn(side, s=side)
             payload["surface_grid"] = side.tolist()
             payload["surface_values"] = surface.tolist()
@@ -215,7 +211,7 @@ def _cmd_fit(args) -> dict:
                 for j, t_val in enumerate(side)
             ]
         else:
-            grid = _report_grid(domain)
+            grid = _report_grid(spec.domain)
             payload["grid"] = grid.tolist()
             payload["beta0_values"] = fit.beta0_fn(grid).tolist()
             payload["beta1_values"] = fit.beta1_fn(grid).tolist()
@@ -225,15 +221,12 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_fit_qfosr(args) -> dict:
-    config = _load_config(args.config, args.seed)
-    data = _read_cli_dataset(args)
-    domain = _domain(data)
-    spec = config.basis("qfosr", domain)
+    config, _, data, spec = _setup(args)
     fit = fit_qfosr(
         data, spec, extra_shapes=config.extra_shapes or None, pve=config.pve,
         whiten_fit=config.whiten,
     )
-    grid = _report_grid(domain)
+    grid = _report_grid(spec.domain)
     blocks = {
         name: fit.coefficient_fn(j + 1, grid).tolist()
         for j, name in enumerate(fit.predictor_names)
@@ -265,40 +258,31 @@ def _cmd_fit_qfosr(args) -> dict:
 
 
 def _cmd_test_shape(args) -> dict:
-    config = _load_config(args.config, args.seed)
-    if config.model is None or config.shape is None:
-        raise ConfigError("test-shape needs 'model' and 'shape' in the config")
-    data = _read_cli_dataset(args)
-    spec = config.basis(config.model, _domain(data))
-    report = bootstrap_shape_test(
-        data, config.model, spec, config.shape, config.bootstrap, config.seed
-    )
-    payload = {"model": config.model, **report.to_json()}
+    config, model, data, spec = _setup(args)
+    if config.shape is None:
+        raise ConfigError("test-shape needs 'shape' in the config")
+    report = bootstrap_shape_test(data, model, spec, config.shape, config.bootstrap, config.seed)
+    payload = {"model": model, **report.to_json()}
     rows = [{"draw": i, "statistic": s} for i, s in enumerate(report.bootstrap_stats)]
     return {"payload": payload, "rows": rows}
 
 
 def _cmd_ci(args) -> dict:
-    config = _load_config(args.config, args.seed)
-    if config.model is None:
-        raise ConfigError("ci needs 'model' in the config")
-    data = _read_cli_dataset(args)
-    domain = _domain(data)
-    spec = config.basis(config.model, domain)
+    config, model, data, spec = _setup(args)
     common = {
         "level": config.level,
         "draws": config.draws,
         "seed": config.seed,
-        "eval_grid": _report_grid(domain),
+        "eval_grid": _report_grid(spec.domain),
         "pve": config.pve,
         "whiten_fit": config.whiten,
     }
-    if config.model == "qfosr":
+    if model == "qfosr":
         extra = config.extra_shapes or None
         band = qfosr_projection_ci(data, spec, config.block, extra_shapes=extra, **common)
     else:
-        band = projection_ci(data, config.model, spec, config.shape, **common)
-    payload = {"model": config.model, "order": spec.order, **band.to_json()}
+        band = projection_ci(data, model, spec, config.shape, **common)
+    payload = {"model": model, "order": spec.order, **band.to_json()}
     rows = [
         {"t": t, "lower": lo, "upper": hi}
         for t, lo, hi in zip(band.grid, band.lower, band.upper)
@@ -307,19 +291,16 @@ def _cmd_ci(args) -> dict:
 
 
 def _cmd_cv_order(args) -> dict:
-    config = _load_config(args.config, args.seed)
-    if config.model is None:
-        raise ConfigError("cv-order needs 'model' in the config")
-    data = _read_cli_dataset(args)
+    config, model, data, _ = _setup(args)
     result = cv_select_order(
         data,
-        config.model,
-        (config.extra_shapes or None) if config.model == "qfosr" else config.shape,
+        model,
+        (config.extra_shapes or None) if model == "qfosr" else config.shape,
         candidates=config.candidates,
         folds=config.folds,
         seed=config.seed,
     )
-    payload = {"model": config.model, **result.to_json()}
+    payload = {"model": model, **result.to_json()}
     rows = [{"order": k, "score": v} for k, v in sorted(result.scores.items())]
     return {"payload": payload, "rows": rows}
 
@@ -399,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output JSON path")
         p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
 
-    for name in (*_FIT_MODELS, "fit-qfosr", "test-shape", "ci", "cv-order"):
+    for name in (*_FIT_MODELS, "test-shape", "ci", "cv-order"):
         p = sub.add_parser(name)
         add_common(p)
 

@@ -12,6 +12,9 @@ wide_csv
 long_csv
     Columns ``id,t,x[,y_t]``, one row per (subject, time) observation, with
     scalar columns optionally supplied in a companion wide file.
+
+All files go through one row reader (``_read_rows``). Subject ids are unique
+(per (id, t) in the long layout), and errors name the file's real line.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class FunctionalDataset:
     x_scalar: np.ndarray | None = None
     z_scalars: np.ndarray | None = None
     z_names: list = field(default_factory=list)
-    domain: tuple[float, float] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -68,9 +70,13 @@ class FunctionalDataset:
             self.z_scalars = z
             if not self.z_names:
                 self.z_names = [f"z{j}" for j in range(z.shape[1])]
-        if self.domain is None:
-            pts = self.grid.points
-            self.domain = (float(pts[0]), float(pts[-1]))
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        """Interval the coefficient bases live on: [0, 1], or the grid's span if the
+        grid leaves [0, 1]. A one-point grid has no span; it keeps [0, 1]."""
+        a, b = float(self.grid.points[0]), float(self.grid.points[-1])
+        return (a, b) if (a < 0.0 or b > 1.0) and a < b else (0.0, 1.0)
 
     @property
     def n_subjects(self) -> int:
@@ -105,7 +111,6 @@ class FunctionalDataset:
             x_scalar=take(self.x_scalar),
             z_scalars=take(self.z_scalars),
             z_names=list(self.z_names),
-            domain=self.domain,
             meta=dict(self.meta),
         )
 
@@ -115,6 +120,12 @@ def _parse_float(cell: str, where: str) -> float:
         return float(cell)
     except ValueError:
         raise DataError(f"non-numeric value {cell!r} at {where}") from None
+
+
+def _parse_optional(cell: str, where: str) -> float:
+    """A cell that may be empty: NaN marks an unobserved value."""
+    cell = cell.strip()
+    return _parse_float(cell, where) if cell else np.nan
 
 
 def _parse_time(cell: str, where: str) -> float:
@@ -136,20 +147,31 @@ def read_dataset(path, fmt: str = "wide_csv", scalars_path=None) -> FunctionalDa
     raise DataError(f"unknown dataset format {fmt!r}")
 
 
-def _read_wide(path) -> FunctionalDataset:
+def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Stripped header names and the non-blank rows of a UTF-8 CSV file, each
+    padded with empty cells to the header's width and paired with its line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        header = [name.strip() for name in header]
+        rows = [
+            (reader.line_num, row + [""] * (len(header) - len(row)))
+            for row in reader
+            if any(cell.strip() for cell in row)
+        ]
+    return header, rows
+
+
+def _read_wide(path) -> FunctionalDataset:
+    header, rows = _read_rows(path)
     if not header or header[0] != "id":
         raise DataError(f"{path}: first column must be 'id'")
     t_cols = [(j, name) for j, name in enumerate(header) if name.startswith("t=")]
     if not t_cols:
         raise DataError(f"{path}: no 't=<value>' columns found")
-    times = []
-    for j, name in t_cols:
-        times.append(_parse_time(name[2:], f"header column {j + 1}"))
+    times = [_parse_time(name[2:], f"header column {j + 1}") for j, name in t_cols]
     order = np.argsort(times)
     times_sorted = np.asarray(times, dtype=float)[order]
     if np.unique(times_sorted).size != times_sorted.size:
@@ -159,28 +181,24 @@ def _read_wide(path) -> FunctionalDataset:
     scalar_cols = {name: j for j, name in enumerate(header) if j > 0 and not name.startswith("t=")}
     ids, y_vals, x_vals, z_rows = [], [], [], []
     z_names = [name for name in header if name.startswith("z_")]
-    curves = []
-    for r, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        where = f"{path}:{r}"
-        row = row + [""] * (len(header) - len(row))
-        ids.append(row[0].strip())
+    curves, seen = [], set()
+    for line, row in rows:
+        where = f"{path}:{line}"
+        subject = row[0].strip()
+        if subject in seen:
+            raise DataError(f"{where}: duplicate subject id {subject!r}")
+        seen.add(subject)
+        ids.append(subject)
         if "y" in scalar_cols:
             y_vals.append(_parse_float(row[scalar_cols["y"]], where))
         if "x" in scalar_cols:
             x_vals.append(_parse_float(row[scalar_cols["x"]], where))
         if z_names:
             z_rows.append([_parse_float(row[scalar_cols[z]], where) for z in z_names])
-        curve = np.full(len(t_indices), np.nan)
-        for k, j in enumerate(t_indices):
-            cell = row[j].strip()
-            if cell:
-                curve[k] = _parse_float(cell, f"{where} column {j + 1}")
-        curves.append(curve)
+        curves.append([_parse_optional(row[j], f"{where} column {j + 1}") for j in t_indices])
     if not ids:
         raise DataError(f"{path}: no subject rows")
-    block = np.vstack(curves)
+    block = np.array(curves)
     grid = Grid(times_sorted)
     has_scalar_response = "y" in scalar_cols
     return FunctionalDataset(
@@ -196,25 +214,18 @@ def _read_wide(path) -> FunctionalDataset:
 
 
 def _read_long(path, scalars_path) -> FunctionalDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        # a short row reads as empty trailing cells, as in the wide layout
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        fields = reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        if "id" not in fields or "t" not in fields:
-            raise DataError(f"{path}: long format needs 'id' and 't' columns")
-        has_x = "x" in fields
-        has_y = "y_t" in fields
-        if not has_x and not has_y:
-            raise DataError(f"{path}: long format needs an 'x' or 'y_t' column")
-        records = []
-        for r, row in enumerate(reader, start=2):
-            where = f"{path}:{r}"
-            t = _parse_time(row["t"], where)
-            x = _parse_float(row["x"], where) if has_x and row.get("x", "").strip() else np.nan
-            y = _parse_float(row["y_t"], where) if has_y and row.get("y_t", "").strip() else np.nan
-            records.append((row["id"].strip(), t, x, y, r))
+    header, rows = _read_rows(path)
+    if "id" not in header or "t" not in header:
+        raise DataError(f"{path}: long format needs 'id' and 't' columns")
+    if "x" not in header and "y_t" not in header:
+        raise DataError(f"{path}: long format needs an 'x' or 'y_t' column")
+    records = []
+    for line, row in rows:
+        where = f"{path}:{line}"
+        cells = dict(zip(header, row))
+        t = _parse_time(cells["t"], where)
+        x, y = (_parse_optional(cells.get(name, ""), where) for name in ("x", "y_t"))
+        records.append((cells["id"].strip(), t, x, y, line))
     if not records:
         raise DataError(f"{path}: no observation rows")
     ids = list(dict.fromkeys(rec[0] for rec in records))  # first-seen order
@@ -252,16 +263,18 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
 
 
 def _read_scalar_file(path, ids):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None or "id" not in reader.fieldnames:
-            raise DataError(f"{path}: scalar file needs an 'id' column")
-        fields = [f for f in reader.fieldnames if f != "id"]
-        table = {}
-        for r, row in enumerate(reader, start=2):
-            table[row["id"].strip()] = {
-                f: _parse_float(row[f], f"{path}:{r}") for f in fields if row.get(f, "").strip()
-            }
+    header, rows = _read_rows(path)
+    if "id" not in header:
+        raise DataError(f"{path}: scalar file needs an 'id' column")
+    fields = [f for f in header if f != "id"]
+    table = {}
+    for line, row in rows:
+        where = f"{path}:{line}"
+        cells = dict(zip(header, row))
+        subject = cells["id"].strip()
+        if subject in table:
+            raise DataError(f"{where}: duplicate subject id {subject!r}")
+        table[subject] = {f: _parse_float(cells[f], where) for f in fields if cells[f].strip()}
     missing = [s for s in ids if s not in table]
     if missing:
         raise DataError(f"{path}: missing scalar rows for subjects {missing[:5]}")
@@ -286,6 +299,11 @@ def write_dataset(data: FunctionalDataset, path, fmt: str = "wide_csv") -> None:
         raise DataError(f"unknown dataset format {fmt!r}")
 
 
+def _cell(value) -> str:
+    """A curve value as written: full repr precision, empty when unobserved."""
+    return repr(float(value)) if np.isfinite(value) else ""
+
+
 def _write_wide(data: FunctionalDataset, path) -> None:
     block = data.x_curves if data.y_scalar is not None else data.y_curves
     if block is None:
@@ -308,36 +326,22 @@ def _write_wide(data: FunctionalDataset, path) -> None:
                 row.append(repr(float(data.x_scalar[i])))
             if data.z_scalars is not None:
                 row.extend(repr(float(v)) for v in data.z_scalars[i])
-            row.extend("" if not np.isfinite(v) else repr(float(v)) for v in block[i])
+            row.extend(map(_cell, block[i]))
             writer.writerow(row)
 
 
 def _write_long(data: FunctionalDataset, path) -> None:
-    if data.x_curves is None and data.y_curves is None:
+    blocks = {
+        name: arr for name, arr in (("x", data.x_curves), ("y_t", data.y_curves)) if arr is not None
+    }
+    if not blocks:
         raise DataError("long format needs at least one functional block")
-    cols = ["id", "t"]
-    if data.x_curves is not None:
-        cols.append("x")
-    if data.y_curves is not None:
-        cols.append("y_t")
+    # a point is written unless every block the file holds leaves it unobserved
+    written = np.isfinite(np.stack(list(blocks.values()))).any(axis=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        pts = data.grid.points
+        writer.writerow(["id", "t", *blocks])
         for i, subject in enumerate(data.ids):
-            for k, t in enumerate(pts):
-                x = data.x_curves[i, k] if data.x_curves is not None else np.nan
-                y = data.y_curves[i, k] if data.y_curves is not None else np.nan
-                if data.x_curves is not None and data.y_curves is not None:
-                    if not np.isfinite(x) and not np.isfinite(y):
-                        continue
-                elif data.x_curves is not None and not np.isfinite(x):
-                    continue
-                elif data.y_curves is not None and not np.isfinite(y):
-                    continue
-                row = [subject, repr(float(t))]
-                if data.x_curves is not None:
-                    row.append(repr(float(x)) if np.isfinite(x) else "")
-                if data.y_curves is not None:
-                    row.append(repr(float(y)) if np.isfinite(y) else "")
-                writer.writerow(row)
+            for k in np.flatnonzero(written[i]):
+                cells = [_cell(arr[i, k]) for arr in blocks.values()]
+                writer.writerow([subject, repr(float(data.grid.points[k])), *cells])

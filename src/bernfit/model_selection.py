@@ -55,10 +55,7 @@ def _holdout_error(train, test, model, order, shape) -> float:
     from .qfosr import fit_qfosr, predict_qfosr
     from .sofr import fit_sofr, predict_sofr
 
-    if model == "fofr":
-        spec = TensorBasisSpec(order, train.domain, train.domain)
-    else:
-        spec = BasisSpec(order, train.domain)
+    spec = (TensorBasisSpec if model == "fofr" else BasisSpec)(order, train.domain)
     if model == "sofr":
         pred = predict_sofr(fit_sofr(train, spec, shape), test)
         return float(np.sum((test.y_scalar - pred) ** 2))

@@ -20,6 +20,7 @@ from bernfit import (
     fit_functional,
     generate_scenario,
     read_dataset,
+    reconstruct_sparse,
     write_dataset,
 )
 from bernfit import cli
@@ -78,6 +79,12 @@ class TestReadWide:
         with pytest.raises(DataError, match="oops"):
             read_dataset(path, "wide_csv")
 
+    def test_repeated_subject_id_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,y,t=0.0,t=1.0\ns1,1.0,0.0,1.0\n\ns1,2.0,1.0,2.0\n")
+        with pytest.raises(DataError, match=r"dup\.csv:4: duplicate subject id 's1'"):
+            read_dataset(path, "wide_csv")
+
 
 class TestReadLong:
     def test_long_round_trip(self, tmp_path):
@@ -109,6 +116,12 @@ class TestReadLong:
         with pytest.raises(DataError, match="duplicate"):
             read_dataset(path, "long_csv")
 
+    def test_bad_cell_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("id,t,x\n\n\ns1,abc,1.0\n")
+        with pytest.raises(DataError, match=r"'abc' at .*gaps\.csv:4$"):
+            read_dataset(path, "long_csv")
+
     def test_wide_round_trip_bitwise(self, tmp_path):
         data = generate_scenario(ScenarioSpec("A", n=10, seed=5), 0)
         path = tmp_path / "a.csv"
@@ -116,6 +129,29 @@ class TestReadLong:
         back = read_dataset(path, "wide_csv")
         assert back.x_curves.tobytes() == data.x_curves.tobytes()
         assert back.y_scalar.tobytes() == data.y_scalar.tobytes()
+
+
+class TestReadScalars:
+    """The companion scalar file of the long layout."""
+
+    @staticmethod
+    def read(tmp_path, scalars):
+        path, companion = tmp_path / "long.csv", tmp_path / "scalars.csv"
+        path.write_text("id,t,x\ns1,0.0,1.0\ns1,1.0,2.0\ns2,0.0,1.5\ns2,1.0,2.5\n")
+        companion.write_text(scalars)
+        return read_dataset(path, "long_csv", scalars_path=companion)
+
+    def test_bad_cell_after_blank_lines_names_its_line(self, tmp_path):
+        with pytest.raises(DataError, match=r"'abc' at .*scalars\.csv:4$"):
+            self.read(tmp_path, "id,y\n\n\ns1,abc\ns2,1.0\n")
+
+    def test_header_names_are_stripped(self, tmp_path):
+        data = self.read(tmp_path, "id, y\ns1,1.0\ns2,2.0\n")
+        assert data.y_scalar.tolist() == [1.0, 2.0]
+
+    def test_repeated_subject_id_rejected_at_its_line(self, tmp_path):
+        with pytest.raises(DataError, match=r"scalars\.csv:4: duplicate subject id 's1'"):
+            self.read(tmp_path, "id,y\ns1,1.0\ns2,2.0\ns1,3.0\n")
 
 
 def _write_sofr_data(tmp_path, n=40, seed=0, feasible=True):
@@ -507,6 +543,15 @@ _MALFORMED_INPUTS = {
     "data-scalars-short-row": (
         "fit-sofr", {"order": 4}, (b"id,t,x\ns1,0.0,1.0\ns1,1.0,2.0\n", b"id,y\ns1\n")
     ),
+    "data-duplicate-id": (
+        "fit-sofr", {"order": 1},
+        b"id,y,t=0.0,t=0.5,t=1.0\ns1,1,0,1,2\ns2,2,1,2,4\ns3,3,1,3,3\ns1,2,1,2,3\n",
+    ),
+    "data-scalars-duplicate-id": (
+        "fit-sofr", {"order": 1},
+        (b"id,t,x\ns1,0.0,1.0\ns1,1.0,2.0\ns2,0.0,1.0\ns2,1.0,3.0\ns3,0.0,2.0\ns3,1.0,1.0\n",
+         b"id,y\ns1,1\ns2,2\ns3,3\ns1,5\n"),
+    ),
     "data-one-point-grid-outside-unit": (
         "fit-flcm", {"order": 3}, (b"id,t,x,y_t\ns1,5.0,1.0,2.0\ns2,5.0,1.5,2.5\n", None)
     ),
@@ -609,6 +654,70 @@ def test_fit_on_grid_beyond_unit_interval_uses_data_domain(tmp_path):
     assert payload["beta0_coefs"] == fit.beta0_coefs.tolist()
     assert payload["beta1_coefs"] == fit.beta1_coefs.tolist()
     assert (payload["grid"][0], payload["grid"][-1]) == (0.0, 10.0)
+
+
+def _blank_covariate_cells(data, fraction=0.3, seed=0):
+    """The dataset with a random share of its covariate-curve cells unobserved."""
+    x = data.x_curves.copy()
+    x[np.random.default_rng(seed).random(x.shape) < fraction] = np.nan
+    return FunctionalDataset(grid=data.grid, ids=data.ids, x_curves=x,
+                             y_curves=data.y_curves, y_scalar=data.y_scalar)
+
+
+def test_every_data_subcommand_completes_sparse_fofr_covariates(tmp_path):
+    dense = generate_scenario(ScenarioSpec("B", n=30, seed=6), 0)
+    data_path = tmp_path / "sparse_x.csv"
+    write_dataset(_blank_covariate_cells(dense, 0.4), data_path, "long_csv")
+    shape = {"kind": "bivariate_monotone"}
+    configs = {
+        "fit-fofr": {"order": 2, "shape": shape},
+        "test-shape": {"model": "fofr", "order": 2, "shape": shape, "bootstrap": 100},
+        "cv-order": {"model": "fofr", "shape": shape, "candidates": [1, 2], "folds": 3},
+    }
+    for command, config in configs.items():
+        config_path = tmp_path / f"{command}.json"
+        config_path.write_text(json.dumps(config))
+        argv = [command, "--data", str(data_path), "--format", "long_csv",
+                "--config", str(config_path), "--out", str(tmp_path / f"{command}.out.json")]
+        assert run_cli(argv) == 0, command
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("ci", {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}, "draws": 100}),
+        ("test-shape",
+         {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}, "bootstrap": 100}),
+    ],
+)
+def test_sparse_sofr_output_matches_completed_curves(tmp_path, command, config):
+    """ci and test-shape complete sparse covariate curves exactly as fit-sofr does."""
+    sparse_path, completed_path = tmp_path / "sparse.csv", tmp_path / "completed.csv"
+    dense = generate_scenario(ScenarioSpec("A", n=40, seed=2), 0)
+    write_dataset(_blank_covariate_cells(dense), sparse_path, "wide_csv")
+    completed = reconstruct_sparse(read_dataset(sparse_path, "wide_csv"))
+    assert completed.is_dense("x")
+    write_dataset(completed, completed_path, "wide_csv")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    outputs = []
+    for path in (sparse_path, completed_path):
+        out = tmp_path / f"{path.stem}.out.json"
+        argv = [command, "--data", str(path), "--config", str(config_path), "--seed", "3",
+                "--out", str(out)]
+        assert run_cli(argv) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_long_writer_skips_only_points_no_block_observes(tmp_path):
+    grid = Grid([0.0, 0.5, 1.0])
+    data = FunctionalDataset(
+        grid=grid, ids=["a"], x_curves=[[1.0, np.nan, np.nan]], y_curves=[[np.nan, 2.0, np.nan]]
+    )
+    path = tmp_path / "xy.csv"
+    write_dataset(data, path, "long_csv")
+    assert path.read_bytes() == b"id,t,x,y_t\r\na,0.0,1.0,\r\na,0.5,,2.0\r\n"
 
 
 _TIMES = ["0", "0.5", "1", "0.25", "nan", "inf", "-inf", "x", ""]

@@ -144,3 +144,23 @@ class TestFunctionalCv:
             )
             chosen.append(result.chosen)
         assert 2.5 <= np.mean(chosen) <= 5.5
+
+
+def test_candidate_bases_sit_on_the_fit_domain(monkeypatch):
+    """A grid inside [0, 1] gives bases on [0, 1], the domain the chosen fit uses."""
+    from bernfit import model_selection
+
+    data = generate_scenario(ScenarioSpec("B", n=30, seed=3), 0)
+    inner = FunctionalDataset(
+        grid=Grid(0.1 + 0.8 * data.grid.points), ids=data.ids,
+        x_curves=data.x_curves, y_curves=data.y_curves,
+    )
+    domains = []
+
+    def recording_spec(order, domain):
+        domains.append(domain)
+        return BasisSpec(order, domain)
+
+    monkeypatch.setattr(model_selection, "BasisSpec", recording_spec)
+    cv_select_order(inner, "flcm", NON_DECREASING, candidates=[2, 3], folds=3, seed=1)
+    assert domains and set(domains) == {(0.0, 1.0)}
