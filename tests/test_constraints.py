@@ -303,3 +303,19 @@ class TestJsonRoundTrip:
             ShapeSpec.from_json({"type": "nope"})
         with pytest.raises(ConfigError):
             ShapeSpec.from_json({"kind": "spiral"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "bivariate_monotone", "in_s": None},
+            {"kind": "quantile_monotone", "n_predictors": None},
+        ],
+    )
+    def test_explicit_null_for_a_defaulted_field_is_refused(self, obj):
+        with pytest.raises(ConfigError, match="must be of type"):
+            ShapeSpec.from_json(obj)
+
+    def test_explicit_null_boundary_stays_unset(self):
+        shape = ShapeSpec.from_json({"kind": "fixed_boundaries", "a0": None, "a1": 2})
+        assert shape == fixed_boundaries(a1=2.0)
+        assert shape.a0 is None
