@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSpec, TensorBasisSpec
-from .constraints import ShapeSpec, check_shape
+from .constraints import ShapeSpec, check_applies, check_shape, quantile_monotone
 from .dataset import read_dataset, write_dataset
 from .errors import BernfitError, ConfigError, DataError, NumericalError, config_cast
 from .functional import fit_functional, reconstruct_sparse
@@ -60,7 +60,7 @@ class RunConfig:
         self.seed = config_cast(raw.get("seed", 0), int, "seed")
         self.block = config_cast(raw.get("block", 0), int, "block")
         self.whiten = config_cast(raw.get("whiten", True), bool, "whiten")
-        self.shape = ShapeSpec.from_json(raw["shape"]) if raw.get("shape") else None
+        self.shape = None if raw.get("shape") is None else ShapeSpec.from_json(raw["shape"])
         extra = raw.get("extra_shapes", {})
         if not isinstance(extra, dict):
             raise ConfigError("extra_shapes must map coefficient blocks to shapes")
@@ -71,11 +71,6 @@ class RunConfig:
             except ValueError:
                 raise ConfigError(f"extra_shapes key {key!r} is not a coefficient block number") from None
             self.extra_shapes[block] = ShapeSpec.from_json(value)
-        if self.shape is not None:
-            if self.shape.bivariate and self.model not in (None, "fofr"):
-                raise ConfigError("bivariate shapes apply only to the fofr model")
-            if self.shape.kind == "quantile_monotone" and self.model not in (None, "qfosr"):
-                raise ConfigError("quantile monotonicity applies only to the qfosr model")
         if not 0.0 < self.pve <= 1.0:
             raise ConfigError("pve must lie in (0, 1]")
         if not 0.0 < self.level < 1.0:
@@ -156,6 +151,10 @@ def _setup(args):
     model = _FIT_MODELS.get(args.command, config.model)
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
+    if model not in _FIT_MODELS.values():
+        raise ConfigError(f"unknown model {model!r}")
+    if config.shape is not None:
+        check_applies(config.shape, model)
     if not args.data:
         raise ConfigError("this subcommand needs --data")
     data = read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
@@ -246,7 +245,7 @@ def _cmd_fit_qfosr(args) -> dict:
         "ridge": fit.ridge_used,
         "monotone_certificate": _shape_report(
             fit.coef_blocks.ravel(),
-            ShapeSpec("quantile_monotone", n_predictors=fit.n_predictors),
+            quantile_monotone(fit.n_predictors),
             spec,
         ),
     }

@@ -4,6 +4,10 @@ Each supported shape reduces to rows of ``A beta >= b`` (plus equality rows
 for fixed boundaries) acting on Bernstein coefficients. The matrices depend
 only on the basis order, never on observed time points, which is what makes
 the restriction hold over the whole domain rather than at grid points.
+
+``_CATALOG`` holds one row per shape kind: its minimum order, its difference
+operator, its JSON fields and what it constrains. A new kind is one row here
+plus one entry in the catalog digest test (``tests/test_catalog_digest.py``).
 """
 
 from __future__ import annotations
@@ -15,32 +19,43 @@ import numpy as np
 from .basis import BasisSpec, TensorBasisSpec
 from .errors import ConfigError, config_cast
 
-UNIVARIATE_KINDS = frozenset(
-    {
-        "fixed_boundaries",
-        "non_negative",
-        "non_positive",
-        "non_decreasing",
-        "non_increasing",
-        "convex",
-        "concave",
-    }
-)
-BIVARIATE_KINDS = frozenset({"bivariate_monotone", "partial_convex"})
-ALL_KINDS = UNIVARIATE_KINDS | BIVARIATE_KINDS | {"quantile_monotone", "combination"}
 
-# smallest basis order for which the shape's difference operator exists
-_MIN_ORDER = {
-    "fixed_boundaries": 1,
-    "non_negative": 0,
-    "non_positive": 0,
-    "non_decreasing": 1,
-    "non_increasing": 1,
-    "convex": 2,
-    "concave": 2,
-    "bivariate_monotone": 1,
-    "partial_convex": 2,
-    "quantile_monotone": 1,
+@dataclass(frozen=True)
+class _Kind:
+    """One catalog row."""
+
+    min_order: int  # smallest basis order for which the kind's operator exists
+    target: str  # what it constrains: a "curve", the fofr "surface" or the qfosr "stack"
+    diff: int | None = None  # order of its difference operator; None: a builder of its own
+    sign: float = 1.0
+    fields: tuple = ()  # JSON fields as (name, cast, default)
+
+
+_IN_S_T = (("in_s", bool, True), ("in_t", bool, True))
+_CATALOG = {
+    "fixed_boundaries": _Kind(1, "curve", fields=(("a0", float, None), ("a1", float, None))),
+    "non_negative": _Kind(0, "curve", diff=0),
+    "non_positive": _Kind(0, "curve", diff=0, sign=-1.0),
+    "non_decreasing": _Kind(1, "curve", diff=1),
+    "non_increasing": _Kind(1, "curve", diff=1, sign=-1.0),
+    "convex": _Kind(2, "curve", diff=2),
+    "concave": _Kind(2, "curve", diff=2, sign=-1.0),
+    "bivariate_monotone": _Kind(1, "surface", diff=1, fields=_IN_S_T),
+    "partial_convex": _Kind(2, "surface", diff=2, fields=_IN_S_T),
+    "quantile_monotone": _Kind(1, "stack", fields=(("n_predictors", int, 0),)),
+}
+
+# per target: its basis, the refusal of another basis, the models whose
+# ``shape`` constrains it (qfosr takes curves per block in ``extra_shapes``)
+# and the refusal of a shape on another model
+_TARGETS = {
+    "curve": (BasisSpec, "shape {!r} needs a univariate basis", ("sofr", "fosr", "flcm"),
+              "univariate shapes apply to the sofr, fosr and flcm models; "
+              "the qfosr model takes them per coefficient block in 'extra_shapes'"),
+    "surface": (TensorBasisSpec, "shape {!r} needs a tensor-product basis", ("fofr",),
+                "bivariate shapes apply only to the fofr model"),
+    "stack": (BasisSpec, "quantile monotonicity needs a univariate basis", ("qfosr",),
+              "quantile monotonicity applies only to the qfosr model"),
 }
 
 
@@ -57,74 +72,72 @@ class ShapeSpec:
     parts: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ConfigError(f"unknown shape kind {self.kind!r}")
         if self.kind == "combination":
             if not self.parts:
                 raise ConfigError("combination requires at least one part")
-            part_kinds = {p.kind for p in self.parts}
-            if "combination" in part_kinds:
+            if any(p.kind == "combination" for p in self.parts):
                 raise ConfigError("combinations cannot be nested")
-            uni = part_kinds & UNIVARIATE_KINDS
-            biv = part_kinds & BIVARIATE_KINDS
-            if uni and biv:
+            targets = {p.target for p in self.parts}
+            if {"curve", "surface"} <= targets:
                 raise ConfigError("cannot mix univariate and bivariate shapes in one combination")
-            if "quantile_monotone" in part_kinds:
+            if "stack" in targets:
                 raise ConfigError("quantile monotonicity cannot appear inside a combination")
-        if self.kind == "fixed_boundaries" and self.a0 is None and self.a1 is None:
-            raise ConfigError("fixed_boundaries needs at least one of a0, a1")
-        if self.kind == "quantile_monotone" and self.n_predictors < 1:
-            raise ConfigError("quantile_monotone requires at least one scalar predictor")
-        if self.kind in BIVARIATE_KINDS and not (self.in_s or self.in_t):
-            raise ConfigError(f"{self.kind} needs at least one of in_s, in_t")
+        else:
+            if not isinstance(self.kind, str) or self.kind not in _CATALOG:
+                raise ConfigError(f"unknown shape kind {self.kind!r}")
+            if self.kind == "fixed_boundaries" and self.a0 is None and self.a1 is None:
+                raise ConfigError("fixed_boundaries needs at least one of a0, a1")
+            if self.kind == "quantile_monotone" and self.n_predictors < 1:
+                raise ConfigError("quantile_monotone requires at least one scalar predictor")
+            if self.target == "surface" and not (self.in_s or self.in_t):
+                raise ConfigError(f"{self.kind} needs at least one of in_s, in_t")
 
     @property
-    def bivariate(self) -> bool:
+    def target(self) -> str:
+        """What the shape constrains: a "curve", the fofr "surface" or the qfosr "stack"."""
         if self.kind == "combination":
-            return self.parts[0].bivariate
-        return self.kind in BIVARIATE_KINDS
+            return self.parts[0].target
+        return _CATALOG[self.kind].target
 
     def min_order(self) -> int:
         if self.kind == "combination":
             return max(p.min_order() for p in self.parts)
-        return _MIN_ORDER[self.kind]
+        return _CATALOG[self.kind].min_order
 
     def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind == "fixed_boundaries":
-            obj["a0"] = self.a0
-            obj["a1"] = self.a1
-        elif self.kind in BIVARIATE_KINDS:
-            obj["in_s"] = self.in_s
-            obj["in_t"] = self.in_t
-        elif self.kind == "quantile_monotone":
-            obj["n_predictors"] = self.n_predictors
-        elif self.kind == "combination":
-            obj["parts"] = [p.to_json() for p in self.parts]
-        return obj
+        if self.kind == "combination":
+            return {"kind": self.kind, "parts": [p.to_json() for p in self.parts]}
+        fields = _CATALOG[self.kind].fields
+        return {"kind": self.kind, **{name: getattr(self, name) for name, _, _ in fields}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShapeSpec":
+        """The shape a ``to_json`` object describes. An absent field takes its default;
+        a null stays None where that is the default, and other values are type-checked."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError("shape JSON must be an object with a 'kind' tag")
         kind = obj["kind"]
         if kind == "combination":
-            parts = tuple(cls.from_json(p) for p in obj.get("parts", []))
-            return cls(kind, parts=parts)
-        if kind == "fixed_boundaries":
-            a0, a1 = (
-                None if obj.get(k) is None else config_cast(obj[k], float, f"shape field {k!r}")
-                for k in ("a0", "a1")
-            )
-            return cls(kind, a0=a0, a1=a1)
-        if kind in BIVARIATE_KINDS:
-            in_s, in_t = (config_cast(obj.get(k, True), bool, f"shape field {k!r}")
-                          for k in ("in_s", "in_t"))
-            return cls(kind, in_s=in_s, in_t=in_t)
-        if kind == "quantile_monotone":
-            count = config_cast(obj.get("n_predictors", 0), int, "shape field 'n_predictors'")
-            return cls(kind, n_predictors=count)
-        return cls(kind)
+            parts = obj.get("parts", [])
+            if not isinstance(parts, list):
+                raise ConfigError("combination 'parts' must be a list of shapes")
+            return cls(kind, parts=tuple(cls.from_json(p) for p in parts))
+        if not isinstance(kind, str) or kind not in _CATALOG:
+            raise ConfigError(f"unknown shape kind {kind!r}")
+        values = {}
+        for name, cast, default in _CATALOG[kind].fields:
+            value = obj.get(name, default)
+            if value is not None or default is not None:
+                value = config_cast(value, cast, f"shape field {name!r}")
+            values[name] = value
+        return cls(kind, **values)
+
+
+def check_applies(shape: ShapeSpec, model: str) -> None:
+    """Refuse ``shape`` as the ``shape`` of ``model`` if it constrains something else."""
+    _, _, models, refusal = _TARGETS[shape.target]
+    if model not in models:
+        raise ConfigError(refusal)
 
 
 NON_NEGATIVE = ShapeSpec("non_negative")
@@ -166,10 +179,8 @@ class ConstraintSystem:
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
         self.b = np.asarray(self.b, dtype=float).ravel()
-        if self.equality is None:
-            self.equality = np.zeros(self.a.shape[0], dtype=bool)
-        else:
-            self.equality = np.asarray(self.equality, dtype=bool).ravel()
+        eq = np.zeros(self.a.shape[0]) if self.equality is None else self.equality
+        self.equality = np.asarray(eq, dtype=bool).ravel()
         if self.a.shape[0] != self.b.size or self.a.shape[0] != self.equality.size:
             raise ValueError("constraint rows, rhs, and equality flags must align")
         if self.a.size and not np.abs(self.a).max(axis=1).all():
@@ -224,13 +235,9 @@ class ConstraintSystem:
 
     def dedup(self) -> "ConstraintSystem":
         """Drop exactly repeated rows (same coefficients, rhs, and equality flag)."""
-        seen = set()
-        keep = []
-        for i in range(self.n_rows):
-            key = (self.a[i].tobytes(), float(self.b[i]), bool(self.equality[i]))
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
+        keys = zip(map(np.ndarray.tobytes, self.a), self.b.tolist(), self.equality.tolist())
+        # filled back to front, so each key ends up holding its first row
+        keep = sorted({key: i for i, key in reversed(list(enumerate(keys)))}.values())
         return ConstraintSystem(self.a[keep], self.b[keep], self.equality[keep])
 
 
@@ -243,75 +250,15 @@ class ShapeReport:
     violated_rows: np.ndarray
 
 
-def first_difference(n_coefs: int) -> np.ndarray:
-    """(n-1) x n matrix with rows (..., -1, 1, ...)."""
-    d = np.zeros((n_coefs - 1, n_coefs))
-    idx = np.arange(n_coefs - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    return d
-
-
-def second_difference(n_coefs: int) -> np.ndarray:
-    """(n-2) x n matrix with rows (..., 1, -2, 1, ...)."""
-    d = np.zeros((n_coefs - 2, n_coefs))
-    idx = np.arange(n_coefs - 2)
-    d[idx, idx] = 1.0
-    d[idx, idx + 1] = -2.0
-    d[idx, idx + 2] = 1.0
-    return d
+def _difference(order: int, sign: float = 1.0, k: int = 1) -> np.ndarray:
+    """``sign`` times the k-th difference operator on ``order + 1`` coefficients."""
+    return sign * np.diff(np.eye(order + 1), n=k, axis=0)
 
 
 def _require_order(shape_kind: str, order: int) -> None:
-    needed = _MIN_ORDER[shape_kind]
+    needed = _CATALOG[shape_kind].min_order
     if order < needed:
         raise ConfigError(f"shape {shape_kind!r} needs basis order >= {needed}, got {order}")
-
-
-def _build_univariate(shape: ShapeSpec, order: int) -> ConstraintSystem:
-    _require_order(shape.kind, order)
-    p = order + 1
-    if shape.kind == "fixed_boundaries":
-        rows, rhs = [], []
-        if shape.a0 is not None:
-            row = np.zeros(p)
-            row[0] = 1.0
-            rows.append(row)
-            rhs.append(float(shape.a0))
-        if shape.a1 is not None:
-            row = np.zeros(p)
-            row[-1] = 1.0
-            rows.append(row)
-            rhs.append(float(shape.a1))
-        return ConstraintSystem(np.array(rows), np.array(rhs), np.ones(len(rows), dtype=bool))
-    if shape.kind == "non_negative":
-        return ConstraintSystem(np.eye(p), np.zeros(p))
-    if shape.kind == "non_positive":
-        return ConstraintSystem(-np.eye(p), np.zeros(p))
-    if shape.kind == "non_decreasing":
-        return ConstraintSystem(first_difference(p), np.zeros(p - 1))
-    if shape.kind == "non_increasing":
-        return ConstraintSystem(-first_difference(p), np.zeros(p - 1))
-    if shape.kind == "convex":
-        return ConstraintSystem(second_difference(p), np.zeros(p - 2))
-    if shape.kind == "concave":
-        return ConstraintSystem(-second_difference(p), np.zeros(p - 2))
-    raise ConfigError(f"shape {shape.kind!r} is not univariate")
-
-
-def _build_bivariate(shape: ShapeSpec, order: int) -> ConstraintSystem:
-    _require_order(shape.kind, order)
-    p = order + 1
-    eye = np.eye(p)
-    diff = first_difference(p) if shape.kind == "bivariate_monotone" else second_difference(p)
-    blocks = []
-    if shape.in_s:
-        # differences along k1; coefficients are k1-major so the operator acts blockwise
-        blocks.append(np.kron(diff, eye))
-    if shape.in_t:
-        blocks.append(np.kron(eye, diff))
-    a = np.vstack(blocks)
-    return ConstraintSystem(a, np.zeros(a.shape[0]))
 
 
 def build_quantile_monotone(n_predictors: int, spec: BasisSpec) -> ConstraintSystem:
@@ -335,20 +282,12 @@ def build_quantile_monotone(n_predictors: int, spec: BasisSpec) -> ConstraintSys
         )
     order = spec.order
     _require_order("quantile_monotone", order)
-    p = order + 1
-    total = p * (j_count + 1)
-    gamma_op = order * first_difference(p)  # rows: derivative coefficients of one block
-    n_subsets = 1 << j_count
-    rows = np.zeros((order * n_subsets, total))
-    r = 0
-    for k in range(order):
-        for subset in range(n_subsets):
-            rows[r, 0:p] = gamma_op[k]
-            for j in range(j_count):
-                if subset >> j & 1:
-                    block = (j + 1) * p
-                    rows[r, block : block + p] = gamma_op[k]
-            r += 1
+    gamma_op = order * _difference(order)  # rows: derivative coefficients of one block
+    # vertex v of the hypercube adds block j + 1 to block 0 for each bit j set in v
+    v = np.arange(1 << j_count)[:, None]
+    vertex = (2 * v + 1) >> np.arange(j_count + 1) & 1
+    rows = np.where(vertex[None, :, :, None], gamma_op[:, None, None, :], 0.0)
+    rows = rows.reshape(order << j_count, -1)
     return ConstraintSystem(rows, np.zeros(rows.shape[0]))
 
 
@@ -357,17 +296,23 @@ def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:
     if shape.kind == "combination":
         built = [build_constraints(part, spec) for part in shape.parts]
         return ConstraintSystem.vstack(built).dedup()
+    row = _CATALOG[shape.kind]
+    basis, refusal, _, _ = _TARGETS[row.target]
+    if not isinstance(spec, basis):
+        raise ConfigError(refusal.format(shape.kind))
     if shape.kind == "quantile_monotone":
-        if not isinstance(spec, BasisSpec):
-            raise ConfigError("quantile monotonicity needs a univariate basis")
         return build_quantile_monotone(shape.n_predictors, spec)
-    if shape.kind in BIVARIATE_KINDS:
-        if not isinstance(spec, TensorBasisSpec):
-            raise ConfigError(f"shape {shape.kind!r} needs a tensor-product basis")
-        return _build_bivariate(shape, spec.order)
-    if not isinstance(spec, BasisSpec):
-        raise ConfigError(f"shape {shape.kind!r} needs a univariate basis")
-    return _build_univariate(shape, spec.order)
+    _require_order(shape.kind, spec.order)
+    if shape.kind == "fixed_boundaries":
+        ends = [(i, v) for i, v in ((0, shape.a0), (spec.order, shape.a1)) if v is not None]
+        a = np.eye(spec.order + 1)[[i for i, _ in ends]]
+        return ConstraintSystem(a, [v for _, v in ends], np.ones(len(ends), dtype=bool))
+    a = _difference(spec.order, row.sign, row.diff)
+    if row.target == "surface":
+        eye = np.eye(spec.order + 1)
+        # coefficients are k1-major, so differences along s act blockwise
+        a = np.vstack([np.kron(a, eye)] * shape.in_s + [np.kron(eye, a)] * shape.in_t)
+    return ConstraintSystem(a, np.zeros(a.shape[0]))
 
 
 def check_shape(beta, shape: ShapeSpec, spec, tol: float = 1e-8) -> ShapeReport:
@@ -377,12 +322,7 @@ def check_shape(beta, shape: ShapeSpec, spec, tol: float = 1e-8) -> ShapeReport:
     feasible report certifies the shape everywhere on the domain, not only
     at evaluation points.
     """
-    beta = np.asarray(beta, dtype=float).ravel()
-    system = build_constraints(shape, spec)
-    viol = system.violations(beta)
+    viol = build_constraints(shape, spec).violations(np.asarray(beta, dtype=float).ravel())
     bad = np.flatnonzero(viol > tol)
-    return ShapeReport(
-        feasible=bad.size == 0,
-        worst_violation=float(max(0.0, viol.max())) if viol.size else 0.0,
-        violated_rows=bad,
-    )
+    worst = float(max(0.0, viol.max())) if viol.size else 0.0
+    return ShapeReport(feasible=bad.size == 0, worst_violation=worst, violated_rows=bad)

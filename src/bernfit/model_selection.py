@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, TensorBasisSpec
-from .constraints import ShapeSpec
+from .constraints import ShapeSpec, quantile_monotone
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 from .utils import spawn_rng
@@ -101,10 +101,11 @@ def cv_select_order(
     fold_assignment = np.empty(n, dtype=int)
     fold_assignment[perm] = np.arange(n) % folds
 
-    if model == "qfosr":
-        min_order_needed = max([1, *(s.min_order() for s in (shape or {}).values())])
+    if model == "qfosr":  # the monotonicity system is implied
+        shapes = [quantile_monotone(1), *(shape or {}).values()]
     else:
-        min_order_needed = shape.min_order() if shape is not None else 0
+        shapes = [] if shape is None else [shape]
+    min_order_needed = max((s.min_order() for s in shapes), default=0)
 
     scores: dict = {}
     skipped: dict = {}

@@ -69,17 +69,16 @@ class QfosrFit:
 
 def _validate_monotone_responses(data: FunctionalDataset) -> None:
     mask = np.isfinite(data.y_curves)
-    offenders = []
-    wiggles = []
-    for i in range(data.n_subjects):
-        idx = np.flatnonzero(mask[i])
-        if idx.size < 2:
-            raise DataError(f"subject {data.ids[i]}: fewer than 2 quantile points")
-        drop = float(np.max(-np.diff(data.y_curves[i, idx]), initial=0.0))
-        if drop > _MONOTONE_TOL:
-            offenders.append(data.ids[i])
-        elif drop > 0.0:
-            wiggles.append(data.ids[i])
+    short = np.flatnonzero(mask.sum(axis=1) < 2)
+    if short.size:
+        raise DataError(f"subject {data.ids[short[0]]}: fewer than 2 quantile points")
+    # each observed point against the latest observed point before it
+    prev = np.maximum.accumulate(np.where(mask, np.arange(mask.shape[1]), -1), axis=1)[:, :-1]
+    y = np.where(mask, data.y_curves, 0.0)
+    drops = np.take_along_axis(y, np.maximum(prev, 0), axis=1) - y[:, 1:]
+    drop = np.max(drops, axis=1, where=mask[:, 1:] & (prev >= 0), initial=0.0)
+    offenders = [data.ids[i] for i in np.flatnonzero(drop > _MONOTONE_TOL)]
+    wiggles = [data.ids[i] for i in np.flatnonzero((drop > 0.0) & (drop <= _MONOTONE_TOL))]
     if offenders:
         raise DataError(
             f"{len(offenders)} subjects have decreasing quantile functions: {offenders[:10]}"
@@ -122,6 +121,8 @@ def qfosr_constraints(
         block = int(block_index)
         if not 0 <= block <= n_predictors:
             raise ConfigError(f"extra shape block {block} is outside 0..{n_predictors}")
+        if shape.target != "curve":
+            raise ConfigError(f"extra shape of block {block} must be univariate, got {shape.kind!r}")
         base = build_constraints(shape, spec)
         systems.append(base.padded(block * p_block, total))
     return ConstraintSystem.vstack(systems).dedup()

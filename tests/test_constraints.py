@@ -1,5 +1,8 @@
 """Tests for the shape-constraint catalog and feasibility checking."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -319,3 +322,14 @@ class TestJsonRoundTrip:
         shape = ShapeSpec.from_json({"kind": "fixed_boundaries", "a0": None, "a1": 2})
         assert shape == fixed_boundaries(a1=2.0)
         assert shape.a0 is None
+
+
+def test_readme_names_every_kind_with_its_minimum_order():
+    """README's "Shape kinds" paragraph and the catalog cannot drift apart."""
+    from bernfit.constraints import _CATALOG
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Shape kinds")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    documented = dict(re.findall(r"`(\w+)`\s+\(order\s+(\d+)\b", paragraph))
+    assert documented == {kind: str(row.min_order) for kind, row in _CATALOG.items()}

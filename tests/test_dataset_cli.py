@@ -500,6 +500,18 @@ class TestCli:
             assert "Traceback" not in capsys.readouterr().err
 
 
+# quantile responses on two scalar predictors, in the wide layout
+_QFOSR_DATA = "id,z_a,z_b,t=0.0,t=0.5,t=1.0\n" + "".join(
+    f"s{i},{i % 3},{i % 4},0,{0.5 + 0.1 * i},{1 + 0.2 * i}\n" for i in range(12)
+)
+# a concurrent-model dataset in the long layout
+_FLCM_DATA = "id,t,x,y_t\n" + "".join(
+    f"s{i},{t},{(i * 7 + j * 3) % 5 / 4},{(i * 5 + j * 2) % 7 / 6 + t}\n"
+    for i in range(12) for j, t in enumerate((0.0, 0.25, 0.5, 0.75, 1.0))
+)
+_NON_INCREASING = {"kind": "non_increasing"}
+_QUANTILE = {"kind": "quantile_monotone", "n_predictors": 1}
+
 # (subcommand, config object or raw config bytes, raw data bytes or None for valid data);
 # a (long-layout data bytes, companion scalar bytes or None) pair is read as long_csv
 _MALFORMED_INPUTS = {
@@ -534,6 +546,39 @@ _MALFORMED_INPUTS = {
     "config-shape-in_t": (
         "fit-sofr", {"order": 4, "extra_shapes": {"0": {"kind": "partial_convex", "in_t": 1}}}, None
     ),
+    # a shape that is present must be a shape object, and a malformed one is refused
+    **{
+        f"config-shape-{name}": (
+            "fit-flcm", {"order": 3, "shape": shape}, (_FLCM_DATA.encode(), None)
+        )
+        for name, shape in [
+            ("empty-object", {}), ("empty-list", []), ("empty-string", ""), ("zero", 0),
+            ("kind-list", {"kind": []}), ("kind-object", {"kind": {}}),
+            ("parts-number", {"kind": "combination", "parts": 5}),
+            ("parts-null", {"kind": "combination", "parts": None}),
+        ]
+    },
+    # a shape on a model it does not apply to, with the model taken from the subcommand
+    "config-shape-quantile-fit-flcm": (
+        "fit-flcm", {"order": 3, "shape": _QUANTILE}, (_FLCM_DATA.encode(), None)
+    ),
+    "config-shape-quantile-fit-sofr": ("fit-sofr", {"order": 4, "shape": _QUANTILE}, None),
+    "config-shape-curve-fit-qfosr": (
+        "fit-qfosr", {"order": 2, "shape": _NON_INCREASING}, _QFOSR_DATA.encode()
+    ),
+    "config-shape-curve-ci-qfosr": (
+        "ci", {"model": "qfosr", "order": 2, "shape": _NON_INCREASING}, _QFOSR_DATA.encode()
+    ),
+    "config-shape-curve-cv-order-qfosr": (
+        "cv-order", {"model": "qfosr", "candidates": [2], "folds": 3, "shape": _NON_INCREASING},
+        _QFOSR_DATA.encode(),
+    ),
+    **{
+        f"config-extra-shape-quantile-block-{block}": (
+            "fit-qfosr", {"order": 2, "extra_shapes": {block: _QUANTILE}}, _QFOSR_DATA.encode()
+        )
+        for block in ("1", "2")
+    },
     "config-not-utf8": ("fit-sofr", b'{"order": 4, "model": "Jos\xe9"}', None),
     "data-short-row": ("fit-sofr", {"order": 4}, b"id,y,t=0.0,t=0.5,t=1.0\ns1\n"),
     "data-not-utf8": (

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from bernfit import NON_INCREASING, BasisSpec, DataError, Grid, fit_qfosr, predict_qfosr
+from bernfit import (
+    NON_INCREASING,
+    BasisSpec,
+    ConfigError,
+    DataError,
+    Grid,
+    bivariate_monotone,
+    fit_qfosr,
+    predict_qfosr,
+    quantile_monotone,
+)
 from bernfit.dataset import FunctionalDataset
 
 
@@ -90,6 +100,13 @@ class TestFitQfosr:
         fit = fit_qfosr(data, BasisSpec(4), extra_shapes={1: NON_INCREASING})
         assert np.all(np.diff(fit.coef_blocks[1]) <= 1e-8)
 
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("shape", [quantile_monotone(1), bivariate_monotone()])
+    def test_extra_shape_must_be_univariate(self, block, shape):
+        data = quantile_dataset(n=30, n_z=2, seed=14)
+        with pytest.raises(ConfigError, match=f"block {block} must be univariate"):
+            fit_qfosr(data, BasisSpec(3), extra_shapes={block: shape})
+
     def test_two_predictors_vertex_condition(self):
         from bernfit.basis import derivative_coeffs, eval_basis_matrix
 
@@ -142,3 +159,59 @@ class TestPredictQfosr:
         bare = FunctionalDataset(grid=data.grid, ids=data.ids, y_curves=data.y_curves)
         with pytest.raises(DataError):
             predict_qfosr(fit, bare)
+
+
+def _per_subject_drops(y):
+    """Largest drop between consecutive observed points, one subject at a time."""
+    drops = []
+    for row in y:
+        seen = row[np.isfinite(row)]
+        drops.append(float(np.max(seen[:-1] - seen[1:], initial=0.0)))
+    return np.array(drops)
+
+
+class TestMonotoneResponseCheck:
+    """Responses must be non-decreasing across each subject's observed points."""
+
+    @staticmethod
+    def _check(y):
+        from bernfit.qfosr import _validate_monotone_responses
+
+        y = np.asarray(y, dtype=float)
+        ids = [f"s{i}" for i in range(y.shape[0])]
+        _validate_monotone_responses(
+            FunctionalDataset(grid=Grid(np.linspace(0, 1, y.shape[1])), ids=ids, y_curves=y)
+        )
+
+    def test_drop_across_unobserved_points_rejected(self):
+        nan = np.nan
+        y = [[0.0, 0.2, 0.4, 0.6], [0.0, 0.5, nan, 0.4], [0.1, nan, nan, 0.9]]
+        with pytest.raises(DataError, match=r"1 subjects have decreasing .*\['s1'\]"):
+            self._check(y)
+
+    def test_unobserved_points_are_not_drops(self):
+        nan = np.nan
+        self._check([[nan, 0.3, nan, 0.5], [0.0, nan, 0.2, nan], [0.1, 0.1, nan, 0.9]])
+
+    def test_short_subject_reported_before_decreasing_ones(self):
+        nan = np.nan
+        y = [[0.9, 0.1, 0.0], [0.0, nan, nan], [nan, 0.5, nan], [0.0, 0.5, 1.0]]
+        with pytest.raises(DataError, match="subject s1: fewer than 2 quantile points"):
+            self._check(y)
+
+    def test_drop_within_tolerance_warns(self):
+        with pytest.warns(UserWarning, match="1 subjects have tiny"):
+            self._check([[0.0, 0.5, 0.5 - 1e-12], [0.0, 0.5, 1.0]])
+
+    def test_matches_per_subject_reference_on_sparse_curves(self):
+        rng = np.random.default_rng(21)
+        y = np.cumsum(rng.uniform(-0.05, 1.0, size=(300, 12)), axis=1)
+        y[rng.random(y.shape) < 0.5] = np.nan
+        y[np.isfinite(y).sum(axis=1) < 2] = np.arange(12.0)
+        expected = [f"s{i}" for i in np.flatnonzero(_per_subject_drops(y) > 1e-8)]
+        assert expected
+        with pytest.raises(DataError) as info:
+            self._check(y)
+        assert str(info.value) == (
+            f"{len(expected)} subjects have decreasing quantile functions: {expected[:10]}"
+        )
