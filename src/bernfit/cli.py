@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisSpec, TensorBasisSpec
-from .constraints import ShapeSpec, check_applies, check_shape, quantile_monotone
+from .constraints import MODELS, ShapeSpec, check_model, check_shape, quantile_monotone
 from .dataset import read_dataset, write_dataset
 from .errors import BernfitError, ConfigError, DataError, NumericalError, config_cast
 from .functional import fit_functional, reconstruct_sparse
@@ -35,7 +34,7 @@ from .sofr import fit_sofr
 
 REPORT_POINTS = 200
 
-_FIT_MODELS = {f"fit-{model}": model for model in ("sofr", "fosr", "flcm", "fofr", "qfosr")}
+_FIT_MODELS = {f"fit-{model}": model for model in MODELS}
 
 
 class RunConfig:
@@ -75,12 +74,6 @@ class RunConfig:
             raise ConfigError("pve must lie in (0, 1]")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie in (0, 1)")
-
-    def basis(self, model: str, domain: tuple[float, float]) -> BasisSpec | TensorBasisSpec:
-        """The model's coefficient basis on ``domain``: a tensor product for fofr."""
-        if self.order is None:
-            raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
-        return (TensorBasisSpec if model == "fofr" else BasisSpec)(self.order, domain)
 
 
 def _load_config(path: str | None, seed_override: int | None) -> RunConfig:
@@ -151,14 +144,15 @@ def _setup(args):
     model = _FIT_MODELS.get(args.command, config.model)
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
-    if model not in _FIT_MODELS.values():
-        raise ConfigError(f"unknown model {model!r}")
-    if config.shape is not None:
-        check_applies(config.shape, model)
+    basis = check_model(model, shape=config.shape)
+    if config.extra_shapes and model != "qfosr":
+        raise ConfigError(f"'extra_shapes' applies only to the qfosr model, not {model}")
+    if config.order is None and args.command != "cv-order":
+        raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
     if not args.data:
         raise ConfigError("this subcommand needs --data")
     data = read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
-    spec = None if args.command == "cv-order" else config.basis(model, data.domain)
+    spec = None if args.command == "cv-order" else basis(config.order, data.domain)
     if model in ("sofr", "flcm", "fofr"):
         data = reconstruct_sparse(data, pve=config.pve)
     return config, model, data, spec
@@ -329,7 +323,10 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_bench(args) -> dict:
-    shape = ShapeSpec.from_json(json.loads(args.test_shape)) if args.test_shape else None
+    try:
+        shape = ShapeSpec.from_json(json.loads(args.test_shape)) if args.test_shape else None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--test-shape is not valid JSON: {exc}") from None
     spec = ScenarioSpec(
         args.scenario,
         n=args.n,

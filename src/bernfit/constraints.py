@@ -45,18 +45,19 @@ _CATALOG = {
     "quantile_monotone": _Kind(1, "stack", fields=(("n_predictors", int, 0),)),
 }
 
-# per target: its basis, the refusal of another basis, the models whose
-# ``shape`` constrains it (qfosr takes curves per block in ``extra_shapes``)
-# and the refusal of a shape on another model
+# per target: its basis and the refusals of another basis and of a shape on another model
 _TARGETS = {
-    "curve": (BasisSpec, "shape {!r} needs a univariate basis", ("sofr", "fosr", "flcm"),
+    "curve": (BasisSpec, "shape {!r} needs a univariate basis",
               "univariate shapes apply to the sofr, fosr and flcm models; "
               "the qfosr model takes them per coefficient block in 'extra_shapes'"),
-    "surface": (TensorBasisSpec, "shape {!r} needs a tensor-product basis", ("fofr",),
+    "surface": (TensorBasisSpec, "shape {!r} needs a tensor-product basis",
                 "bivariate shapes apply only to the fofr model"),
-    "stack": (BasisSpec, "quantile monotonicity needs a univariate basis", ("qfosr",),
+    "stack": (BasisSpec, "quantile monotonicity needs a univariate basis",
               "quantile monotonicity applies only to the qfosr model"),
 }
+
+# per model: the target its coefficient is, which fixes its basis kind
+MODELS = {"sofr": "curve", "fosr": "curve", "flcm": "curve", "fofr": "surface", "qfosr": "stack"}
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,17 @@ class ShapeSpec:
         return cls(kind, **values)
 
 
-def check_applies(shape: ShapeSpec, model: str) -> None:
-    """Refuse ``shape`` as the ``shape`` of ``model`` if it constrains something else."""
-    _, _, models, refusal = _TARGETS[shape.target]
-    if model not in models:
-        raise ConfigError(refusal)
+def check_model(model: str, spec=None, shape: ShapeSpec | None = None) -> type:
+    """The basis class of ``model``'s coefficient. Refuses an unknown model, a
+    ``spec`` of another class and a ``shape`` that constrains another target."""
+    if not isinstance(model, str) or model not in MODELS:
+        raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
+    basis = _TARGETS[MODELS[model]][0]
+    if spec is not None and not isinstance(spec, basis):
+        raise ConfigError(f"model {model!r} needs a {basis.__name__}, got {type(spec).__name__}")
+    if shape is not None and shape.target != MODELS[model]:
+        raise ConfigError(_TARGETS[shape.target][2])
+    return basis
 
 
 NON_NEGATIVE = ShapeSpec("non_negative")
@@ -297,7 +304,7 @@ def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:
         built = [build_constraints(part, spec) for part in shape.parts]
         return ConstraintSystem.vstack(built).dedup()
     row = _CATALOG[shape.kind]
-    basis, refusal, _, _ = _TARGETS[row.target]
+    basis, refusal, _ = _TARGETS[row.target]
     if not isinstance(spec, basis):
         raise ConfigError(refusal.format(shape.kind))
     if shape.kind == "quantile_monotone":

@@ -29,11 +29,9 @@ from .basis import (
     sofr_design,
 )
 from .clsq import ClsqSolver, QpSolution
-from .constraints import ShapeSpec, build_constraints
+from .constraints import ShapeSpec, build_constraints, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
-
-FUNCTIONAL_MODELS = ("fosr", "flcm", "fofr")
 
 # added to the nugget of each subject's observed covariance in reconstruct_sparse
 _SCORE_RIDGE = 1e-8
@@ -305,26 +303,16 @@ class FunctionalFit:
         return beta0[None, :] + covariate * self.beta1_fn(pts)[None, :]
 
 
-def _check_spec(model: str, spec) -> None:
-    """The basis of a model's coefficient: a TensorBasisSpec for fofr, else a BasisSpec."""
-    kind = TensorBasisSpec if model == "fofr" else BasisSpec
-    if not isinstance(spec, kind):
-        raise ConfigError(f"model {model!r} needs a {kind.__name__}, got {type(spec).__name__}")
-
-
 def build_design(
     data: FunctionalDataset, model: str, spec: BasisSpec | TensorBasisSpec
 ) -> StackedDesign:
     """Row-stacked design of the requested model; rows as in the module docstring.
 
     ``spec`` is the slope's basis: a TensorBasisSpec for fofr, whose t-basis
-    also carries the intercept, and a BasisSpec otherwise.
+    also carries the intercept, and a BasisSpec otherwise (see ``check_model``).
     """
-    if model not in FUNCTIONAL_MODELS:
-        raise ConfigError(f"unknown functional model {model!r}")
     if data.y_curves is None:
         raise DataError(f"model {model!r} needs functional responses")
-    _check_spec(model, spec)
     spec0 = spec.spec_t if model == "fofr" else spec
     basis0 = eval_basis_matrix(data.grid.points, spec0)
     mask = data.observed_mask("y")
@@ -351,6 +339,14 @@ def build_design(
 def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
     if bad.any():
         raise DataError(f"subject {data.ids[int(np.argmax(bad))]}: {message}")
+
+
+def shape_system(model: str, spec, shape: ShapeSpec | None, design: StackedDesign):
+    """Rows of ``shape`` on the constrained coefficients of ``design``; None without a shape."""
+    if shape is None:
+        return None
+    check_model(model, spec, shape)
+    return build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
 
 
 def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
@@ -399,10 +395,11 @@ def fit_functional(
     raw stacked least-squares problem (the bootstrap-test path); otherwise
     step 1 residuals feed the FPCA covariance.
     """
+    check_model(model, spec, shape)
+    if model in ("sofr", "qfosr"):
+        raise ConfigError(f"fit_functional does not fit {model}; use fit_{model}")
     design = build_design(data, model, spec)
-    constraints = None
-    if shape is not None:
-        constraints = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
+    constraints = shape_system(model, spec, shape, design)
     sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)
     return FunctionalFit(
         model=model,

@@ -24,10 +24,10 @@ import numpy as np
 
 from .basis import BasisSpec, TensorBasisSpec, eval_basis_matrix
 from .clsq import ClsqSolver
-from .constraints import ShapeSpec, build_constraints
+from .constraints import ShapeSpec, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
-from .functional import StackedDesign, _prewhiten, build_design
+from .functional import StackedDesign, _prewhiten, build_design, shape_system
 from .sofr import sofr_design_matrix
 from .utils import spawn_rng
 
@@ -169,24 +169,22 @@ def projection_ci(
     With ``shape=None`` the projection is the identity and the band is the
     plain percentile band of the normal draws.
     """
-    _check_band_args(level, draws)
+    check_model(model, spec, shape)
     if model == "fofr":
         raise ConfigError("confidence bands for bivariate coefficients are not supported")
+    if model == "qfosr":
+        raise ConfigError("projection_ci does not band qfosr; use qfosr_projection_ci")
+    _check_band_args(level, draws)
     if model == "sofr":
         design = sofr_design_matrix(data, spec)
         whiten_fit = False  # one row per subject: the sandwich is HC0
-    elif model in ("fosr", "flcm"):
-        design = build_design(data, model, spec)
     else:
-        raise ConfigError(f"unknown model {model!r}")
+        design = build_design(data, model, spec)
     beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
-    offset = design.n_free
-    constraints = None
-    if shape is not None:
-        constraints = build_constraints(shape, spec).padded(offset, beta_ur.size)
+    constraints = shape_system(model, spec, shape, design)
     grid = eval_grid if eval_grid is not None else data.grid.points
     return _projection_band(
-        beta_ur, omega, delta_n, constraints, spec, offset, grid, level, draws, seed
+        beta_ur, omega, delta_n, constraints, spec, design.n_free, grid, level, draws, seed
     )
 
 
@@ -211,6 +209,7 @@ def qfosr_projection_ci(
     """
     from .qfosr import build_qfosr_design, qfosr_constraints
 
+    check_model("qfosr", spec)
     _check_band_args(level, draws)
     design, _ = build_qfosr_design(data, spec)
     j_count = data.z_scalars.shape[1]
@@ -233,7 +232,7 @@ def _statistic(rss_c: float, rss_u: float) -> float:
     return max(0.0, (rss_c - rss_u) / rss_u)
 
 
-def _bootstrap_test(design, shape_null, coef_spec, resampler, draws: int, seed: int) -> TestReport:
+def _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed) -> TestReport:
     """Residual bootstrap of T = (RSS_c - RSS_u) / RSS_u around the null fit.
 
     ``resampler(beta_u, beta_c)`` returns a function of a generator that
@@ -241,7 +240,9 @@ def _bootstrap_test(design, shape_null, coef_spec, resampler, draws: int, seed: 
     constrained and unconstrained solvers are factored once and re-solved
     per draw.
     """
-    constraints = build_constraints(shape_null, coef_spec).padded(design.n_free, design.n_coefs)
+    if draws < 100:
+        raise ConfigError("use at least 100 bootstrap draws")
+    constraints = shape_system(model, spec, shape_null, design)
     gram, rhs, yty = design.gram_parts()
     solver_u = ClsqSolver(gram, None)
     solver_c = ClsqSolver(gram, constraints)
@@ -279,8 +280,7 @@ def bootstrap_shape_test_scalar(
     rebuilt around the constrained (null) fitted values, and the statistic
     is recomputed on each resample.
     """
-    if draws < 100:
-        raise ConfigError("use at least 100 bootstrap draws")
+    check_model("sofr", spec, shape_null)
     design = sofr_design_matrix(data, spec)
     z, n = design.z, design.n_subjects
 
@@ -294,7 +294,7 @@ def bootstrap_shape_test_scalar(
 
         return moments
 
-    return _bootstrap_test(design, shape_null, spec, resampler, draws, seed)
+    return _bootstrap_test(design, "sofr", spec, shape_null, resampler, draws, seed)
 
 
 def bootstrap_shape_test_functional(
@@ -312,8 +312,9 @@ def bootstrap_shape_test_functional(
     squares without pre-whitening for the same reason. Requires densely
     observed responses.
     """
-    if draws < 100:
-        raise ConfigError("use at least 100 bootstrap draws")
+    check_model(model, spec, shape_null)
+    if model in ("sofr", "qfosr"):
+        raise ConfigError(f"the functional shape test does not support {model}")
     if not data.is_dense("y"):
         raise DataError("the functional shape test needs densely observed responses")
     design = build_design(data, model, spec)
@@ -337,7 +338,7 @@ def bootstrap_shape_test_functional(
 
         return moments
 
-    return _bootstrap_test(design, shape_null, spec, resampler, draws, seed)
+    return _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed)
 
 
 def bootstrap_shape_test(
@@ -351,6 +352,4 @@ def bootstrap_shape_test(
     """Dispatch to the scalar or functional bootstrap by model kind."""
     if model == "sofr":
         return bootstrap_shape_test_scalar(data, spec, shape_null, draws=draws, seed=seed)
-    if model in ("fosr", "flcm", "fofr"):
-        return bootstrap_shape_test_functional(data, model, spec, shape_null, draws, seed)
-    raise ConfigError(f"unknown model {model!r}")
+    return bootstrap_shape_test_functional(data, model, spec, shape_null, draws, seed)

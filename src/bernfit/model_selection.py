@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, TensorBasisSpec
-from .constraints import ShapeSpec, quantile_monotone
+from .basis import TensorBasisSpec
+from .constraints import ShapeSpec, check_model, quantile_monotone
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 from .utils import spawn_rng
@@ -46,16 +46,12 @@ class CvResult:
         }
 
 
-def _default_candidates(model: str) -> list[int]:
-    return list(range(2, 7)) if model == "fofr" else list(range(2, 11))
-
-
 def _holdout_error(train, test, model, order, shape) -> float:
     from .functional import fit_functional
     from .qfosr import fit_qfosr, predict_qfosr
     from .sofr import fit_sofr, predict_sofr
 
-    spec = (TensorBasisSpec if model == "fofr" else BasisSpec)(order, train.domain)
+    spec = check_model(model)(order, train.domain)
     if model == "sofr":
         pred = predict_sofr(fit_sofr(train, spec, shape), test)
         return float(np.sum((test.y_scalar - pred) ** 2))
@@ -82,11 +78,13 @@ def cv_select_order(
     the qfosr model the monotonicity system is implied and ``shape`` is the
     optional extra-shapes mapping passed through to the fit.
     """
+    basis = check_model(model, shape=shape if isinstance(shape, ShapeSpec) else None)
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
     if model == "qfosr" and shape is not None and not isinstance(shape, Mapping):
         raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
-    candidates = sorted(candidates) if candidates is not None else _default_candidates(model)
+    default = range(2, 7 if basis is TensorBasisSpec else 11)
+    candidates = sorted(candidates if candidates is not None else default)
     if not candidates:
         raise ConfigError("no candidate orders supplied")
     n = data.n_subjects

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, eval_basis_matrix
-from .constraints import ConstraintSystem, build_constraints, build_quantile_monotone
+from .constraints import ConstraintSystem, build_constraints, build_quantile_monotone, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 from .functional import CovarianceModel, StackedDesign, _solve_two_step
@@ -142,6 +142,7 @@ def fit_qfosr(
     monotonicity system, e.g. a decreasing restriction on one predictor's
     effect.
     """
+    check_model("qfosr", spec)
     design, rescale = build_qfosr_design(data, spec)
     j_count = data.z_scalars.shape[1]
     constraints = qfosr_constraints(spec, j_count, extra_shapes)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, eval_basis_matrix, map_to_unit, sofr_design
-from .constraints import ShapeSpec, build_constraints
+from .constraints import ShapeSpec, check_model
 from .dataset import FunctionalDataset
 from .errors import DataError
-from .functional import StackedDesign, _check_spec, _solve_stacked
+from .functional import StackedDesign, _solve_stacked, shape_system
 
 
 @dataclass
@@ -40,7 +40,6 @@ def sofr_design_matrix(data: FunctionalDataset, spec: BasisSpec) -> StackedDesig
     W is the constrained block; its columns are the trapezoid integrals of
     each curve against the basis.
     """
-    _check_spec("sofr", spec)
     if data.x_curves is None:
         raise DataError("scalar-on-function regression needs functional covariates")
     if data.y_scalar is None:
@@ -64,16 +63,14 @@ def fit_sofr(
     baseline; otherwise the basis-coefficient block is constrained to the
     requested shape (the intercept and confounders never are).
     """
+    check_model("sofr", spec, shape)
     design = sofr_design_matrix(data, spec)
     n = design.n_subjects
     if n < spec.order + 2 + data.n_z:
         raise DataError(
             f"need at least {spec.order + 2 + data.n_z} subjects for order {spec.order}, got {n}"
         )
-    system = None
-    if shape is not None:
-        system = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
-    sol = _solve_stacked(design, system)
+    sol = _solve_stacked(design, shape_system("sofr", spec, shape, design))
     residuals = design.residuals(sol.beta)
     return SofrFit(
         alpha=float(sol.beta[0]),

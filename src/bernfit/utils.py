@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for stream ``key`` under the master ``seed``."""
+    if seed < 0 or min(key, default=0) < 0:
+        raise ConfigError(f"seeds and replications must be non-negative: seed {seed}, key {key}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

@@ -333,3 +333,14 @@ def test_readme_names_every_kind_with_its_minimum_order():
     paragraph = readme[start : readme.index("\n\n", start)]
     documented = dict(re.findall(r"`(\w+)`\s+\(order\s+(\d+)\b", paragraph))
     assert documented == {kind: str(row.min_order) for kind, row in _CATALOG.items()}
+
+
+def test_readme_names_every_model_with_its_basis_spec():
+    """README's "Models" paragraph and ``MODELS`` cannot drift apart."""
+    from bernfit.constraints import MODELS, check_model
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Models, each")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    documented = dict(re.findall(r"`(\w+)`\s+\(`(\w+)`;", paragraph))
+    assert documented == {model: check_model(model).__name__ for model in MODELS}

@@ -579,6 +579,15 @@ _MALFORMED_INPUTS = {
         )
         for block in ("1", "2")
     },
+    # a negative seed reaches the random streams only after the data is read
+    "config-seed-negative-ci": ("ci", {"model": "sofr", "order": 4, "seed": -1}, None),
+    "config-seed-negative-test-shape": (
+        "test-shape", {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}, "seed": -1},
+        None,
+    ),
+    "config-seed-negative-cv-order": (
+        "cv-order", {"model": "sofr", "candidates": [2, 3], "seed": -1}, None
+    ),
     "config-not-utf8": ("fit-sofr", b'{"order": 4, "model": "Jos\xe9"}', None),
     "data-short-row": ("fit-sofr", {"order": 4}, b"id,y,t=0.0,t=0.5,t=1.0\ns1\n"),
     "data-not-utf8": (
@@ -659,6 +668,73 @@ def test_bench_configuration_error_exits_2(tmp_path, capsys, options):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not (tmp_path / "bench.json").exists()
+
+
+def _config_argv(tmp, command, config, data=None, layout=()):
+    """``command`` on ``data`` (a valid sofr dataset when None) under ``config``."""
+    if data is None:
+        data_path = _write_sofr_data(tmp, n=20)
+    else:
+        data_path = tmp / "data.csv"
+        data_path.write_text(data)
+    (tmp / "config.json").write_text(json.dumps(config))
+    return [command, "--data", str(data_path), *layout, "--config", str(tmp / "config.json")]
+
+
+_SCENARIO_B = ["simulate", "--scenario", "B", "--n", "30"]
+_BENCH = ["bench", "--scenario", "B", "--n", "30", "--reps", "1"]
+_SOFR_CONFIGS = {
+    "ci": {"model": "sofr", "order": 4},
+    "test-shape": {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}},
+    "cv-order": {"model": "sofr", "candidates": [2, 3]},
+}
+# case: (command line for a work directory, what the one-line message must say)
+_REFUSALS = {
+    "simulate-seed": (lambda tmp: [*_SCENARIO_B, "--seed", "-1"], "non-negative: seed -1"),
+    "simulate-rep": (lambda tmp: [*_SCENARIO_B, "--rep", "-1"], "non-negative: seed 0, key (-1, 0)"),
+    "bench-seed": (lambda tmp: [*_BENCH, "--seed", "-1"], "non-negative: seed -1"),
+    "bench-test-shape-not-json": (
+        lambda tmp: [*_BENCH, "--mode", "test", "--test-shape", "nope"],
+        "--test-shape is not valid JSON",
+    ),
+    "bench-test-shape-quantile": (
+        lambda tmp: [*_BENCH, "--mode", "test", "--test-shape", json.dumps(_QUANTILE)],
+        "quantile monotonicity applies only to the qfosr model",
+    ),
+    **{
+        f"{command}-seed-option": (
+            lambda tmp, c=command: [*_config_argv(tmp, c, _SOFR_CONFIGS[c]), "--seed", "-2"],
+            "non-negative: seed -2",
+        )
+        for command in _SOFR_CONFIGS
+    },
+    "test-shape-qfosr": (
+        lambda tmp: _config_argv(
+            tmp, "test-shape", {"model": "qfosr", "order": 2, "shape": _QUANTILE}, _QFOSR_DATA
+        ),
+        "the functional shape test does not support qfosr",
+    ),
+    "fit-flcm-extra-shapes": (
+        lambda tmp: _config_argv(
+            tmp, "fit-flcm", {"order": 4, "extra_shapes": {"0": {"kind": "convex"}}},
+            _FLCM_DATA, ["--format", "long_csv"],
+        ),
+        "'extra_shapes' applies only to the qfosr model, not flcm",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusal_exits_2_with_its_message(tmp_path, capsys, case):
+    """Negative seeds and replications, a --test-shape that is not JSON and a model
+    that cannot take a shape or key are configuration errors that say so."""
+    argv, message = _REFUSALS[case]
+    out = tmp_path / "out.json"
+    assert run_cli([*argv(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_simulate_creates_missing_output_directory(tmp_path):

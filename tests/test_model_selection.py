@@ -161,6 +161,6 @@ def test_candidate_bases_sit_on_the_fit_domain(monkeypatch):
         domains.append(domain)
         return BasisSpec(order, domain)
 
-    monkeypatch.setattr(model_selection, "BasisSpec", recording_spec)
+    monkeypatch.setattr(model_selection, "check_model", lambda *args, **kwargs: recording_spec)
     cv_select_order(inner, "flcm", NON_DECREASING, candidates=[2, 3], folds=3, seed=1)
     assert domains and set(domains) == {(0.0, 1.0)}
