@@ -145,6 +145,12 @@ def _setup(args):
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
     basis = check_model(model, shape=config.shape)
+    # test-shape refuses qfosr itself, with that reason
+    if config.shape is not None and model == "qfosr" and args.command != "test-shape":
+        raise ConfigError(
+            "qfosr always imposes quantile_monotone and takes no 'shape'; "
+            "give further shapes in 'extra_shapes'"
+        )
     if config.extra_shapes and model != "qfosr":
         raise ConfigError(f"'extra_shapes' applies only to the qfosr model, not {model}")
     if config.order is None and args.command != "cv-order":

@@ -6,6 +6,11 @@ nonnegative least-squares problem solved by SciPy's compiled Lawson-Hanson
 NNLS. Constraint multipliers fall out of the dual solution, so KKT
 certificates come for free. Everything is deterministic: the same inputs give
 the same bits.
+
+Only ``scipy.linalg`` is imported with the module. ``scipy.optimize`` takes
+about a quarter of a second to import and many solves never reach the dual
+(an unconstrained fit, or a feasible unconstrained minimizer), so ``_nnls``
+imports it at the first dual solve.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.optimize import nnls
 
 from .constraints import ConstraintSystem
 from .errors import InfeasibleError, NumericalError
@@ -52,6 +56,8 @@ class QpSolution:
 
 def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> np.ndarray:
     """min ||e x - f|| subject to x >= 0, by SciPy's Lawson-Hanson NNLS."""
+    from scipy.optimize import nnls
+
     try:
         return nnls(e, f, maxiter=max_iter)[0]
     except (RuntimeError, ValueError) as exc:  # iteration limit, or non-finite input

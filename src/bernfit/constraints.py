@@ -136,12 +136,15 @@ class ShapeSpec:
 
 def check_model(model: str, spec=None, shape: ShapeSpec | None = None) -> type:
     """The basis class of ``model``'s coefficient. Refuses an unknown model, a
-    ``spec`` of another class and a ``shape`` that constrains another target."""
+    ``spec`` of another class, a ``shape`` that is not a ShapeSpec and one that
+    constrains another target."""
     if not isinstance(model, str) or model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
     basis = _TARGETS[MODELS[model]][0]
     if spec is not None and not isinstance(spec, basis):
         raise ConfigError(f"model {model!r} needs a {basis.__name__}, got {type(spec).__name__}")
+    if shape is not None and not isinstance(shape, ShapeSpec):
+        raise ConfigError(f"a shape must be a ShapeSpec, got {type(shape).__name__}")
     if shape is not None and shape.target != MODELS[model]:
         raise ConfigError(_TARGETS[shape.target][2])
     return basis

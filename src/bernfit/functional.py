@@ -119,12 +119,11 @@ def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceM
     if n < 3:
         raise DataError("covariance estimation needs at least 3 subjects")
     mask = np.isfinite(e)
-    counts = mask.T.astype(float) @ mask.astype(float)
-    col_counts = mask.sum(axis=0)
-    means = np.where(col_counts > 0, np.nansum(e, axis=0) / np.maximum(col_counts, 1), 0.0)
-    centered = np.where(mask, e - means, 0.0)
-    cov = (centered.T @ centered) / np.maximum(counts - 1.0, 1.0)
-    cov[counts < 2] = 0.0
+    dense = bool(mask.all())
+    if dense:
+        cov = _dense_covariance(e)
+    else:
+        cov, counts = _pairwise_covariance(e, mask)
     cov = 0.5 * (cov + cov.T)
 
     diag = np.diag(cov).copy()
@@ -133,7 +132,7 @@ def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceM
         smooth = diag
         nugget = 0.0
         corrected = cov.copy()
-    elif mask.all():
+    elif dense:
         smooth = np.empty(m)
         smooth[0] = cov[0, 1]
         smooth[-1] = cov[-1, -2]
@@ -170,6 +169,26 @@ def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceM
         if peak < 0:
             row *= -1.0
     return CovarianceModel(pts, evals[:k], phis, nugget=nugget)
+
+
+def _pairwise_covariance(e: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariance of the columns of ``e`` from the pairs observed in
+    ``mask``, zero where fewer than 2 subjects observe a pair, and the pair counts."""
+    counts = mask.T.astype(float) @ mask.astype(float)
+    col_counts = mask.sum(axis=0)
+    means = np.where(col_counts > 0, np.nansum(e, axis=0) / np.maximum(col_counts, 1), 0.0)
+    centered = np.where(mask, e - means, 0.0)
+    cov = (centered.T @ centered) / np.maximum(counts - 1.0, 1.0)
+    cov[counts < 2] = 0.0
+    return cov, counts
+
+
+def _dense_covariance(e: np.ndarray) -> np.ndarray:
+    """``_pairwise_covariance`` of a fully observed ``e`` (at least 2 rows), bit
+    for bit: every count is n, so it needs neither the count product nor masking."""
+    n = e.shape[0]
+    centered = e - e.sum(axis=0) / n
+    return (centered.T @ centered) / (n - 1.0)
 
 
 def _kernel_smooth_offdiag(cov: np.ndarray, counts: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -356,7 +375,10 @@ def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
 
 def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     """Residuals as a (subjects x grid) matrix, NaN where unobserved."""
-    out = np.full((design.n_subjects, design.n_points), np.nan)
+    shape = (design.n_subjects, design.n_points)
+    if design.y.size == shape[0] * shape[1]:  # dense rows run subject-major
+        return design.residuals(beta).reshape(shape)
+    out = np.full(shape, np.nan)
     out[design.subject, design.point] = design.residuals(beta)
     return out
 

@@ -78,10 +78,11 @@ def cv_select_order(
     the qfosr model the monotonicity system is implied and ``shape`` is the
     optional extra-shapes mapping passed through to the fit.
     """
-    basis = check_model(model, shape=shape if isinstance(shape, ShapeSpec) else None)
+    extra_shapes = model == "qfosr" and isinstance(shape, Mapping)
+    basis = check_model(model, shape=None if extra_shapes else shape)
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
-    if model == "qfosr" and shape is not None and not isinstance(shape, Mapping):
+    if model == "qfosr" and shape is not None and not extra_shapes:
         raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
     default = range(2, 7 if basis is TensorBasisSpec else 11)
     candidates = sorted(candidates if candidates is not None else default)

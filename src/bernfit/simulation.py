@@ -13,6 +13,10 @@ Covariate processes are score expansions in polynomials orthonormalized in
 the empirical inner product on the scenario grid; every draw is keyed by
 (seed, replication, role) so replications regenerate bit-identically in any
 execution order.
+
+``scipy.stats`` is imported inside ``MetricTable.summary``, the one place that
+uses it (its two t-tests): importing it takes about half a second, which
+every CLI call would otherwise pay.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .basis import Grid, quadrature_weights
 from .constraints import (
@@ -211,6 +214,8 @@ class MetricTable:
             if con.mean() > 0:
                 out["efficiency_ratio"] = float(unc.mean() / con.mean())
             if con.size > 1:
+                from scipy import stats
+
                 paired = stats.ttest_rel(con, unc)
                 welch = stats.ttest_ind(con, unc, equal_var=False)
                 out["p_value_paired"] = float(paired.pvalue)

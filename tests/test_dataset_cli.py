@@ -573,6 +573,17 @@ _MALFORMED_INPUTS = {
         "cv-order", {"model": "qfosr", "candidates": [2], "folds": 3, "shape": _NON_INCREASING},
         _QFOSR_DATA.encode(),
     ),
+    # qfosr imposes its own quantile_monotone; a "shape" of that kind is refused, not ignored
+    "config-shape-quantile-fit-qfosr": (
+        "fit-qfosr", {"order": 3, "shape": _QUANTILE}, _QFOSR_DATA.encode()
+    ),
+    "config-shape-quantile-ci-qfosr": (
+        "ci", {"model": "qfosr", "order": 3, "shape": _QUANTILE}, _QFOSR_DATA.encode()
+    ),
+    "config-shape-quantile-cv-order-qfosr": (
+        "cv-order", {"model": "qfosr", "candidates": [2], "folds": 3, "shape": _QUANTILE},
+        _QFOSR_DATA.encode(),
+    ),
     **{
         f"config-extra-shape-quantile-block-{block}": (
             "fit-qfosr", {"order": 2, "extra_shapes": {block: _QUANTILE}}, _QFOSR_DATA.encode()

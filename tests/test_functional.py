@@ -24,6 +24,8 @@ from bernfit.constraints import build_constraints
 from bernfit.dataset import FunctionalDataset
 from bernfit.functional import (
     CovarianceModel,
+    _dense_covariance,
+    _pairwise_covariance,
     _solve_stacked,
     build_design,
     estimate_covariance,
@@ -255,6 +257,17 @@ class TestEstimateCovariance:
         cov = estimate_covariance(resid, Grid(np.linspace(0, 1, 20)))
         assert np.all(np.diff(cov.eigenvalues) <= 0)
         assert np.all(cov.eigenvalues > 0)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (40, 25), (7, 300), (2000, 200)])
+    def test_dense_covariance_is_the_pairwise_formula_bit_for_bit(self, n, m):
+        """Fully observed residuals skip the pair counts and the NaN masking; every
+        count is n there, so the covariance must keep every bit of the general one."""
+        rng = np.random.default_rng(n)
+        resid = 3.0 + rng.standard_normal((n, m)) * np.linspace(0.5, 2.0, m)
+        for e in (resid, np.asfortranarray(resid), resid[:, ::-1]):
+            cov, counts = _pairwise_covariance(e, np.isfinite(e))
+            assert np.array_equal(counts, np.full((m, m), float(n)))
+            assert np.array_equal(_dense_covariance(e), cov)
 
     def test_reconstruction_psd(self):
         rng = np.random.default_rng(4)

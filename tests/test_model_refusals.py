@@ -2,8 +2,8 @@
 
 One case per entry point, model and kind of mistake: an unknown model, a
 basis spec of the wrong kind, a shape that constrains another target than
-the model's coefficient, and an operation the entry point does not offer for
-the model. Each must raise ConfigError with the message of ``check_model``
+the model's coefficient, a mapping of shapes where a shape is due, and an
+operation the entry point does not offer for the model. Each must raise ConfigError with the message of ``check_model``
 or of the operation's refusal. The data is None throughout, so every refusal
 must come before the data is touched.
 """
@@ -81,6 +81,10 @@ _OTHER_TARGET = {
     "fofr": (NON_INCREASING, "univariate shapes apply to the sofr, fosr and flcm models"),
     "qfosr": (NON_INCREASING, "univariate shapes apply to the sofr, fosr and flcm models"),
 }
+# a mapping of coefficient blocks to shapes is the qfosr extra-shapes form, which only
+# cv_select_order takes in place of a shape, and only for qfosr
+_SHAPE_MAPPING = {1: NON_INCREASING}
+_TAKES_MAPPING = {("cv_select_order", "qfosr")}
 # a shape the model takes, for the calls that need one
 _OWN_SHAPE = {"fofr": bivariate_monotone(), "qfosr": quantile_monotone(1)}
 # (entry point, model): the message of the operation's refusal
@@ -108,6 +112,9 @@ def _cases():
             if takes_shape:
                 other, message = _OTHER_TARGET[model]
                 yield entry, model, "other_target", (spec, other), message
+                if (entry, model) not in _TAKES_MAPPING:
+                    message = "a shape must be a ShapeSpec, got dict"
+                    yield entry, model, "shape_mapping", (spec, _SHAPE_MAPPING), message
             if (entry, model) in _UNSUPPORTED:
                 yield entry, model, "unsupported", (spec, shape), _UNSUPPORTED[entry, model]
 
@@ -129,7 +136,7 @@ def test_entry_point_refuses_before_touching_data(entry, model, mistake, args, m
 
 def test_every_mistake_kind_is_covered():
     kinds = {mistake for _, _, mistake, _, _ in _CASES}
-    assert kinds == {"unknown", "wrong_spec", "other_target", "unsupported"}
+    assert kinds == {"unknown", "wrong_spec", "other_target", "shape_mapping", "unsupported"}
     assert {entry for entry, *_ in _CASES} == set(_ENTRY_POINTS)
 
 
