@@ -9,6 +9,7 @@ exception, reported as one ``internal error: <Type>: <message>`` line).
 Replications run serially; ``--threads`` is accepted and has no effect.
 Every data subcommand starts with one set-up (``_setup``), which also
 completes sparse covariate curves, so all of them see the same data.
+Each distinct warning is printed once per run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each distinct warning once: a filter change during the run (importing
+    # scipy.optimize makes one) clears Python's once-per-location registry, so
+    # a repeated warning would print again; the caller's filters stay in force
+    shown = set()
+    show = warnings.showwarning
+
+    def show_once(message, category, filename, lineno, file=None, line=None):
+        if (str(message), category) not in shown:
+            shown.add((str(message), category))
+            show(message, category, filename, lineno, file, line)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_once
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         result = _COMMANDS[args.command](args)
         json_path = result.get("json_path")

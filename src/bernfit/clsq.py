@@ -7,6 +7,12 @@ NNLS. Constraint multipliers fall out of the dual solution, so KKT
 certificates come for free. Everything is deterministic: the same inputs give
 the same bits.
 
+``ClsqSolver.solve_many`` solves a block of right-hand sides against one
+factorization, as the band's draws and the bootstrap's resamples need: every
+unconstrained minimizer first, one product to find the infeasible ones, and
+the dual only for those. ``solve`` is its one-row case with the full
+certificate.
+
 Only ``scipy.linalg`` is imported with the module. ``scipy.optimize`` takes
 about a quarter of a second to import and many solves never reach the dual
 (an unconstrained fit, or a feasible unconstrained minimizer), so ``_nnls``
@@ -94,7 +100,8 @@ class ClsqSolver:
     """Factored constrained least-squares solver, reusable across responses.
 
     The Gram matrix and the constraint geometry are factored once; ``solve``
-    then costs one triangular solve plus the dual iteration. This is the
+    then costs two triangular solves plus the dual iteration, and
+    ``solve_many`` takes a whole block of responses in one call. This is the
     workhorse for bootstrap loops where only the response changes.
     """
 
@@ -149,13 +156,37 @@ class ClsqSolver:
         return x
 
     def _unconstrained(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = self._tri_solve(rhs, 1)
-        return self._tri_solve(w, 0), w
+        """Unconstrained minimizers of the rows of ``rhs`` and their half-solves L^{-1} rhs.
 
-    def _objective_parts(self, beta: np.ndarray, rhs: np.ndarray, yty: float) -> tuple[float, float]:
-        rss = float(beta @ self.gram @ beta - 2.0 * rhs @ beta + yty)
-        rss = max(rss, 0.0)
-        return rss + self.ridge * float(beta @ beta), rss
+        One trtrs call per row: a multi-column solve rounds differently in the
+        last bit, and per row it is also faster at these widths.
+        """
+        w = np.empty_like(rhs)
+        beta = np.empty_like(rhs)
+        for j, r in enumerate(rhs):
+            w[j] = self._tri_solve(r, 1)
+            beta[j] = self._tri_solve(w[j], 0)
+        return beta, w
+
+    def _rss(self, beta: np.ndarray, rhs: np.ndarray, yty: float) -> float:
+        return max(float(beta @ self.gram @ beta - 2.0 * rhs @ beta + yty), 0.0)
+
+    def _kkt(self, beta: np.ndarray, mult: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """KKT residual of each row of ``beta`` with its multipliers.
+
+        The products run on columns, so a one-row block gives the bits of the
+        matrix-vector products of a single solve.
+        """
+        # stationarity in the scaling 2 Z'(Z beta - y) + 2 ridge beta = A' lambda
+        stat = 2.0 * (self.gram @ beta.T - rhs.T + self.ridge * beta.T)
+        if self._a_ext is not None:
+            stat = stat - self.constraints.a.T @ (2.0 * mult.T)
+        return np.abs(stat).max(axis=0, initial=0.0)
+
+    def _slack(self, beta: np.ndarray) -> np.ndarray:
+        """Smallest slack in A beta >= b of each row of ``beta``; an equality row
+        appears with both signs, so it contributes -|A beta - b|."""
+        return (beta @ self._a_ext.T - self._b_ext).min(axis=-1)
 
     def _finish(
         self,
@@ -164,35 +195,23 @@ class ClsqSolver:
         rhs: np.ndarray,
         yty: float,
         iterations: int,
-    ) -> tuple[QpSolution, bool]:
-        """Solution record, and whether beta meets A beta >= b to the scaled tolerance."""
-        cons = self.constraints
-        objective, rss = self._objective_parts(beta, rhs, yty)
-        feasible = True
-        if cons is not None and cons.n_rows > 0:
-            resid = cons.a @ beta - cons.b
+    ) -> QpSolution:
+        """Solution record with its active set and KKT certificate."""
+        rss = self._rss(beta, rhs, yty)
+        active = np.empty(0, dtype=int)
+        if self._a_ext is not None:
+            resid = self.constraints.a @ beta - self.constraints.b
             active = np.flatnonzero(np.abs(resid) <= FEASIBILITY_TOL * self._scale)
-            violation = np.where(cons.equality, np.abs(resid), -resid) if self._has_equality else -resid
-            feasible = float(violation.max()) <= FEASIBILITY_TOL * self._scale
-            # stationarity in the scaling 2 Z'(Z beta - y) + 2 ridge beta = A' lambda
-            stat = 2.0 * (self.gram @ beta - rhs + self.ridge * beta) - cons.a.T @ (2.0 * mult)
-            multipliers = 2.0 * mult
-        else:
-            active = np.empty(0, dtype=int)
-            multipliers = np.empty(0)
-            stat = 2.0 * (self.gram @ beta - rhs + self.ridge * beta)
-        kkt = float(np.abs(stat).max(initial=0.0))
-        solution = QpSolution(
+        return QpSolution(
             beta=beta,
             active_set=active,
-            multipliers=multipliers,
-            objective=objective,
+            multipliers=2.0 * mult,
+            objective=rss + self.ridge * float(beta @ beta),
             rss=rss,
-            kkt_residual=kkt,
+            kkt_residual=float(self._kkt(beta[None], mult[None], rhs[None])[0]),
             ridge=self.ridge,
             iterations=iterations,
         )
-        return solution, feasible
 
     def _fold_multipliers(self, lam_ext: np.ndarray) -> np.ndarray:
         if not self._has_equality:  # the extended rows are the original rows
@@ -206,7 +225,7 @@ class ClsqSolver:
 
         The active rows are solved as equalities for beta; nonnegative
         multipliers are then fitted to the stationarity equations by NNLS.
-        ``solve`` calls this only when the point mapped back from the LDP misses
+        ``_dual`` calls this only when the point mapped back from the LDP misses
         the KKT tolerance or violates A beta >= b. On the benchmark's paper-size
         Monte Carlo and n=2000 workloads that never happens (0 of 7012 solves in
         one pass of each). An ill-conditioned Cholesky factor causes it: the
@@ -224,12 +243,85 @@ class ClsqSolver:
         kkt = np.block([[gram_r, -a_act.T], [a_act, np.zeros((act.size, act.size))]])
         target = np.concatenate([rhs, self._b_ext[act]])
         beta = np.linalg.lstsq(kkt, target, rcond=None)[0][:p]
-        slack = self._a_ext @ beta - self._b_ext
-        if slack.min(initial=0.0) < -FEASIBILITY_TOL * self._scale:
+        if self._slack(beta) < -FEASIBILITY_TOL * self._scale:
             return None
         lam_full = np.zeros(self._a_ext.shape[0])
         lam_full[act] = _nnls(a_act.T, gram_r @ beta - rhs, self.max_iter)
         return beta, lam_full
+
+    def _dual(self, rows, beta, w, rhs, mult, iters) -> None:
+        """Constrained solutions of the given rows, whose unconstrained minimizers
+        are infeasible; fills their rows of ``beta``, ``mult`` and ``iters``.
+
+        Each row's least-distance dual is solved and mapped back; the mapped-back
+        points are then certified together, and only a row that misses the
+        feasibility or the KKT tolerance is polished.
+        """
+        lam_ext = []
+        for j in rows:
+            u, lam, iters[j] = _ldp(self._g_ext, self._b_ext - self._g_ext @ w[j], self.max_iter)
+            lam_ext.append(lam)
+            mult[j] = self._fold_multipliers(lam)
+            # a dual with no point to map back leaves NaN, which fails both checks
+            beta[j] = np.nan if u is None else self._tri_solve(u + w[j], 0)
+        kkt = self._kkt(beta[rows], mult[rows], rhs[rows])
+        feasible = self._slack(beta[rows]) >= -FEASIBILITY_TOL * self._scale
+        tol_kkt = FEASIBILITY_TOL * (1.0 + np.abs(rhs[rows]).max(axis=1))
+        # an ill-conditioned factor or a degenerate dual can leave the mapped-back
+        # LDP point outside the polyhedron, or leave none; the KKT re-solve on the
+        # dual's active rows restores it
+        for i in np.flatnonzero(~feasible | (kkt > tol_kkt)):
+            j = rows[i]
+            polished = self._polish(lam_ext[i], rhs[j])
+            if polished is not None:
+                beta_p, lam_p = polished
+                mult_p = self._fold_multipliers(lam_p)
+                kkt_p = self._kkt(beta_p[None], mult_p[None], rhs[j][None])[0]
+                if not feasible[i] or kkt_p < kkt[i]:
+                    beta[j], mult[j], kkt[i] = beta_p, mult_p, kkt_p
+                    feasible[i] = self._slack(beta_p) >= -FEASIBILITY_TOL * self._scale
+            if not feasible[i]:
+                raise NumericalError(
+                    "constrained solve violates its constraints by more than "
+                    f"{FEASIBILITY_TOL:.1e}",
+                    last_iterate=None if np.isnan(beta[j]).any() else beta[j].copy(),
+                )
+            if kkt[i] > tol_kkt[i] * 100.0:
+                raise NumericalError(
+                    f"constrained solve left a KKT residual of {kkt[i]:.3e}",
+                    last_iterate=beta[j].copy(),
+                )
+
+    def _solve_rows(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Solutions of every row of ``rhs``, with their multipliers and dual sizes.
+
+        Every unconstrained minimizer comes first; one product with the extended
+        constraint rows then finds the infeasible ones, and only those go
+        through the dual.
+        """
+        beta, w = self._unconstrained(rhs)
+        n_rows = 0 if self.constraints is None else self.constraints.n_rows
+        mult = np.zeros((rhs.shape[0], n_rows))
+        iters = np.zeros(rhs.shape[0], dtype=int)
+        if self._a_ext is not None:
+            rows = np.flatnonzero(self._slack(beta) < 0.0)
+            if rows.size:
+                self._dual(rows, beta, w, rhs, mult, iters)
+        return beta, mult, iters
+
+    def solve_many(self, rhs: np.ndarray, yty=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """``solve`` for every row of a (k, p) block of right-hand sides.
+
+        ``yty`` is one value per row, or one for all. Returns the (k, p)
+        solutions and the (k,) residual sums of squares that k calls of
+        ``solve`` give, and raises what they raise (an infeasible system raises
+        InfeasibleError before any row's NumericalError).
+        """
+        rhs = np.array(rhs, dtype=float, ndmin=2)
+        yty = np.broadcast_to(np.asarray(yty, dtype=float), rhs.shape[:1])
+        beta = self._solve_rows(rhs)[0]
+        rss = np.array([self._rss(b, r, y) for b, r, y in zip(beta, rhs, yty)])
+        return beta, rss
 
     def solve(self, rhs: np.ndarray, yty: float = 0.0) -> QpSolution:
         """Minimize beta' G beta - 2 rhs' beta + yty subject to the constraints.
@@ -239,43 +331,8 @@ class ClsqSolver:
         componentwise (equality rows to the same tolerance; otherwise
         NumericalError is raised), has nonnegative multipliers on active
         inequalities, and certifies stationarity through its KKT residual.
+        This is the one-row case of ``solve_many``, with the full record.
         """
         rhs = np.asarray(rhs, dtype=float).ravel()
-        beta_u, w = self._unconstrained(rhs)
-        cons = self.constraints
-        if cons is None or cons.n_rows == 0:
-            return self._finish(beta_u, np.empty(0), rhs, yty, 0)[0]
-        slack_u = self._a_ext @ beta_u - self._b_ext
-        if slack_u.min(initial=0.0) >= 0.0:
-            return self._finish(beta_u, np.zeros(cons.n_rows), rhs, yty, 0)[0]
-        h = self._b_ext - self._g_ext @ w
-        u, lam_ext, iters = _ldp(self._g_ext, h, self.max_iter)
-        sol, feasible = None, False
-        if u is not None:
-            beta = self._tri_solve(u + w, 0)
-            sol, feasible = self._finish(beta, self._fold_multipliers(lam_ext), rhs, yty, iters)
-        tol_kkt = FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        # an ill-conditioned factor or a degenerate dual can leave the mapped-back
-        # LDP point outside the polyhedron, or leave none; the KKT re-solve on the
-        # dual's active rows restores it
-        if sol is None or sol.kkt_residual > tol_kkt or not feasible:
-            polished = self._polish(lam_ext, rhs)
-            if polished is not None:
-                beta_p, lam_p = polished
-                mult_p = self._fold_multipliers(lam_p)
-                candidate, candidate_feasible = self._finish(beta_p, mult_p, rhs, yty, iters)
-                if not feasible or candidate.kkt_residual < sol.kkt_residual:
-                    sol, feasible = candidate, candidate_feasible
-            if not feasible:
-                raise NumericalError(
-                    "constrained solve violates its constraints by more than "
-                    f"{FEASIBILITY_TOL:.1e}",
-                    last_iterate=None if sol is None else sol.beta,
-                )
-            if sol.kkt_residual > tol_kkt * 100.0:
-                raise NumericalError(
-                    f"constrained solve left a KKT residual of {sol.kkt_residual:.3e}",
-                    last_iterate=sol.beta,
-                )
-        return sol
-
+        beta, mult, iters = self._solve_rows(rhs[None])
+        return self._finish(beta[0], mult[0], rhs, yty, int(iters[0]))

@@ -213,16 +213,19 @@ class ConstraintSystem:
         return ConstraintSystem(a, self.b.copy(), self.equality.copy())
 
     def violations(self, beta: np.ndarray) -> np.ndarray:
-        """Per-row violation: b - A beta for inequalities, |A beta - b| for equalities."""
+        """Per-row violation: b - A beta for inequalities, |A beta - b| for equalities.
+
+        ``beta`` may also be a block with one coefficient vector per row; the
+        violations then have one row per vector.
+        """
         beta = np.asarray(beta, dtype=float)
-        if beta.size != self.coef_len:
+        length = beta.shape[-1] if beta.ndim in (1, 2) else beta.size
+        if length != self.coef_len or beta.ndim not in (1, 2):
             raise ValueError(
-                f"coefficient length {beta.size} does not match constraints ({self.coef_len})"
+                f"coefficient length {length} does not match constraints ({self.coef_len})"
             )
-        resid = self.a @ beta - self.b
-        out = -resid
-        out[self.equality] = np.abs(resid[self.equality])
-        return out
+        resid = beta @ self.a.T - self.b
+        return np.where(self.equality, np.abs(resid), -resid)
 
     def worst_violation(self, beta: np.ndarray) -> float:
         if self.n_rows == 0:

@@ -105,35 +105,40 @@ def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, wh
 
 
 def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndarray:
-    """Omega-norm projection of ``z`` onto the projector's constraint polyhedron.
+    """Omega-norm projection of every row of ``z`` onto the projector's polyhedron.
 
-    Feasible points come back unchanged, which makes the projection
-    idempotent; otherwise argmin_{A beta >= b} (beta - z)' omega (beta - z)
-    is the constrained least-squares solution with Gram omega and rhs omega z.
+    Feasible rows come back unchanged, which makes the projection idempotent;
+    the others are argmin_{A beta >= b} (beta - z)' omega (beta - z), the
+    constrained least-squares solutions with Gram omega and rhs omega z, all
+    solved in one ``solve_many`` call.
     """
-    cons = projector.constraints
-    if cons is None or cons.worst_violation(z) <= 0.0:
+    rows = np.flatnonzero(projector.constraints.violations(z).max(axis=1, initial=0.0) > 0.0)
+    if rows.size == 0:
         return z
-    return projector.solve(omega @ z).beta
+    out = z.copy()
+    # omega @ z row by row: the block product rounds differently, and an
+    # ill-conditioned omega amplifies that in the projection
+    out[rows] = projector.solve_many([omega @ z[j] for j in rows])[0]
+    return out
 
 
 def _projection_band(
     beta_ur, omega, delta_n, constraints, spec, offset, grid, level, draws, seed
 ) -> CiBand:
-    """Draw around ``beta_ur``, project each draw, read off pointwise quantiles.
+    """Draw around ``beta_ur``, project the draws, read off pointwise quantiles.
 
     The band is for the coefficient function of ``spec`` whose coefficients
-    start at ``offset`` in the stacked vector.
+    start at ``offset`` in the stacked vector. Without constraints the
+    projection is the identity and no projector is factored.
     """
-    projector = ClsqSolver(omega, constraints)
     factor = _normal_factor(delta_n)
-    grid = np.asarray(grid, dtype=float)
-    basis = eval_basis_matrix(grid, spec)
-    block_slice = slice(offset, offset + spec.n_coefs)
-    curves = np.empty((draws, grid.size))
+    z = np.empty((draws, beta_ur.size))
     for b in range(draws):
-        z_b = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
-        curves[b] = basis @ _project(z_b, omega, projector)[block_slice]
+        z[b] = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
+    if constraints is not None:
+        z = _project(z, omega, ClsqSolver(omega, constraints))
+    grid = np.asarray(grid, dtype=float)
+    curves = z[:, offset : offset + spec.n_coefs] @ eval_basis_matrix(grid, spec).T
     alpha = 1.0 - level
     return CiBand(
         grid=grid,
@@ -223,13 +228,14 @@ def qfosr_projection_ci(
     )
 
 
-def _statistic(rss_c: float, rss_u: float) -> float:
-    if rss_u <= 0.0:
-        if rss_c > 0.0:
-            warnings.warn("unconstrained fit is exact; test statistic set to infinity")
-            return float("inf")
-        return 0.0
-    return max(0.0, (rss_c - rss_u) / rss_u)
+def _statistics(rss_c: np.ndarray, rss_u: np.ndarray) -> np.ndarray:
+    """T = max(0, (RSS_c - RSS_u) / RSS_u), and inf (or 0 when RSS_c = 0) for an exact fit."""
+    exact = rss_u <= 0.0
+    if np.any(exact & (rss_c > 0.0)):
+        warnings.warn("unconstrained fit is exact; test statistic set to infinity")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.maximum(0.0, (rss_c - rss_u) / rss_u)
+    return np.where(exact, np.where(rss_c > 0.0, np.inf, 0.0), ratio)
 
 
 def _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed) -> TestReport:
@@ -237,8 +243,8 @@ def _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed) -> 
 
     ``resampler(beta_u, beta_c)`` returns a function of a generator that
     rebuilds the moments (Z'y*, y*'y*) of one bootstrap response; the
-    constrained and unconstrained solvers are factored once and re-solved
-    per draw.
+    constrained and unconstrained solvers are factored once and solve all the
+    draws' moments in one ``solve_many`` call each.
     """
     if draws < 100:
         raise ConfigError("use at least 100 bootstrap draws")
@@ -248,14 +254,16 @@ def _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed) -> 
     solver_c = ClsqSolver(gram, constraints)
     sol_u = solver_u.solve(rhs, yty)
     sol_c = solver_c.solve(rhs, yty)
-    t_obs = _statistic(sol_c.rss, sol_u.rss)
     moments = resampler(sol_u.beta, sol_c.beta)
-    stats_boot = np.empty(draws)
+    rhs_star = np.empty((draws, rhs.size))
+    yty_star = np.empty(draws)
     for b in range(draws):
-        rhs_star, yty_star = moments(spawn_rng(seed, b))
-        rss_u = solver_u.solve(rhs_star, yty_star).rss
-        rss_c = solver_c.solve(rhs_star, yty_star).rss
-        stats_boot[b] = _statistic(rss_c, rss_u)
+        rhs_star[b], yty_star[b] = moments(spawn_rng(seed, b))
+    rss_u = np.append(solver_u.solve_many(rhs_star, yty_star)[1], sol_u.rss)
+    rss_c = np.append(solver_c.solve_many(rhs_star, yty_star)[1], sol_c.rss)
+    # the observed statistic rides along as the last entry, so an exact fit warns once
+    stats = _statistics(rss_c, rss_u)
+    t_obs, stats_boot = float(stats[-1]), stats[:-1]
     p_value = float(np.count_nonzero(stats_boot >= t_obs)) / draws
     return TestReport(
         statistic=t_obs,

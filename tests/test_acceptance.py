@@ -259,8 +259,8 @@ class TestAcceptance:
             z = rng.normal(scale=2.0, size=4)
             feasible = np.cumsum(rng.uniform(0, 1, 4)) + rng.normal()
             projector = ClsqSolver(omega, system)
-            proj = _project(z, omega, projector)
-            twice = _project(proj, omega, projector)
+            proj = _project(z[None], omega, projector)[0]
+            twice = _project(proj[None], omega, projector)[0]
             ok &= np.abs(proj - twice).max() <= 1e-10
             d_proj = proj - feasible
             d_z = z - feasible

@@ -265,9 +265,73 @@ def test_iteration_limit_is_a_numerical_error():
         solver.solve(z.T @ y, y @ y)
 
 
+def _first_error(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def assert_block_matches_rows(solver, rhs, yty):
+    """solve_many agrees with one solve per row: betas and RSS to 1e-12
+    relative, or the same exception class as the first row that raises."""
+    many_error = _first_error(lambda: solver.solve_many(rhs, yty))
+    row_error = None
+    for r, v in zip(rhs, yty):
+        row_error = _first_error(lambda: solver.solve(r, v))
+        if row_error is not None:
+            break
+    assert many_error is row_error
+    if many_error is not None:
+        return
+    beta, rss = solver.solve_many(rhs, yty)
+    for j, (r, v) in enumerate(zip(rhs, yty)):
+        sol = solver.solve(r, v)
+        assert np.abs(beta[j] - sol.beta).max() <= 1e-12 * max(1.0, np.abs(sol.beta).max())
+        assert abs(rss[j] - sol.rss) <= 1e-12 * max(1.0, sol.rss)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_problems(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_solve_many_matches_solve_per_row(problem, k, seed):
+    # the property test's problems: auto-ridged Grams, equality rows and
+    # infeasible systems, each with a block of k responses around its own
+    z, y, system, _, _ = problem
+    rng = np.random.default_rng(seed)
+    ys = y + rng.normal(scale=rng.uniform(0.0, 3.0), size=(k, y.size))
+    solver = ClsqSolver(z.T @ z, system)
+    rhs = np.array([z.T @ v for v in ys])
+    assert_block_matches_rows(solver, rhs, np.array([v @ v for v in ys]))
+
+
+def test_solve_many_matches_solve_through_the_polish(monkeypatch):
+    # a degenerate whitened FOFR bivariate_monotone problem whose duals need the KKT polish
+    from bernfit import ScenarioSpec, TensorBasisSpec, bivariate_monotone, generate_scenario
+    from bernfit.functional import _prewhiten, build_design, shape_system
+
+    data = generate_scenario(ScenarioSpec("B", n=60, seed=0, m=20), 0)
+    spec = TensorBasisSpec(5)
+    design, _ = _prewhiten(build_design(data, "fofr", spec), data, 0.95)
+    gram, rhs, yty = design.gram_parts()
+    solver = ClsqSolver(gram, shape_system("fofr", spec, bivariate_monotone(), design))
+    polished = []
+    polish = ClsqSolver._polish
+    monkeypatch.setattr(
+        ClsqSolver, "_polish", lambda self, *a: polished.append(1) or polish(self, *a)
+    )
+    rng = np.random.default_rng(3)
+    block = rhs + rng.normal(scale=0.01 * np.abs(rhs).max(), size=(6, rhs.size))
+    block[0] = rhs
+    assert_block_matches_rows(solver, block, np.full(6, yty))
+    assert polished
+
+
 def band_project(z, omega, system):
-    """The confidence band's projection step: omega-norm projection onto the polyhedron."""
-    return _project(np.asarray(z, dtype=float), omega, ClsqSolver(omega, system))
+    """The confidence band's projection step: omega-norm projection onto the polyhedron,
+    of a one-row block."""
+    block = np.asarray(z, dtype=float)[None]
+    return _project(block, omega, ClsqSolver(omega, system))[0]
 
 
 class TestProjectOmega:

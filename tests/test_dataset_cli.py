@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,38 @@ class TestCli:
         config.write_text(json.dumps({**settings, "extra_shapes": [{"kind": "non_increasing"}]}))
         assert run_cli(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_each_distinct_warning_printed_once(self, tmp_path, capsys):
+        # every qfosr cross-validation fold that predicts outside its training
+        # range warns; the run prints that warning once, under the caller's
+        # "always" filter too, and leaves the caller's filters in place
+        rng = np.random.default_rng(3)
+        pts = np.linspace(0, 1, 15)
+        z = rng.uniform(0, 1, size=(40, 3))
+        q = pts * (1.0 - 0.5 * z[:, [0]]) + 0.3 * z[:, [1]] * pts**2
+        q = q + 0.5 * np.abs(rng.standard_normal((40, 15))).cumsum(axis=1) / 15
+        data = FunctionalDataset(
+            grid=Grid(pts), ids=[f"q{i}" for i in range(40)], y_curves=q, z_scalars=z
+        )
+        data_path = tmp_path / "q.csv"
+        write_dataset(data, data_path, "wide_csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "qfosr", "candidates": [2, 3, 4]}))
+        argv = ["cv-order", "--data", str(data_path), "--config", str(config),
+                "--out", str(tmp_path / "cv.json")]
+
+        def to_stderr(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = to_stderr
+            filters = list(warnings.filters)
+            assert run_cli(argv) == 0
+            assert warnings.filters == filters
+            assert warnings.showwarning is to_stderr
+        lines = capsys.readouterr().err.splitlines()
+        assert sum("predictors outside the training range" in line for line in lines) == 1
 
     def test_bench_with_no_successful_replication(self, tmp_path):
         out = tmp_path / "bench.json"

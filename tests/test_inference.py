@@ -201,3 +201,105 @@ class TestFunctionalBootstrap:
         assert 0.0 <= report.p_value <= 1.0
         with pytest.raises(ConfigError):
             bootstrap_shape_test(data, "mystery", BasisSpec(4), NON_NEGATIVE)
+
+
+class TestBatchedLoops:
+    def test_unshaped_band_factors_no_projector_and_is_the_percentile_band(self, monkeypatch):
+        from bernfit import inference
+        from bernfit.functional import build_design
+        from bernfit.utils import spawn_rng
+
+        data = scenario_b(n=30)
+        spec = BasisSpec(4)
+        ingredients = inference._stacked_ingredients(build_design(data, "flcm", spec), data, 0.95, True)
+        factored = []
+
+        class CountingSolver(inference.ClsqSolver):
+            def __init__(self, gram, constraints=None):
+                factored.append(constraints)
+                super().__init__(gram, constraints)
+
+        monkeypatch.setattr(inference, "ClsqSolver", CountingSolver)
+        band = projection_ci(data, "flcm", spec, None, draws=120, seed=4)
+        assert factored == [None]  # the unconstrained estimate's solver only
+        beta_ur, _, delta_n = ingredients
+        factor = inference._normal_factor(delta_n)
+        coefs = np.array(
+            [beta_ur + factor @ spawn_rng(4, b).standard_normal(beta_ur.size) for b in range(120)]
+        )
+        curves = coefs[:, spec.n_coefs :] @ eval_basis_matrix(band.grid, spec).T
+        np.testing.assert_allclose(band.lower, np.quantile(curves, 0.025, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(band.upper, np.quantile(curves, 0.975, axis=0), rtol=1e-12)
+
+    def _projector(self):
+        from bernfit import ClsqSolver, build_constraints
+
+        rng = np.random.default_rng(21)
+        half = rng.normal(size=(5, 5))
+        omega = half @ half.T + 2 * np.eye(5)
+        return omega, ClsqSolver(omega, build_constraints(NON_DECREASING, BasisSpec(4)))
+
+    def test_all_feasible_block_is_returned_without_a_solve(self, monkeypatch):
+        from bernfit.inference import _project
+
+        omega, projector = self._projector()
+        z = np.cumsum(np.random.default_rng(22).uniform(0.1, 1.0, size=(40, 5)), axis=1)
+        monkeypatch.setattr(projector, "solve_many", lambda *a: pytest.fail("solved a feasible block"))
+        assert _project(z, omega, projector) is z
+
+    def test_all_infeasible_block_matches_row_projections(self):
+        from bernfit.inference import _project
+
+        omega, projector = self._projector()
+        z = -np.cumsum(np.random.default_rng(23).uniform(0.1, 1.0, size=(40, 5)), axis=1)
+        out = _project(z, omega, projector)
+        for row, projected in zip(z, out):
+            expected = projector.solve(omega @ row).beta
+            assert np.abs(projected - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+            assert np.all(np.diff(projected) >= -1e-8)
+
+    @pytest.mark.parametrize("negative, expected", [(True, np.inf), (False, 0.0)])
+    def test_exact_unconstrained_fit_warns_once(self, negative, expected):
+        # identity Gram with yty = rhs'rhs: every unconstrained fit is exact (RSS 0);
+        # a nonnegativity null then leaves RSS > 0 (T = inf) unless rhs >= 0 (T = 0)
+        from types import SimpleNamespace
+        import warnings
+
+        from bernfit.inference import _bootstrap_test
+
+        p = 5
+        sign = -1.0 if negative else 1.0
+        rhs = sign * np.linspace(1.0, 2.0, p)
+        design = SimpleNamespace(
+            n_free=0, n_coefs=p, gram_parts=lambda: (np.eye(p), rhs, float(rhs @ rhs))
+        )
+
+        def resampler(beta_u, beta_c):
+            def moments(rng):
+                star = sign * rng.uniform(1.0, 2.0, size=p)
+                return star, float(star @ star)
+
+            return moments
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = _bootstrap_test(
+                design, "sofr", BasisSpec(p - 1), NON_NEGATIVE, resampler, 100, 0
+            )
+        assert report.statistic == expected
+        assert np.all(report.bootstrap_stats == expected)
+        assert report.p_value == 1.0
+        exact = [w for w in caught if "unconstrained fit is exact" in str(w.message)]
+        assert len(exact) == (1 if negative else 0)
+
+    def test_infeasible_null_raises_and_fails_its_replication(self):
+        from bernfit import InfeasibleError, combination, fixed_boundaries, run_benchmark
+
+        null = combination(NON_NEGATIVE, fixed_boundaries(-1.0, 1.0))
+        with pytest.raises(InfeasibleError):
+            bootstrap_shape_test(scenario_b(n=30), "flcm", BasisSpec(4), null, draws=100)
+        table = run_benchmark(
+            ScenarioSpec("B", n=30, seed=3, replications=2), mode="test", order=4,
+            test_shape=null, bootstrap_draws=100,
+        )
+        assert table.failures == 2
