@@ -147,13 +147,14 @@ def _setup(args):
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
     basis = check_model(model, shape=config.shape)
+    row = MODELS[model]
     # test-shape refuses qfosr itself, with that reason
-    if config.shape is not None and model == "qfosr" and args.command != "test-shape":
+    if config.shape is not None and row.shape_key != "shape" and args.command != "test-shape":
         raise ConfigError(
             "qfosr always imposes quantile_monotone and takes no 'shape'; "
             "give further shapes in 'extra_shapes'"
         )
-    if config.extra_shapes and model != "qfosr":
+    if config.extra_shapes and row.shape_key != "extra_shapes":
         raise ConfigError(f"'extra_shapes' applies only to the qfosr model, not {model}")
     if config.order is None and args.command != "cv-order":
         raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
@@ -161,29 +162,25 @@ def _setup(args):
         raise ConfigError("this subcommand needs --data")
     data = read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
     spec = None if args.command == "cv-order" else basis(config.order, data.domain)
-    if model in ("sofr", "flcm", "fofr"):
+    if row.covariate in ("concurrent", "integrated"):
         data = reconstruct_sparse(data, pve=config.pve)
     return config, model, data, spec
 
 
 def _cmd_fit(args) -> dict:
     config, model, data, spec = _setup(args)
-    payload: dict = {"model": model, "seed": config.seed, "order": spec.order}
+    grid = _report_grid(spec.domain)
     if model == "sofr":
         fit = fit_sofr(data, spec, config.shape)
-        grid = _report_grid(spec.domain)
-        payload.update(
-            {
-                "alpha": fit.alpha,
-                "gamma": fit.gamma.tolist(),
-                "beta_coefs": fit.beta_coefs.tolist(),
-                "grid": grid.tolist(),
-                "beta_values": fit.beta_fn(grid).tolist(),
-                "rss": fit.rss,
-                "ridge": fit.ridge_used,
-                "shape_report": _shape_report(fit.beta_coefs, config.shape, spec),
-            }
-        )
+        slope = fit.beta_coefs
+        payload = {
+            "alpha": fit.alpha,
+            "gamma": fit.gamma.tolist(),
+            "beta_coefs": slope.tolist(),
+            "grid": grid.tolist(),
+            "beta_values": fit.beta_fn(grid).tolist(),
+            "rss": fit.rss,
+        }
         band_rows = [
             {"t": t, "estimate": v} for t, v in zip(payload["grid"], payload["beta_values"])
         ]
@@ -191,16 +188,13 @@ def _cmd_fit(args) -> dict:
         fit = fit_functional(
             data, model, spec, shape=config.shape, pve=config.pve, whiten_fit=config.whiten
         )
-        payload.update(
-            {
-                "beta0_coefs": fit.beta0_coefs.tolist(),
-                "beta1_coefs": fit.beta1_coefs.tolist(),
-                "rss_raw": fit.rss_raw,
-                "rss_whitened": fit.rss_whitened,
-                "ridge": fit.ridge_used,
-                "shape_report": _shape_report(fit.beta1_coefs, config.shape, spec),
-            }
-        )
+        slope = fit.beta1_coefs
+        payload = {
+            "beta0_coefs": fit.beta0_coefs.tolist(),
+            "beta1_coefs": slope.tolist(),
+            "rss_raw": fit.rss_raw,
+            "rss_whitened": fit.rss_whitened,
+        }
         if model == "fofr":
             side = np.linspace(spec.domain[0], spec.domain[1], 50)
             surface = fit.beta1_fn(side, s=side)
@@ -212,12 +206,14 @@ def _cmd_fit(args) -> dict:
                 for j, t_val in enumerate(side)
             ]
         else:
-            grid = _report_grid(spec.domain)
             payload["grid"] = grid.tolist()
             payload["beta0_values"] = fit.beta0_fn(grid).tolist()
             payload["beta1_values"] = fit.beta1_fn(grid).tolist()
             columns = (payload["grid"], payload["beta0_values"], payload["beta1_values"])
             band_rows = [{"t": t, "beta0": b0, "beta1": b1} for t, b0, b1 in zip(*columns)]
+    # the fields every fit writes; the JSON is written with sorted keys
+    payload.update(model=model, seed=config.seed, order=spec.order, ridge=fit.ridge_used)
+    payload["shape_report"] = _shape_report(slope, config.shape, spec)
     return {"payload": payload, "rows": band_rows}
 
 
@@ -296,7 +292,7 @@ def _cmd_cv_order(args) -> dict:
     result = cv_select_order(
         data,
         model,
-        (config.extra_shapes or None) if model == "qfosr" else config.shape,
+        getattr(config, MODELS[model].shape_key) or None,
         candidates=config.candidates,
         folds=config.folds,
         seed=config.seed,
@@ -310,7 +306,7 @@ def _cmd_simulate(args) -> dict:
     spec = ScenarioSpec(args.scenario, n=args.n, seed=args.seed if args.seed is not None else 0)
     data = generate_scenario(spec, args.rep)
     out = Path(args.out or f"scenario_{args.scenario}.csv")
-    fmt = "wide_csv" if spec.model == "sofr" else "long_csv"
+    fmt = "wide_csv" if MODELS[spec.model].response == "scalar" else "long_csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(data, out, fmt=fmt)
     grid = _report_grid()

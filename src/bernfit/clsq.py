@@ -175,7 +175,7 @@ class ClsqSolver:
         return max(float(beta @ self.gram @ beta - 2.0 * rhs @ beta + yty), 0.0)
 
     def _kkt(self, beta: np.ndarray, mult: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """KKT residual of each row of ``beta`` with its multipliers.
+        """KKT residual of each row of ``beta`` with its multipliers (one value for 1-d input).
 
         The products run on columns, so a one-row block gives the bits of the
         matrix-vector products of a single solve.
@@ -190,31 +190,6 @@ class ClsqSolver:
         """Smallest slack in A beta >= b of each row of ``beta``; an equality row
         appears with both signs, so it contributes -|A beta - b|."""
         return (beta @ self._a_ext.T - self._b_ext).min(axis=-1)
-
-    def _finish(
-        self,
-        beta: np.ndarray,
-        mult: np.ndarray,
-        rhs: np.ndarray,
-        yty: float,
-        iterations: int,
-    ) -> QpSolution:
-        """Solution record with its active set and KKT certificate."""
-        rss = self._rss(beta, rhs, yty)
-        active = np.empty(0, dtype=int)
-        if self._a_ext is not None:
-            resid = self.constraints.a @ beta - self.constraints.b
-            active = np.flatnonzero(np.abs(resid) <= FEASIBILITY_TOL * self._scale)
-        return QpSolution(
-            beta=beta,
-            active_set=active,
-            multipliers=2.0 * mult,
-            objective=rss + self.ridge * float(beta @ beta),
-            rss=rss,
-            kkt_residual=float(self._kkt(beta[None], mult[None], rhs[None])[0]),
-            ridge=self.ridge,
-            iterations=iterations,
-        )
 
     def _fold_multipliers(self, lam_ext: np.ndarray) -> np.ndarray:
         if not self._has_equality:  # the extended rows are the original rows
@@ -252,9 +227,10 @@ class ClsqSolver:
         lam_full[act] = _nnls(a_act.T, gram_r @ beta - rhs, self.max_iter)
         return beta, lam_full
 
-    def _dual(self, rows, beta, w, rhs, mult, iters) -> None:
+    def _dual(self, rows, beta, w, rhs, mult, iters) -> np.ndarray:
         """Constrained solutions of the given rows, whose unconstrained minimizers
-        are infeasible; fills their rows of ``beta``, ``mult`` and ``iters``.
+        are infeasible; fills their rows of ``beta``, ``mult`` and ``iters`` and
+        returns their KKT residuals.
 
         Each row's least-distance dual is solved and mapped back; the mapped-back
         points are then certified together, and only a row that misses the
@@ -267,19 +243,20 @@ class ClsqSolver:
             mult[j] = self._fold_multipliers(lam)
             # a dual with no point to map back leaves NaN, which fails both checks
             beta[j] = np.nan if u is None else self._tri_solve(u + w[j], 0)
-        kkt = self._kkt(beta[rows], mult[rows], rhs[rows])
-        feasible = self._slack(beta[rows]) >= -FEASIBILITY_TOL * self._scale
-        tol_kkt = FEASIBILITY_TOL * (1.0 + np.abs(rhs[rows]).max(axis=1))
+        beta_rows, rhs_rows = beta[rows], rhs[rows]
+        kkt = self._kkt(beta_rows, mult[rows], rhs_rows)
+        feasible = self._slack(beta_rows) >= -FEASIBILITY_TOL * self._scale
+        tol_kkt = FEASIBILITY_TOL * (1.0 + np.abs(rhs_rows).max(axis=1))
         # an ill-conditioned factor or a degenerate dual can leave the mapped-back
         # LDP point outside the polyhedron, or leave none; the KKT re-solve on the
         # dual's active rows restores it
-        for i in np.flatnonzero(~feasible | (kkt > tol_kkt)):
+        for i in (~feasible | (kkt > tol_kkt)).nonzero()[0]:
             j = rows[i]
             polished = self._polish(lam_ext[i], rhs[j])
             if polished is not None:
                 beta_p, lam_p = polished
                 mult_p = self._fold_multipliers(lam_p)
-                kkt_p = self._kkt(beta_p[None], mult_p[None], rhs[j][None])[0]
+                kkt_p = self._kkt(beta_p, mult_p, rhs[j])
                 if not feasible[i] or kkt_p < kkt[i]:
                     beta[j], mult[j], kkt[i] = beta_p, mult_p, kkt_p
                     feasible[i] = self._slack(beta_p) >= -FEASIBILITY_TOL * self._scale
@@ -294,23 +271,26 @@ class ClsqSolver:
                     f"constrained solve left a KKT residual of {kkt[i]:.3e}",
                     last_iterate=beta[j].copy(),
                 )
+        return kkt
 
-    def _solve_rows(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solutions of every row of ``rhs``, with their multipliers and dual sizes.
+    def _solve_rows(self, rhs: np.ndarray) -> tuple:
+        """Solutions of every row of ``rhs``, with their multipliers, dual sizes and
+        the KKT residuals of the rows that went through the dual (None if none did).
 
         Every unconstrained minimizer comes first; one product with the extended
         constraint rows then finds the infeasible ones, and only those go
         through the dual.
         """
+        k = rhs.shape[0]
         beta, w = self._unconstrained(rhs)
-        n_rows = 0 if self.constraints is None else self.constraints.n_rows
-        mult = np.zeros((rhs.shape[0], n_rows))
-        iters = np.zeros(rhs.shape[0], dtype=int)
+        mult = np.zeros((k, 0 if self.constraints is None else self.constraints.n_rows))
+        iters = np.zeros(k, dtype=int)
+        kkt = None
         if self._a_ext is not None:
-            rows = np.flatnonzero(self._slack(beta) < 0.0)
+            rows = (self._slack(beta) < 0.0).nonzero()[0]
             if rows.size:
-                self._dual(rows, beta, w, rhs, mult, iters)
-        return beta, mult, iters
+                kkt = self._dual(rows, beta, w, rhs, mult, iters)
+        return beta, mult, iters, kkt
 
     def solve_many(self, rhs: np.ndarray, yty=0.0) -> tuple[np.ndarray, np.ndarray]:
         """``solve`` for every row of a (k, p) block of right-hand sides.
@@ -337,5 +317,21 @@ class ClsqSolver:
         This is the one-row case of ``solve_many``, with the full record.
         """
         rhs = np.asarray(rhs, dtype=float).ravel()
-        beta, mult, iters = self._solve_rows(rhs[None])
-        return self._finish(beta[0], mult[0], rhs, yty, int(iters[0]))
+        beta, mult, iters, kkt = self._solve_rows(rhs[None])
+        beta, mult = beta[0], mult[0]
+        kkt = self._kkt(beta, mult, rhs) if kkt is None else kkt[0]
+        rss = self._rss(beta, rhs, yty)
+        active = np.empty(0, dtype=int)
+        if self._a_ext is not None:
+            resid = self.constraints.a @ beta - self.constraints.b
+            active = (np.abs(resid) <= FEASIBILITY_TOL * self._scale).nonzero()[0]
+        return QpSolution(
+            beta=beta,
+            active_set=active,
+            multipliers=2.0 * mult,
+            objective=rss + self.ridge * float(beta @ beta),
+            rss=rss,
+            kkt_residual=float(kkt),
+            ridge=self.ridge,
+            iterations=int(iters[0]),
+        )

@@ -56,8 +56,36 @@ _TARGETS = {
               "quantile monotonicity applies only to the qfosr model"),
 }
 
-# per model: the target its coefficient is, which fixes its basis kind
-MODELS = {"sofr": "curve", "fosr": "curve", "flcm": "curve", "fofr": "surface", "qfosr": "stack"}
+
+@dataclass(frozen=True)
+class Model:
+    """One model-table row; ``band`` and ``test`` say why ``projection_ci`` and the
+    functional shape test refuse the model (empty: they serve it)."""
+
+    target: str  # the coefficient: a "curve", the fofr "surface" or the qfosr "stack"
+    response: str  # "scalar" or "curve"
+    covariate: str  # "scalar", a "concurrent" or "integrated" curve, or qfosr's "scalars"
+    band: str = ""
+    test: str = ""
+
+    @property
+    def shape_key(self) -> str:
+        """The config key that carries the model's shapes."""
+        return "extra_shapes" if self.target == "stack" else "shape"
+
+
+# per model: its target fixes its basis kind; sofr is the one-point integrated design
+MODELS = {
+    "sofr": Model("curve", "scalar", "integrated",
+                  test="the functional shape test does not support sofr"),
+    "fosr": Model("curve", "curve", "scalar"),
+    "flcm": Model("curve", "curve", "concurrent"),
+    "fofr": Model("surface", "curve", "integrated",
+                  band="confidence bands for bivariate coefficients are not supported"),
+    "qfosr": Model("stack", "curve", "scalars",
+                   band="projection_ci does not band qfosr; use qfosr_projection_ci",
+                   test="the functional shape test does not support qfosr"),
+}
 
 
 @dataclass(frozen=True)
@@ -140,12 +168,12 @@ def check_model(model: str, spec=None, shape: ShapeSpec | None = None) -> type:
     constrains another target."""
     if not isinstance(model, str) or model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
-    basis = _TARGETS[MODELS[model]][0]
+    basis = _TARGETS[MODELS[model].target][0]
     if spec is not None and not isinstance(spec, basis):
         raise ConfigError(f"model {model!r} needs a {basis.__name__}, got {type(spec).__name__}")
     if shape is not None and not isinstance(shape, ShapeSpec):
         raise ConfigError(f"a shape must be a ShapeSpec, got {type(shape).__name__}")
-    if shape is not None and shape.target != MODELS[model]:
+    if shape is not None and shape.target != MODELS[model].target:
         raise ConfigError(_TARGETS[shape.target][2])
     return basis
 

@@ -1,16 +1,17 @@
-"""Functional-response regression: FOSR, FLCM, and FOFR.
+"""Stacked least-squares regression: FOSR, FLCM, FOFR and SOFR, the one-point design.
 
 Every model is least squares over a row-stacked design (``StackedDesign``,
-shared with qfosr and sofr): one row kron([1, x], b(t)) per observed
-(subject, point) pair, with x = x_i (FOSR), x_i(t) (FLCM) or the integrals
-of x_i against the s-basis (FOFR, where b is the t-basis).
+shared with qfosr): one row kron([1, x], b(t)) per observed (subject, point)
+pair, with x = x_i (FOSR), x_i(t) (FLCM) or the integrals of x_i against the
+s-basis (FOFR, where b is the t-basis). SOFR is FOFR's row on one point with
+b = 1, its scalar confounders beside the intercept.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
 PCA with a white-noise nugget. Step 2 pre-whitens each subject's rows with
 the inverse square root of that covariance and solves the constrained
 generalized least-squares problem, with the shape acting on the slope
-coefficient block only.
+coefficient block only. A one-point design has nothing to whiten.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .basis import (
     sofr_design,
 )
 from .clsq import ClsqSolver, QpSolution
-from .constraints import ShapeSpec, build_constraints, check_model
+from .constraints import MODELS, ShapeSpec, build_constraints, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 
@@ -314,12 +315,13 @@ class FunctionalFit:
         """Predicted response curves (subjects x grid) on the dataset's grid."""
         pts = data.grid.points
         beta0 = self.beta0_fn(pts)
-        if self.model == "fofr":
+        covariate = MODELS[self.model].covariate
+        if covariate == "integrated":
             w = sofr_design(data.x_curves, data.grid, self.basis1.spec_s)
             coefs = self.beta1_coefs.reshape(self.basis1.order + 1, -1)
             return beta0[None, :] + w @ coefs @ eval_basis_matrix(pts, self.basis1.spec_t).T
-        covariate = data.x_scalar[:, None] if self.model == "fosr" else data.x_curves
-        return beta0[None, :] + covariate * self.beta1_fn(pts)[None, :]
+        x = data.x_scalar[:, None] if covariate == "scalar" else data.x_curves
+        return beta0[None, :] + x * self.beta1_fn(pts)[None, :]
 
 
 def build_design(
@@ -329,30 +331,44 @@ def build_design(
 
     ``spec`` is the slope's basis: a TensorBasisSpec for fofr, whose t-basis
     also carries the intercept, and a BasisSpec otherwise (see ``check_model``).
+    A scalar response (sofr) gives the one-point design of the module docstring.
     """
-    if data.y_curves is None:
-        raise DataError(f"model {model!r} needs functional responses")
-    spec0 = spec.spec_t if model == "fofr" else spec
-    basis0 = eval_basis_matrix(data.grid.points, spec0)
-    mask = data.observed_mask("y")
-    _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
-    if model == "fosr":
+    row = MODELS[model]
+    if row.response == "scalar":
+        if data.x_curves is None:
+            raise DataError("scalar-on-function regression needs functional covariates")
+        if data.y_scalar is None:
+            raise DataError("scalar-on-function regression needs a scalar response")
+        spec0, points, y = BasisSpec(0, spec.domain), spec.domain[:1], data.y_scalar[:, None]
+        mask = np.ones(y.shape, dtype=bool)
+    else:
+        if data.y_curves is None:
+            raise DataError(f"model {model!r} needs functional responses")
+        spec0, points, y = getattr(spec, "spec_t", spec), data.grid.points, data.y_curves
+        mask = data.observed_mask("y")
+        _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
+    if row.covariate == "scalar":
         if data.x_scalar is None:
             raise DataError("fosr needs a scalar predictor per subject")
         x = data.x_scalar[:, None]
     elif data.x_curves is None:
         raise DataError(f"{model} needs a functional covariate")
-    elif model == "flcm":
+    elif row.covariate == "concurrent":
         unobserved = (mask & ~np.isfinite(data.x_curves)).any(axis=1)
         _first_bad(data, unobserved, "covariate unobserved at response points; "
                    "complete the curves first")
         x = data.x_curves[:, :, None]
-    else:  # fofr
-        incomplete = ~np.isfinite(data.x_curves).all(axis=1)
-        _first_bad(data, incomplete, "fofr needs complete covariate curves; "
-                   "complete the curves first")
-        x = sofr_design(data.x_curves, data.grid, spec.spec_s)
-    return StackedDesign.assemble(x, basis0, mask, data.y_curves, spec0.n_coefs)
+    else:  # integrated; a scalar response integrates a sparse curve where it is observed
+        if row.response == "curve":
+            incomplete = ~np.isfinite(data.x_curves).all(axis=1)
+            _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
+                       "complete the curves first")
+        x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
+    n_z = data.n_z if row.response == "scalar" else 0
+    if n_z:
+        x = np.hstack([data.z_scalars, x])
+    basis0 = eval_basis_matrix(points, spec0)
+    return StackedDesign.assemble(x, basis0, mask, y, (1 + n_z) * spec0.n_coefs)
 
 
 def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
@@ -383,23 +399,15 @@ def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prewhiten(design: StackedDesign, data, pve):
-    """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design."""
+def _prewhiten(design: StackedDesign, data, pve, whiten_fit: bool = True):
+    """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design;
+    the design as it is and no covariance when ``whiten_fit`` is off or the design
+    has one point per subject (sofr), which leaves no within-subject covariance."""
+    if not whiten_fit or design.n_points == 1:
+        return design, None
     step1 = _solve_stacked(design, None)
     cov = estimate_covariance(_raw_residuals(design, step1.beta), data.grid, pve)
     return design.whitened(cov), cov
-
-
-def _solve_two_step(design, data, constraints, pve, whiten_fit):
-    """Constrained solve on the pre-whitened design, or on the raw one.
-
-    Returns the solution and the covariance used (None without whitening);
-    the solution's ``rss`` is then the whitened or the raw residual sum.
-    """
-    cov = None
-    if whiten_fit:
-        design, cov = _prewhiten(design, data, pve)
-    return _solve_stacked(design, constraints), cov
 
 
 def fit_functional(
@@ -418,21 +426,22 @@ def fit_functional(
     step 1 residuals feed the FPCA covariance.
     """
     check_model(model, spec, shape)
-    if model in ("sofr", "qfosr"):
+    if MODELS[model].response == "scalar" or MODELS[model].covariate == "scalars":
         raise ConfigError(f"fit_functional does not fit {model}; use fit_{model}")
     design = build_design(data, model, spec)
     constraints = shape_system(model, spec, shape, design)
-    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)
+    whitened, cov = _prewhiten(design, data, pve, whiten_fit)
+    sol = _solve_stacked(whitened, constraints)
     return FunctionalFit(
         model=model,
-        basis0=spec.spec_t if model == "fofr" else spec,
+        basis0=getattr(spec, "spec_t", spec),
         basis1=spec,
         beta0_coefs=sol.beta[: design.n_free],
         beta1_coefs=sol.beta[design.n_free :],
         shape=shape,
         covariance=cov,
         rss_raw=float(np.sum(design.residuals(sol.beta) ** 2)),
-        rss_whitened=sol.rss if whiten_fit else None,
+        rss_whitened=None if cov is None else sol.rss,
         ridge_used=sol.ridge,
     )
 

@@ -3,10 +3,11 @@
 The interval construction samples from the large-sample normal law of the
 unconstrained estimator, projects every draw onto the constraint polyhedron
 in the Gram-weighted norm, and reads off pointwise quantiles of the
-projected coefficient functions. The estimator covariance is the
-heteroskedasticity-robust sandwich for scalar responses and the model-based
-generalized-least-squares covariance after pre-whitening for functional
-responses (whitened errors have unit covariance by construction).
+projected coefficient functions. Whitening follows the stacked design: the
+estimator covariance is the model-based generalized-least-squares one after
+pre-whitening a design with curves (whitened errors have unit covariance by
+construction), and the subject-level heteroskedasticity-robust sandwich on
+the raw rows of a one-point design (SOFR) or with ``whiten_fit=False``.
 
 The tests compare constrained (null) and unconstrained residual sums of
 squares through T = (RSS_c - RSS_u) / RSS_u, with the null distribution
@@ -24,16 +25,21 @@ import numpy as np
 
 from .basis import BasisSpec, TensorBasisSpec, eval_basis_matrix
 from .clsq import ClsqSolver
-from .constraints import ShapeSpec, check_model
+from .constraints import MODELS, ShapeSpec, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 from .functional import StackedDesign, _prewhiten, build_design, shape_system
-from .sofr import sofr_design_matrix
 from .utils import spawn_rng
 
 
+class _Record:
+    def to_json(self) -> dict:
+        """Every field, with arrays as lists."""
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+
+
 @dataclass
-class CiBand:
+class CiBand(_Record):
     grid: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -41,35 +47,15 @@ class CiBand:
     draws: int
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "level": self.level,
-            "draws": self.draws,
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class TestReport:
+class TestReport(_Record):
     statistic: float
     p_value: float
     rss_constrained: float
     rss_unconstrained: float
     bootstrap_stats: np.ndarray
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "rss_constrained": self.rss_constrained,
-            "rss_unconstrained": self.rss_unconstrained,
-            "bootstrap_stats": self.bootstrap_stats.tolist(),
-            "seed": self.seed,
-        }
 
 
 def _normal_factor(cov: np.ndarray) -> np.ndarray:
@@ -87,16 +73,15 @@ def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, wh
 
     After pre-whitening the errors have unit covariance by construction, so
     the model-based GLS covariance applies; on the raw design the errors stay
-    correlated within a subject and the subject-level sandwich is used (with
-    one row per subject, as for SOFR, that is the HC0 sandwich).
+    correlated within a subject and the subject-level sandwich is used (HC0 on a
+    one-point design such as SOFR's, which is never whitened).
     """
-    if whiten_fit:
-        design, _ = _prewhiten(design, data, pve)
+    design, cov = _prewhiten(design, data, pve, whiten_fit)
     n = design.n_subjects
     gram, rhs, _ = design.gram_parts()
     beta_ur = ClsqSolver(gram, None).solve(rhs).beta
     omega = gram / n
-    if whiten_fit:
+    if cov is not None:
         return beta_ur, omega, np.linalg.inv(gram)
     scores = design.z * design.residuals(beta_ur)[:, None]
     scores = np.add.reduceat(scores, design.subject_bounds()[:-1], axis=0)
@@ -123,21 +108,23 @@ def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndar
 
 
 def _projection_band(
-    beta_ur, omega, delta_n, constraints, spec, offset, grid, level, draws, seed
+    design, data, constraints, spec, offset, level, draws, seed, eval_grid, pve, whiten_fit
 ) -> CiBand:
-    """Draw around ``beta_ur``, project the draws, read off pointwise quantiles.
+    """Draw around the unconstrained estimate of ``design``, project the draws,
+    read off pointwise quantiles on ``eval_grid`` (the data's grid by default).
 
     The band is for the coefficient function of ``spec`` whose coefficients
     start at ``offset`` in the stacked vector. Without constraints the
     projection is the identity and no projector is factored.
     """
+    beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
     factor = _normal_factor(delta_n)
     z = np.empty((draws, beta_ur.size))
     for b in range(draws):
         z[b] = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
     if constraints is not None:
         z = _project(z, omega, ClsqSolver(omega, constraints))
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(data.grid.points if eval_grid is None else eval_grid, dtype=float)
     curves = z[:, offset : offset + spec.n_coefs] @ eval_basis_matrix(grid, spec).T
     alpha = 1.0 - level
     return CiBand(
@@ -175,21 +162,14 @@ def projection_ci(
     plain percentile band of the normal draws.
     """
     check_model(model, spec, shape)
-    if model == "fofr":
-        raise ConfigError("confidence bands for bivariate coefficients are not supported")
-    if model == "qfosr":
-        raise ConfigError("projection_ci does not band qfosr; use qfosr_projection_ci")
+    if MODELS[model].band:
+        raise ConfigError(MODELS[model].band)
     _check_band_args(level, draws)
-    if model == "sofr":
-        design = sofr_design_matrix(data, spec)
-        whiten_fit = False  # one row per subject: the sandwich is HC0
-    else:
-        design = build_design(data, model, spec)
-    beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
+    design = build_design(data, model, spec)
     constraints = shape_system(model, spec, shape, design)
-    grid = eval_grid if eval_grid is not None else data.grid.points
     return _projection_band(
-        beta_ur, omega, delta_n, constraints, spec, design.n_free, grid, level, draws, seed
+        design, data, constraints, spec, design.n_free, level, draws, seed, eval_grid, pve,
+        whiten_fit,
     )
 
 
@@ -220,11 +200,10 @@ def qfosr_projection_ci(
     j_count = data.z_scalars.shape[1]
     if not 0 <= block <= j_count:
         raise ConfigError(f"block must be in 0..{j_count}")
-    beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
     constraints = qfosr_constraints(spec, j_count, extra_shapes)
-    grid = eval_grid if eval_grid is not None else data.grid.points
     return _projection_band(
-        beta_ur, omega, delta_n, constraints, spec, block * spec.n_coefs, grid, level, draws, seed
+        design, data, constraints, spec, block * spec.n_coefs, level, draws, seed, eval_grid,
+        pve, whiten_fit,
     )
 
 
@@ -246,8 +225,6 @@ def _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed) -> 
     constrained and unconstrained solvers are factored once and solve all the
     draws' moments in one ``solve_many`` call each.
     """
-    if draws < 100:
-        raise ConfigError("use at least 100 bootstrap draws")
     constraints = shape_system(model, spec, shape_null, design)
     gram, rhs, yty = design.gram_parts()
     solver_u = ClsqSolver(gram, None)
@@ -289,7 +266,9 @@ def bootstrap_shape_test_scalar(
     is recomputed on each resample.
     """
     check_model("sofr", spec, shape_null)
-    design = sofr_design_matrix(data, spec)
+    if draws < 100:
+        raise ConfigError("use at least 100 bootstrap draws")
+    design = build_design(data, "sofr", spec)
     z, n = design.z, design.n_subjects
 
     def resampler(beta_u, beta_c):
@@ -321,8 +300,10 @@ def bootstrap_shape_test_functional(
     observed responses.
     """
     check_model(model, spec, shape_null)
-    if model in ("sofr", "qfosr"):
-        raise ConfigError(f"the functional shape test does not support {model}")
+    if MODELS[model].test:
+        raise ConfigError(MODELS[model].test)
+    if draws < 100:
+        raise ConfigError("use at least 100 bootstrap draws")
     if not data.is_dense("y"):
         raise DataError("the functional shape test needs densely observed responses")
     design = build_design(data, model, spec)
@@ -357,7 +338,8 @@ def bootstrap_shape_test(
     draws: int = 200,
     seed: int = 0,
 ) -> TestReport:
-    """Dispatch to the scalar or functional bootstrap by model kind."""
-    if model == "sofr":
+    """Dispatch to the scalar or functional bootstrap by the model's response."""
+    check_model(model, spec, shape_null)
+    if MODELS[model].response == "scalar":
         return bootstrap_shape_test_scalar(data, spec, shape_null, draws=draws, seed=seed)
     return bootstrap_shape_test_functional(data, model, spec, shape_null, draws, seed)

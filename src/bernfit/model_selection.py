@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import TensorBasisSpec
-from .constraints import ShapeSpec, check_model, quantile_monotone
+from .constraints import MODELS, ShapeSpec, check_model, quantile_monotone
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
 from .utils import spawn_rng
@@ -78,11 +78,12 @@ def cv_select_order(
     the qfosr model the monotonicity system is implied and ``shape`` is the
     optional extra-shapes mapping passed through to the fit.
     """
-    extra_shapes = model == "qfosr" and isinstance(shape, Mapping)
-    basis = check_model(model, shape=None if extra_shapes else shape)
+    check_model(model)
+    takes_extra = MODELS[model].shape_key == "extra_shapes"
+    basis = check_model(model, shape=None if takes_extra and isinstance(shape, Mapping) else shape)
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
-    if model == "qfosr" and shape is not None and not extra_shapes:
+    if takes_extra and shape is not None and not isinstance(shape, Mapping):
         raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
     default = range(2, 7 if basis is TensorBasisSpec else 11)
     candidates = sorted(candidates if candidates is not None else default)
@@ -100,7 +101,7 @@ def cv_select_order(
     fold_assignment = np.empty(n, dtype=int)
     fold_assignment[perm] = np.arange(n) % folds
 
-    if model == "qfosr":  # the monotonicity system is implied
+    if takes_extra:  # the monotonicity system is implied
         shapes = [quantile_monotone(1), *(shape or {}).values()]
     else:
         shapes = [] if shape is None else [shape]

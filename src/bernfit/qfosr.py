@@ -20,7 +20,7 @@ from .basis import BasisSpec, eval_basis_matrix
 from .constraints import ConstraintSystem, build_constraints, build_quantile_monotone, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
-from .functional import CovarianceModel, StackedDesign, _solve_two_step
+from .functional import CovarianceModel, StackedDesign, _prewhiten, _solve_stacked
 
 # a response quantile function may decrease by this much between grid points
 # (roundoff) before it is refused; smaller drops only warn
@@ -146,7 +146,8 @@ def fit_qfosr(
     design, rescale = build_qfosr_design(data, spec)
     j_count = data.z_scalars.shape[1]
     constraints = qfosr_constraints(spec, j_count, extra_shapes)
-    sol, cov = _solve_two_step(design, data, constraints, pve, whiten_fit)
+    whitened, cov = _prewhiten(design, data, pve, whiten_fit)
+    sol = _solve_stacked(whitened, constraints)
     resid = design.residuals(sol.beta)
     return QfosrFit(
         basis=spec,
@@ -155,7 +156,7 @@ def fit_qfosr(
         rescale=rescale,
         covariance=cov,
         rss_raw=float(resid @ resid),
-        rss_whitened=sol.rss if whiten_fit else None,
+        rss_whitened=None if cov is None else sol.rss,
         ridge_used=sol.ridge,
     )
 

@@ -1,8 +1,9 @@
 """Shape-constrained scalar-on-function regression.
 
 The functional predictor is integrated against the basis to produce one
-design row per subject; the intercept and any scalar confounders stay
-unconstrained while the basis-coefficient block carries the shape.
+design row per subject (``build_design``'s one-point design); the intercept
+and any scalar confounders stay unconstrained while the basis block carries
+the shape.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, eval_basis_matrix, map_to_unit, sofr_design
+from .basis import BasisSpec, eval_basis_matrix, sofr_design
 from .constraints import ShapeSpec, check_model
 from .dataset import FunctionalDataset
 from .errors import DataError
-from .functional import StackedDesign, _solve_stacked, shape_system
+from .functional import StackedDesign, _solve_stacked, build_design, shape_system
 
 
 @dataclass
@@ -35,21 +36,8 @@ class SofrFit:
 
 
 def sofr_design_matrix(data: FunctionalDataset, spec: BasisSpec) -> StackedDesign:
-    """One design row [1 | Z | W] per subject: covariates [z_i, w_i] with basis 1.
-
-    W is the constrained block; its columns are the trapezoid integrals of
-    each curve against the basis.
-    """
-    if data.x_curves is None:
-        raise DataError("scalar-on-function regression needs functional covariates")
-    if data.y_scalar is None:
-        raise DataError("scalar-on-function regression needs a scalar response")
-    w = sofr_design(data.x_curves, data.grid, spec)
-    x = w if data.z_scalars is None else np.hstack([data.z_scalars, w])
-    return StackedDesign.assemble(
-        x, np.ones((1, 1)), np.ones((data.n_subjects, 1), dtype=bool),
-        data.y_scalar[:, None], 1 + data.n_z,
-    )
+    """The one-point design ``build_design(data, "sofr", spec)``; kept for callers by name."""
+    return build_design(data, "sofr", spec)
 
 
 def fit_sofr(
@@ -64,12 +52,10 @@ def fit_sofr(
     requested shape (the intercept and confounders never are).
     """
     check_model("sofr", spec, shape)
-    design = sofr_design_matrix(data, spec)
+    design = build_design(data, "sofr", spec)
     n = design.n_subjects
-    if n < spec.order + 2 + data.n_z:
-        raise DataError(
-            f"need at least {spec.order + 2 + data.n_z} subjects for order {spec.order}, got {n}"
-        )
+    if n < design.n_coefs:  # the intercept, the confounders and the basis block
+        raise DataError(f"need at least {design.n_coefs} subjects for order {spec.order}, got {n}")
     sol = _solve_stacked(design, shape_system("sofr", spec, shape, design))
     residuals = design.residuals(sol.beta)
     return SofrFit(
@@ -85,7 +71,6 @@ def fit_sofr(
 
 def predict_sofr(fit: SofrFit, data: FunctionalDataset) -> np.ndarray:
     """Predictions alpha + Z gamma + W beta with W built as in training."""
-    map_to_unit(data.grid.points, fit.basis.domain)  # validates the domain
     w = sofr_design(data.x_curves, data.grid, fit.basis)
     out = fit.alpha + w @ fit.beta_coefs
     if fit.gamma.size:

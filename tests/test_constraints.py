@@ -336,11 +336,26 @@ def test_readme_names_every_kind_with_its_minimum_order():
 
 
 def test_readme_names_every_model_with_its_basis_spec():
-    """README's "Models" paragraph and ``MODELS`` cannot drift apart."""
+    """README's "Models" paragraph and ``MODELS`` cannot drift apart: each model's
+    basis spec, shape key and ``ci``/``test-shape`` support."""
     from bernfit.constraints import MODELS, check_model
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("Models, each")
     paragraph = readme[start : readme.index("\n\n", start)]
-    documented = dict(re.findall(r"`(\w+)`\s+\(`(\w+)`;", paragraph))
-    assert documented == {model: check_model(model).__name__ for model in MODELS}
+    entries = re.findall(r"`(\w+)`\s+\(`(\w+)`;\s+`(\w+)`;\s+([^)]*)\)", paragraph)
+    documented = {
+        model: (basis, key, set(re.findall(r"`([\w-]+)`", commands)))
+        for model, basis, key, commands in entries
+    }
+    expected = {}
+    for model, row in MODELS.items():
+        commands = set()
+        # projection_ci bands the curves, qfosr_projection_ci the qfosr stack
+        if not row.band or row.target == "stack":
+            commands.add("ci")
+        # a scalar response takes the scalar bootstrap test, the others the functional one
+        if row.response == "scalar" or not row.test:
+            commands.add("test-shape")
+        expected[model] = (check_model(model).__name__, row.shape_key, commands)
+    assert documented == expected

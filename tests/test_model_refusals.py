@@ -2,10 +2,11 @@
 
 One case per entry point, model and kind of mistake: an unknown model, a
 basis spec of the wrong kind, a shape that constrains another target than
-the model's coefficient, a mapping of shapes where a shape is due, and an
-operation the entry point does not offer for the model. Each must raise ConfigError with the message of ``check_model``
-or of the operation's refusal. The data is None throughout, so every refusal
-must come before the data is touched.
+the model's coefficient, a mapping of shapes where a shape is due, an
+operation the entry point does not offer for the model, and fewer than 100
+band or bootstrap draws. Each must raise ConfigError with the message of
+``check_model``, of the operation's refusal or of the draw count. The data is
+None throughout, so every refusal must come before the data is touched.
 """
 
 from __future__ import annotations
@@ -31,40 +32,43 @@ from bernfit import (
 )
 from bernfit.constraints import MODELS, check_model
 
-# entry point: (models it takes, call with (model, spec, shape), takes a spec, takes a shape)
+# entry point: (models it takes, call with (model, spec, shape, draws), takes a spec,
+# takes a shape, takes draws)
 _ENTRY_POINTS = {
-    "fit_sofr": (("sofr",), lambda m, spec, shape: fit_sofr(None, spec, shape), True, True),
+    "fit_sofr": (("sofr",), lambda m, spec, shape, d: fit_sofr(None, spec, shape), True, True, False),
     "fit_functional": (
-        tuple(MODELS), lambda m, spec, shape: fit_functional(None, m, spec, shape), True, True
+        tuple(MODELS), lambda m, spec, shape, d: fit_functional(None, m, spec, shape),
+        True, True, False,
     ),
-    "fit_qfosr": (("qfosr",), lambda m, spec, shape: fit_qfosr(None, spec), True, False),
+    "fit_qfosr": (("qfosr",), lambda m, spec, shape, d: fit_qfosr(None, spec), True, False, False),
     "projection_ci": (
         tuple(MODELS),
-        lambda m, spec, shape: projection_ci(None, m, spec, shape, draws=100),
-        True, True,
+        lambda m, spec, shape, d: projection_ci(None, m, spec, shape, draws=d),
+        True, True, True,
     ),
     "qfosr_projection_ci": (
-        ("qfosr",), lambda m, spec, shape: qfosr_projection_ci(None, spec, 1), True, False
+        ("qfosr",), lambda m, spec, shape, d: qfosr_projection_ci(None, spec, 1, draws=d),
+        True, False, True,
     ),
     "bootstrap_shape_test": (
         tuple(MODELS),
-        lambda m, spec, shape: bootstrap_shape_test(None, m, spec, shape, draws=100),
-        True, True,
+        lambda m, spec, shape, d: bootstrap_shape_test(None, m, spec, shape, draws=d),
+        True, True, True,
     ),
     "bootstrap_shape_test_scalar": (
         ("sofr",),
-        lambda m, spec, shape: bootstrap_shape_test_scalar(None, spec, shape, draws=100),
-        True, True,
+        lambda m, spec, shape, d: bootstrap_shape_test_scalar(None, spec, shape, draws=d),
+        True, True, True,
     ),
     "bootstrap_shape_test_functional": (
         tuple(MODELS),
-        lambda m, spec, shape: bootstrap_shape_test_functional(None, m, spec, shape, draws=100),
-        True, True,
+        lambda m, spec, shape, d: bootstrap_shape_test_functional(None, m, spec, shape, draws=d),
+        True, True, True,
     ),
     "cv_select_order": (
         tuple(MODELS),
-        lambda m, spec, shape: cv_select_order(None, m, shape, candidates=[2], folds=2),
-        False, True,
+        lambda m, spec, shape, d: cv_select_order(None, m, shape, candidates=[2], folds=2),
+        False, True, False,
     ),
 }
 
@@ -100,7 +104,7 @@ _UNSUPPORTED = {
 
 
 def _cases():
-    for entry, (models, _, takes_spec, takes_shape) in _ENTRY_POINTS.items():
+    for entry, (models, _, takes_spec, takes_shape, takes_draws) in _ENTRY_POINTS.items():
         if len(models) > 1:
             yield entry, "spline", "unknown", (_SPEC["flcm"], None), "unknown model 'spline'"
         for model in models:
@@ -117,6 +121,8 @@ def _cases():
                     yield entry, model, "shape_mapping", (spec, _SHAPE_MAPPING), message
             if (entry, model) in _UNSUPPORTED:
                 yield entry, model, "unsupported", (spec, shape), _UNSUPPORTED[entry, model]
+            elif takes_draws:
+                yield entry, model, "few_draws", (spec, shape, 50), "use at least 100"
 
 
 _CASES = list(_cases())
@@ -129,14 +135,17 @@ _CASES = list(_cases())
 )
 def test_entry_point_refuses_before_touching_data(entry, model, mistake, args, message):
     call = _ENTRY_POINTS[entry][1]
+    spec, shape, *draws = args
     with pytest.raises(ConfigError) as info:
-        call(model, *args)
+        call(model, spec, shape, *draws or [100])
     assert message in str(info.value)
 
 
 def test_every_mistake_kind_is_covered():
     kinds = {mistake for _, _, mistake, _, _ in _CASES}
-    assert kinds == {"unknown", "wrong_spec", "other_target", "shape_mapping", "unsupported"}
+    assert kinds == {
+        "unknown", "wrong_spec", "other_target", "shape_mapping", "unsupported", "few_draws"
+    }
     assert {entry for entry, *_ in _CASES} == set(_ENTRY_POINTS)
 
 
