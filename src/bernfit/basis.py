@@ -149,9 +149,9 @@ def quadrature_weights(points: np.ndarray) -> np.ndarray:
 def sofr_design(curves: np.ndarray, grid: Grid, spec: BasisSpec) -> np.ndarray:
     """Row i holds the trapezoid approximations of int X_i(t) b_k(t) dt.
 
-    ``curves`` is (n, m) with NaN marking unobserved points; each subject
-    must have at least two observed points. Sparse designs are expected to be
-    completed upstream when full-curve integrals are required.
+    ``curves`` is (n, m) and must be finite at every grid point: the integral
+    runs over the whole domain, so sparse curves are completed first
+    (``reconstruct_sparse``).
     """
     x = np.asarray(curves, dtype=float)
     if x.ndim != 2:
@@ -160,17 +160,9 @@ def sofr_design(curves: np.ndarray, grid: Grid, spec: BasisSpec) -> np.ndarray:
     if x.shape[1] != pts.size:
         raise DataError("curve columns do not match the grid")
     basis = eval_basis_matrix(grid, spec)
-    if np.all(np.isfinite(x)):
-        w = quadrature_weights(pts)
-        return (x * w) @ basis
-    out = np.empty((x.shape[0], spec.n_coefs))
-    for i in range(x.shape[0]):
-        obs = np.flatnonzero(np.isfinite(x[i]))
-        if obs.size < 2:
-            raise DataError(f"subject {i}: fewer than 2 observed covariate points")
-        w = quadrature_weights(pts[obs])
-        out[i] = (x[i, obs] * w) @ basis[obs]
-    return out
+    if not np.isfinite(x).all():
+        raise DataError("integrated covariate curves must be complete; complete the curves first")
+    return (x * quadrature_weights(pts)) @ basis
 
 
 def fofr_design(

@@ -10,11 +10,19 @@ wide_csv
     Empty cells mark unobserved points.
 
 long_csv
-    Columns ``id,t,x[,y_t]``, one row per (subject, time) observation, with
-    scalar columns optionally supplied in a companion wide file.
+    Columns ``id,t,x[,y_t]``, one row per (subject, time) observation: the
+    curves only. Scalar fields come from a companion file with one row per
+    subject and the wide file's ``id``, ``y``, ``x`` and ``z_<name>`` columns.
 
-All files go through one row reader (``_read_rows``). Subject ids are unique
-(per (id, t) in the long layout), and errors name the file's real line.
+All files go through one row reader (``_read_rows``), and the wide file and
+the companion read their subject columns through one subject-table reader
+(``_read_subjects``): subject ids are unique, every ``y``, ``x`` and
+``z_<name>`` cell must be numeric (an empty one is an error, not a missing
+value) and any other column is ignored. In the long layout each (id, t)
+pair is unique. Errors name the file's real line.
+
+The writer refuses a layout that would drop a field: the wide layout holds
+one curve block beside the scalar fields, the long layout the curves only.
 """
 
 from __future__ import annotations
@@ -70,6 +78,8 @@ class FunctionalDataset:
             self.z_scalars = z
             if not self.z_names:
                 self.z_names = [f"z{j}" for j in range(z.shape[1])]
+            if len(self.z_names) != z.shape[1]:
+                raise DataError("z_names must name each column of z_scalars")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -164,6 +174,35 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
+def _read_subjects(path, header, rows) -> tuple[list, dict]:
+    """Subject ids and scalar fields of a file with one row per subject.
+
+    The fields are ``y_scalar``, ``x_scalar`` and ``z_scalars`` with ``z_names``,
+    read from whichever of the ``y``, ``x`` and ``z_<name>`` columns the header
+    holds; every cell in them must be numeric. Any other column is ignored.
+    """
+    if "id" not in header:
+        raise DataError(f"{path}: needs an 'id' column")
+    id_col, col = header.index("id"), {name: j for j, name in enumerate(header)}
+    scalar_cols = [name for name in ("y", "x") if name in col]
+    z_cols = [name for name in header if name.startswith("z_")]
+    names = scalar_cols + z_cols
+    ids, values, seen = [], [], set()
+    for line, row in rows:
+        where = f"{path}:{line}"
+        subject = row[id_col].strip()
+        if subject in seen:
+            raise DataError(f"{where}: duplicate subject id {subject!r}")
+        seen.add(subject)
+        ids.append(subject)
+        values.append([_parse_float(row[col[name]], where) for name in names])
+    table = np.array(values).reshape(len(ids), len(names))
+    fields = {f"{name}_scalar": table[:, j].copy() for j, name in enumerate(scalar_cols)}
+    if z_cols:
+        fields.update(z_scalars=table[:, -len(z_cols) :].copy(), z_names=[z[2:] for z in z_cols])
+    return ids, fields
+
+
 def _read_wide(path) -> FunctionalDataset:
     header, rows = _read_rows(path)
     if not header or header[0] != "id":
@@ -177,40 +216,15 @@ def _read_wide(path) -> FunctionalDataset:
     if np.unique(times_sorted).size != times_sorted.size:
         raise DataError(f"{path}: duplicate time columns in header")
     t_indices = [t_cols[k][0] for k in order]
-
-    scalar_cols = {name: j for j, name in enumerate(header) if j > 0 and not name.startswith("t=")}
-    ids, y_vals, x_vals, z_rows = [], [], [], []
-    z_names = [name for name in header if name.startswith("z_")]
-    curves, seen = [], set()
-    for line, row in rows:
-        where = f"{path}:{line}"
-        subject = row[0].strip()
-        if subject in seen:
-            raise DataError(f"{where}: duplicate subject id {subject!r}")
-        seen.add(subject)
-        ids.append(subject)
-        if "y" in scalar_cols:
-            y_vals.append(_parse_float(row[scalar_cols["y"]], where))
-        if "x" in scalar_cols:
-            x_vals.append(_parse_float(row[scalar_cols["x"]], where))
-        if z_names:
-            z_rows.append([_parse_float(row[scalar_cols[z]], where) for z in z_names])
-        curves.append([_parse_optional(row[j], f"{where} column {j + 1}") for j in t_indices])
+    ids, fields = _read_subjects(path, header, rows)
     if not ids:
         raise DataError(f"{path}: no subject rows")
-    block = np.array(curves)
-    grid = Grid(times_sorted)
-    has_scalar_response = "y" in scalar_cols
-    return FunctionalDataset(
-        grid=grid,
-        ids=ids,
-        x_curves=block if has_scalar_response else None,
-        y_curves=None if has_scalar_response else block,
-        y_scalar=np.asarray(y_vals) if y_vals else None,
-        x_scalar=np.asarray(x_vals) if x_vals else None,
-        z_scalars=np.asarray(z_rows) if z_rows else None,
-        z_names=[z[2:] for z in z_names],
-    )
+    block = np.array([
+        [_parse_optional(row[j], f"{path}:{line} column {j + 1}") for j in t_indices]
+        for line, row in rows
+    ])
+    curves = "x_curves" if "y_scalar" in fields else "y_curves"
+    return FunctionalDataset(grid=Grid(times_sorted), ids=ids, **{curves: block}, **fields)
 
 
 def _read_long(path, scalars_path) -> FunctionalDataset:
@@ -244,59 +258,57 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
         i, k = id_index[subject], time_index[t]
         x_curves[i, k] = x
         y_curves[i, k] = y
-
-    y_scalar = x_scalar = z_scalars = None
-    z_names: list = []
-    if scalars_path is not None:
-        companion = _read_scalar_file(scalars_path, ids)
-        y_scalar, x_scalar, z_scalars, z_names = companion
+    fields = {} if scalars_path is None else _read_scalar_file(scalars_path, ids)
     return FunctionalDataset(
         grid=grid,
         ids=ids,
         x_curves=x_curves if np.isfinite(x_curves).any() else None,
         y_curves=y_curves if np.isfinite(y_curves).any() else None,
-        y_scalar=y_scalar,
-        x_scalar=x_scalar,
-        z_scalars=z_scalars,
-        z_names=z_names,
+        **fields,
     )
 
 
-def _read_scalar_file(path, ids):
+def _read_scalar_file(path, ids) -> dict:
+    """The companion's scalar fields, in the order of the long file's ``ids``."""
     header, rows = _read_rows(path)
-    if "id" not in header:
-        raise DataError(f"{path}: scalar file needs an 'id' column")
-    fields = [f for f in header if f != "id"]
-    table = {}
-    for line, row in rows:
-        where = f"{path}:{line}"
-        cells = dict(zip(header, row))
-        subject = cells["id"].strip()
-        if subject in table:
-            raise DataError(f"{where}: duplicate subject id {subject!r}")
-        table[subject] = {f: _parse_float(cells[f], where) for f in fields if cells[f].strip()}
-    missing = [s for s in ids if s not in table]
+    table_ids, fields = _read_subjects(path, header, rows)
+    row_of = {s: i for i, s in enumerate(table_ids)}
+    missing = [s for s in ids if s not in row_of]
     if missing:
         raise DataError(f"{path}: missing scalar rows for subjects {missing[:5]}")
-    y = np.array([table[s]["y"] for s in ids]) if all("y" in table[s] for s in ids) else None
-    x = np.array([table[s]["x"] for s in ids]) if all("x" in table[s] for s in ids) else None
-    z_names = [f for f in fields if f.startswith("z_")]
-    z = (
-        np.array([[table[s][zn] for zn in z_names] for s in ids])
-        if z_names and all(all(zn in table[s] for zn in z_names) for s in ids)
-        else None
-    )
-    return y, x, z, [zn[2:] for zn in z_names]
+    index = [row_of[s] for s in ids]
+    return {name: v if name == "z_names" else v[index] for name, v in fields.items()}
+
+
+_FIELDS = ("x_curves", "y_curves", "y_scalar", "x_scalar", "z_scalars")
+
+
+def _dropped(data: FunctionalDataset, fmt: str) -> list[str]:
+    """The dataset's fields that a file of layout ``fmt`` cannot hold: a long file
+    holds the curves, a wide file one curve block beside the scalar fields."""
+    if fmt == "long_csv":
+        held = _FIELDS[:2]
+    else:
+        held = ("x_curves" if data.y_scalar is not None else "y_curves", *_FIELDS[2:])
+    return [name for name in _FIELDS if getattr(data, name) is not None and name not in held]
 
 
 def write_dataset(data: FunctionalDataset, path, fmt: str = "wide_csv") -> None:
-    """Serialize a dataset; values are written with full repr precision."""
-    if fmt == "wide_csv":
-        _write_wide(data, path)
-    elif fmt == "long_csv":
-        _write_long(data, path)
-    else:
+    """Serialize a dataset; values are written with full repr precision.
+
+    A layout that cannot hold every field of the dataset is refused with a
+    DataError naming the fields it would drop, rather than writing a file that
+    reads back as a different dataset.
+    """
+    writers = {"wide_csv": _write_wide, "long_csv": _write_long}
+    if fmt not in writers:
         raise DataError(f"unknown dataset format {fmt!r}")
+    dropped = _dropped(data, fmt)
+    if dropped:
+        other = "long_csv" if fmt == "wide_csv" else "wide_csv"
+        hint = "no layout holds all its fields" if _dropped(data, other) else f"{other} keeps them"
+        raise DataError(f"{fmt} would drop {', '.join(dropped)}; {hint}")
+    writers[fmt](data, path)
 
 
 def _cell(value) -> str:
@@ -308,26 +320,16 @@ def _write_wide(data: FunctionalDataset, path) -> None:
     block = data.x_curves if data.y_scalar is not None else data.y_curves
     if block is None:
         raise DataError("wide format needs exactly one functional block")
-    header = ["id"]
-    if data.y_scalar is not None:
-        header.append("y")
-    if data.x_scalar is not None:
-        header.append("x")
-    header.extend(f"z_{name}" for name in (data.z_names if data.z_scalars is not None else []))
-    header.extend(f"t={repr(float(t))}" for t in data.grid.points)
+    columns = [(n, v) for n, v in (("y", data.y_scalar), ("x", data.x_scalar)) if v is not None]
+    if data.z_scalars is not None:
+        columns += [(f"z_{name}", v) for name, v in zip(data.z_names, data.z_scalars.T)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["id", *(name for name, _ in columns),
+                         *(f"t={float(t)!r}" for t in data.grid.points)])
         for i, subject in enumerate(data.ids):
-            row = [subject]
-            if data.y_scalar is not None:
-                row.append(repr(float(data.y_scalar[i])))
-            if data.x_scalar is not None:
-                row.append(repr(float(data.x_scalar[i])))
-            if data.z_scalars is not None:
-                row.extend(repr(float(v)) for v in data.z_scalars[i])
-            row.extend(map(_cell, block[i]))
-            writer.writerow(row)
+            scalars = (repr(float(v[i])) for _, v in columns)
+            writer.writerow([subject, *scalars, *map(_cell, block[i])])
 
 
 def _write_long(data: FunctionalDataset, path) -> None:

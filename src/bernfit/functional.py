@@ -332,6 +332,7 @@ def build_design(
     ``spec`` is the slope's basis: a TensorBasisSpec for fofr, whose t-basis
     also carries the intercept, and a BasisSpec otherwise (see ``check_model``).
     A scalar response (sofr) gives the one-point design of the module docstring.
+    An integrated covariate (sofr, fofr) must be complete: ``reconstruct_sparse`` first.
     """
     row = MODELS[model]
     if row.response == "scalar":
@@ -358,11 +359,10 @@ def build_design(
         _first_bad(data, unobserved, "covariate unobserved at response points; "
                    "complete the curves first")
         x = data.x_curves[:, :, None]
-    else:  # integrated; a scalar response integrates a sparse curve where it is observed
-        if row.response == "curve":
-            incomplete = ~np.isfinite(data.x_curves).all(axis=1)
-            _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
-                       "complete the curves first")
+    else:  # integrated over the whole domain
+        incomplete = ~np.isfinite(data.x_curves).all(axis=1)
+        _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
+                   "complete the curves first")
         x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
     n_z = data.n_z if row.response == "scalar" else 0
     if n_z:

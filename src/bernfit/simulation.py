@@ -299,10 +299,8 @@ def run_benchmark(
     basis = BasisSpec(order)
 
     def one_replication(rep: int):
-        data = generate_scenario(spec, rep)
+        data = reconstruct_sparse(generate_scenario(spec, rep))  # complete data comes back as is
         beta_true = data.meta["beta_true"]
-        if spec.kind == "B_sparse":
-            data = reconstruct_sparse(data)
         if mode == "imse":
             if spec.model == "sofr":
                 con = fit_sofr(data, basis, shape)

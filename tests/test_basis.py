@@ -152,12 +152,13 @@ class TestSofrDesign:
         coarse, fine = error(40), error(80)
         assert fine <= coarse / 2.0
 
-    def test_sparse_rows_use_observed_points(self):
+    def test_sparse_rows_refused(self):
+        # the integral runs over the whole domain, not over a subject's observed points
         grid = Grid(np.linspace(0, 1, 20))
-        curves = np.full((1, 20), np.nan)
-        curves[0, [0, 3, 7, 11, 15, 19]] = 1.0
-        w = sofr_design(curves, grid, BasisSpec(2))
-        assert np.abs(w - 1.0 / 3.0).max() < 2e-2
+        curves = np.ones((2, 20))
+        curves[1, [1, 2, 4, 5, 6]] = np.nan
+        with pytest.raises(DataError, match="^integrated covariate curves must be complete"):
+            sofr_design(curves, grid, BasisSpec(2))
 
     def test_single_point_subject_rejected(self):
         grid = Grid(np.linspace(0, 1, 10))

@@ -154,6 +154,32 @@ class TestReadScalars:
         with pytest.raises(DataError, match=r"scalars\.csv:4: duplicate subject id 's1'"):
             self.read(tmp_path, "id,y\ns1,1.0\ns2,2.0\ns1,3.0\n")
 
+    @pytest.mark.parametrize("scalars", ["id,y,z_age\ns1,1.0,3.0\ns2,,4.0\n",
+                                         "id,y,z_age\ns1,1.0,3.0\ns2,2.0,\n"], ids=["y", "z"])
+    def test_empty_cell_refused_at_its_line(self, tmp_path, scalars):
+        # an empty cell used to drop its whole column from the dataset
+        with pytest.raises(DataError, match=r"^non-numeric value '' at .*scalars\.csv:3$"):
+            self.read(tmp_path, scalars)
+
+    def test_non_numeric_extra_column_ignored_in_both_layouts(self, tmp_path):
+        data = self.read(tmp_path, "id,note,y,z_age\ns1,first,1.0,3.0\ns2,,2.0,4.0\n")
+        wide = tmp_path / "wide.csv"
+        wide.write_text("id,note,y,z_age,t=0.0,t=1.0\ns1,first,1.0,3.0,1.0,2.0\ns2,,2.0,4.0,1.5,2.5\n")
+        for read in (data, read_dataset(wide, "wide_csv")):
+            assert read.y_scalar.tolist() == [1.0, 2.0]
+            assert read.z_scalars.tolist() == [[3.0], [4.0]] and read.z_names == ["age"]
+            assert read.x_scalar is None
+
+    @pytest.mark.parametrize("cells", [("", ""), ("1.0", ""), ("1.0", "2.0")])
+    def test_z_names_never_without_z_scalars(self, tmp_path, cells):
+        text = "id,z_age\n" + "".join(f"s{i},{c}\n" for i, c in enumerate(cells, 1))
+        if "" in cells:
+            with pytest.raises(DataError, match="non-numeric value ''"):
+                self.read(tmp_path, text)
+        else:
+            data = self.read(tmp_path, text)
+            assert data.z_names == ["age"] and data.z_scalars.tolist() == [[1.0], [2.0]]
+
 
 def _write_sofr_data(tmp_path, n=40, seed=0, feasible=True):
     data = generate_scenario(ScenarioSpec("A", n=n, seed=seed), 0)
@@ -542,6 +568,10 @@ _FLCM_DATA = "id,t,x,y_t\n" + "".join(
     f"s{i},{t},{(i * 7 + j * 3) % 5 / 4},{(i * 5 + j * 2) % 7 / 6 + t}\n"
     for i in range(12) for j, t in enumerate((0.0, 0.25, 0.5, 0.75, 1.0))
 )
+# the covariate curves of a sofr dataset in the long layout, its scalars in a companion
+_SOFR_LONG_DATA = "id,t,x\n" + "".join(
+    f"s{i},{t},{(i * 7 + j * 3) % 5 / 4}\n" for i in range(6) for j, t in enumerate((0.0, 0.5, 1.0))
+)
 _NON_INCREASING = {"kind": "non_increasing"}
 _QUANTILE = {"kind": "quantile_monotone", "n_predictors": 1}
 
@@ -650,6 +680,16 @@ _MALFORMED_INPUTS = {
         (b"id,t,x\ns1,0.0,1.0\ns1,1.0,2.0\ns2,0.0,1.0\ns2,1.0,3.0\ns3,0.0,2.0\ns3,1.0,1.0\n",
          b"id,y\ns1,1\ns2,2\ns3,3\ns1,5\n"),
     ),
+    # an empty companion cell is refused at its line rather than dropping its column
+    **{
+        f"data-scalars-empty-{name}-cell": (
+            "fit-sofr", {"order": 1}, (_SOFR_LONG_DATA.encode(), scalars.encode())
+        )
+        for name, scalars in [
+            ("y", "id,y,z_age\n" + "".join(f"s{i},{i if i != 3 else ''},{i % 2}\n" for i in range(6))),
+            ("z", "id,y,z_age\n" + "".join(f"s{i},{i},{i % 2 if i != 3 else ''}\n" for i in range(6))),
+        ]
+    },
     "data-one-point-grid-outside-unit": (
         "fit-flcm", {"order": 3}, (b"id,t,x,y_t\ns1,5.0,1.0,2.0\ns2,5.0,1.5,2.5\n", None)
     ),
@@ -875,6 +915,76 @@ def test_sparse_sofr_output_matches_completed_curves(tmp_path, command, config):
     assert outputs[0] == outputs[1]
 
 
+def _field_sets() -> dict:
+    """One dataset per model's field set; fofr's fields are flcm's on another grid."""
+    a = generate_scenario(ScenarioSpec("A", n=12, seed=5), 0)
+    b = generate_scenario(ScenarioSpec("B", n=12, seed=5), 0)
+    z = np.random.default_rng(5).standard_normal((12, 2))
+    curves = dict(grid=b.grid, ids=b.ids)
+    return {
+        "sofr-z": FunctionalDataset(grid=a.grid, ids=a.ids, x_curves=a.x_curves,
+                                    y_scalar=a.y_scalar, z_scalars=z, z_names=["age", "dose"]),
+        "fosr": FunctionalDataset(**curves, y_curves=b.y_curves, x_scalar=z[:, 0]),
+        "flcm": FunctionalDataset(**curves, x_curves=b.x_curves, y_curves=b.y_curves),
+        "flcm-sparse": generate_scenario(ScenarioSpec("B_sparse", n=12, seed=5), 0),
+        "fofr": generate_scenario(ScenarioSpec("B", n=12, seed=6, m=15), 0),
+        "qfosr": FunctionalDataset(**curves, y_curves=b.y_curves, z_scalars=z, z_names=["a", "b"]),
+    }
+
+
+# the fields each layout cannot hold, per field set
+_WRITER_REFUSALS = {
+    ("sofr-z", "long_csv"): "long_csv would drop y_scalar, z_scalars; wide_csv keeps them",
+    ("fosr", "long_csv"): "long_csv would drop x_scalar; wide_csv keeps them",
+    ("flcm", "wide_csv"): "wide_csv would drop x_curves; long_csv keeps them",
+    ("flcm-sparse", "wide_csv"): "wide_csv would drop x_curves; long_csv keeps them",
+    ("fofr", "wide_csv"): "wide_csv would drop x_curves; long_csv keeps them",
+    ("qfosr", "long_csv"): "long_csv would drop z_scalars; wide_csv keeps them",
+}
+
+
+@pytest.mark.parametrize("fmt", ["wide_csv", "long_csv"])
+@pytest.mark.parametrize("name", list(_field_sets()))
+def test_written_dataset_reads_back_bit_for_bit_or_is_refused(tmp_path, name, fmt):
+    data, path = _field_sets()[name], tmp_path / "data.csv"
+    refusal = _WRITER_REFUSALS.get((name, fmt))
+    if refusal is not None:
+        with pytest.raises(DataError) as info:
+            write_dataset(data, path, fmt)
+        assert str(info.value) == refusal and not path.exists()
+        return
+    write_dataset(data, path, fmt)
+    back = read_dataset(path, fmt)
+    # the long file's grid is the union of observed times
+    kept = np.isin(data.grid.points, back.grid.points)
+    assert back.ids == data.ids and back.z_names == data.z_names
+    assert back.grid.points.tobytes() == data.grid.points[kept].tobytes()
+    for field in ("x_curves", "y_curves", "y_scalar", "x_scalar", "z_scalars"):
+        mine, theirs = getattr(data, field), getattr(back, field)
+        if mine is None:
+            assert theirs is None, field
+            continue
+        if field.endswith("curves"):
+            assert np.isnan(mine[:, ~kept]).all()
+            mine = mine[:, kept]
+        assert theirs.tobytes() == mine.tobytes(), field
+
+
+def test_z_names_must_name_each_z_column():
+    # the wide writer pairs each name with its column, so a short list would drop columns
+    with pytest.raises(DataError, match="z_names must name each column of z_scalars"):
+        FunctionalDataset(grid=Grid([0.0, 1.0]), ids=["a"], y_curves=[[1.0, 2.0]],
+                          z_scalars=[[1.0, 2.0]], z_names=["dose"])
+
+
+def test_writer_names_when_no_layout_holds_every_field(tmp_path):
+    data = _field_sets()["flcm"]
+    data.y_scalar = np.ones(data.n_subjects)
+    for fmt, dropped in (("wide_csv", "y_curves"), ("long_csv", "y_scalar")):
+        with pytest.raises(DataError, match=f"^{fmt} would drop {dropped}; no layout holds all"):
+            write_dataset(data, tmp_path / "data.csv", fmt)
+
+
 def test_long_writer_skips_only_points_no_block_observes(tmp_path):
     grid = Grid([0.0, 0.5, 1.0])
     data = FunctionalDataset(
@@ -899,7 +1009,7 @@ def _csv(header, rows) -> str:
 def _wide_text(draw):
     if draw(st.booleans()) and draw(st.booleans()):
         return ""
-    scalars = draw(st.lists(st.sampled_from(["y", "x", "z_a"]), unique=True))
+    scalars = draw(st.lists(st.sampled_from(["y", "x", "z_a", "note"]), unique=True))
     times = draw(st.lists(st.sampled_from(_TIMES), max_size=5))
     return _csv(["id", *scalars, *(f"t={t}" for t in times)], draw(_rows))
 
@@ -911,7 +1021,7 @@ def _long_text(draw):
     columns = draw(st.permutations(["id", "t", *draw(st.sets(st.sampled_from(["x", "y_t"])))]))
     scalars = None
     if draw(st.booleans()):
-        names = draw(st.lists(st.sampled_from(["y", "x", "z_a"]), unique=True))
+        names = draw(st.lists(st.sampled_from(["y", "x", "z_a", "note"]), unique=True))
         scalars = _csv(["id", *names], draw(_rows))
     return _csv(columns, draw(_rows)), scalars
 
@@ -920,8 +1030,9 @@ def _long_text(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(wide=_wide_text(), long=_long_text())
 def test_read_dataset_returns_or_raises_data_error(tmp_path, wide, long):
-    """Ragged rows, non-finite tokens, duplicate ids, unsorted times and empty or
-    header-only files either load or raise DataError, never anything else."""
+    """Ragged rows, non-finite tokens, duplicate ids, unsorted times, empty scalar
+    cells, extra columns and empty or header-only files either load or raise
+    DataError, never anything else; a loaded dataset names only z columns it holds."""
     data_path, scalars_path = tmp_path / "data.csv", tmp_path / "scalars.csv"
     long_text, scalars = long
     for fmt, text, companion in (("wide_csv", wide, None), ("long_csv", long_text, scalars)):
@@ -929,6 +1040,7 @@ def test_read_dataset_returns_or_raises_data_error(tmp_path, wide, long):
         if companion is not None:
             scalars_path.write_text(companion)
         try:
-            read_dataset(data_path, fmt, scalars_path if companion is not None else None)
+            data = read_dataset(data_path, fmt, scalars_path if companion is not None else None)
         except DataError:
-            pass
+            continue
+        assert len(data.z_names) == data.n_z

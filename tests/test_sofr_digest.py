@@ -1,13 +1,13 @@
 """Bitwise digest of the scalar-on-function design and band.
 
 Each group hashes the raw bytes of what one call returns: the SOFR design's
-``z`` and ``y`` with its ``n_free`` (dense covariates, sparse ones as
-observed and sparse ones completed by ``reconstruct_sparse``, each with and
-without scalar confounders) and the lower and upper curves of the SOFR
-``projection_ci`` band with and without a shape. Unlike
-``tests/test_model_digest.py`` nothing is rounded: a refactor of how the SOFR
-design is built must give the same bits. The data errors of a SOFR dataset
-without a scalar response or without curves are checked word for word.
+``z`` and ``y`` with its ``n_free`` (dense covariates and sparse ones
+completed by ``reconstruct_sparse``, each with and without scalar
+confounders) and the lower and upper curves of the SOFR ``projection_ci``
+band with and without a shape. Unlike ``tests/test_model_digest.py`` nothing
+is rounded: a refactor of how the SOFR design is built must give the same
+bits. The data errors of a SOFR dataset without a scalar response, without
+curves or with incomplete curves are checked word for word.
 
 ``python tests/test_sofr_digest.py`` prints the current digests.
 """
@@ -32,6 +32,7 @@ from bernfit import (
     projection_ci,
     reconstruct_sparse,
 )
+from bernfit.functional import build_design
 from bernfit.sofr import sofr_design_matrix
 
 
@@ -58,8 +59,8 @@ def _bytes(*arrays) -> bytes:
 def _groups(d: dict) -> dict:
     spec = BasisSpec(4)
     groups = {}
-    for name, data in d.items():
-        design = sofr_design_matrix(data, spec)
+    for name in ("dense", "dense-z", "completed", "completed-z"):
+        design = sofr_design_matrix(d[name], spec)
         shape = json.dumps([list(design.z.shape), design.n_free]).encode()
         groups[f"design-{name}"] = shape + _bytes(design.z, design.y)
     for name, shape in (("ci-plain", None), ("ci-non_negative", NON_NEGATIVE)):
@@ -85,8 +86,6 @@ EXPECTED = {
     "design-completed-z": "937cd1097f4b5b69",
     "design-dense": "5abb01f15f189a1c",
     "design-dense-z": "cda069e9f9dac9ee",
-    "design-sparse": "b44ab0c1b31cdc5e",
-    "design-sparse-z": "cbf78ce19d81c26b",
 }
 
 
@@ -105,6 +104,7 @@ def test_every_group_has_a_digest(current):
 
 
 _CALLS = {
+    "build_design": lambda data: build_design(data, "sofr", BasisSpec(3)),
     "sofr_design_matrix": lambda data: sofr_design_matrix(data, BasisSpec(3)),
     "fit_sofr": lambda data: fit_sofr(data, BasisSpec(3)),
     "projection_ci": lambda data: projection_ci(data, "sofr", BasisSpec(3), draws=100),
@@ -130,6 +130,20 @@ def test_sofr_data_errors_word_for_word(entry, missing, message):
     with pytest.raises(DataError) as info:
         _CALLS[entry](data)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["sparse", "sparse-z"])
+@pytest.mark.parametrize("entry", sorted(_CALLS))
+def test_incomplete_curves_refused_word_for_word(entry, name):
+    """The integral runs over the whole domain, so sparse curves are completed
+    first, as for fofr; nothing integrates over a subject's observed points."""
+    data = _datasets()[name]
+    first = data.ids[int(np.argmax(~np.isfinite(data.x_curves).all(axis=1)))]
+    with pytest.raises(DataError) as info:
+        _CALLS[entry](data)
+    assert str(info.value) == (
+        f"subject {first}: sofr needs complete covariate curves; complete the curves first"
+    )
 
 
 if __name__ == "__main__":
