@@ -48,7 +48,7 @@ from .inference import (
     qfosr_projection_ci,
 )
 from .model_selection import CvResult, cv_select_order
-from .qfosr import QfosrFit, fit_qfosr, predict_qfosr
+from .qfosr import fit_qfosr
 from .simulation import (
     MetricTable,
     ScenarioSpec,
@@ -56,7 +56,7 @@ from .simulation import (
     imse,
     run_benchmark,
 )
-from .sofr import SofrFit, fit_sofr, predict_sofr
+from .sofr import fit_sofr
 
 __all__ = [
     "BasisSpec",
@@ -107,17 +107,13 @@ __all__ = [
     "qfosr_projection_ci",
     "CvResult",
     "cv_select_order",
-    "QfosrFit",
     "fit_qfosr",
-    "predict_qfosr",
     "MetricTable",
     "ScenarioSpec",
     "generate_scenario",
     "imse",
     "run_benchmark",
-    "SofrFit",
     "fit_sofr",
-    "predict_sofr",
 ]
 
 __version__ = "0.1.0"

@@ -28,11 +28,9 @@ from .constraints import MODELS, ShapeSpec, check_model, check_shape, quantile_m
 from .dataset import read_dataset, write_dataset
 from .errors import BernfitError, ConfigError, DataError, NumericalError, config_cast
 from .functional import fit_functional, reconstruct_sparse
-from .inference import bootstrap_shape_test, projection_ci, qfosr_projection_ci
+from .inference import bootstrap_shape_test, projection_ci
 from .model_selection import cv_select_order
-from .qfosr import fit_qfosr
 from .simulation import SCENARIO_KINDS, ScenarioSpec, generate_scenario, run_benchmark
-from .sofr import fit_sofr
 
 REPORT_POINTS = 200
 
@@ -139,14 +137,15 @@ def _shape_report(coefs, shape, spec) -> dict:
 
 
 def _setup(args):
-    """Config, model, dataset and basis (on the dataset's domain; none for cv-order)
-    of a data subcommand. Sparse covariate curves of the models with a functional
-    covariate are completed once the basis is validated."""
+    """Config, model, dataset, basis (on the dataset's domain; none for cv-order) and
+    the model's shape value (its ``shape_key`` entry) of a data subcommand. Sparse
+    covariate curves of the models with a functional covariate are completed once
+    the basis is validated."""
     config = _load_config(args.config, args.seed)
     model = _FIT_MODELS.get(args.command, config.model)
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
-    basis = check_model(model, shape=config.shape)
+    check_model(model)
     row = MODELS[model]
     # test-shape refuses qfosr itself, with that reason
     if config.shape is not None and row.shape_key != "shape" and args.command != "test-shape":
@@ -156,6 +155,8 @@ def _setup(args):
         )
     if config.extra_shapes and row.shape_key != "extra_shapes":
         raise ConfigError(f"'extra_shapes' applies only to the qfosr model, not {model}")
+    shape = getattr(config, row.shape_key) or None
+    basis = check_model(model, shape=shape)
     if config.order is None and args.command != "cv-order":
         raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
     if not args.data:
@@ -164,31 +165,27 @@ def _setup(args):
     spec = None if args.command == "cv-order" else basis(config.order, data.domain)
     if row.covariate in ("concurrent", "integrated"):
         data = reconstruct_sparse(data, pve=config.pve)
-    return config, model, data, spec
+    return config, model, data, spec, shape
 
 
 def _cmd_fit(args) -> dict:
-    config, model, data, spec = _setup(args)
+    config, model, data, spec, shape = _setup(args)
     grid = _report_grid(spec.domain)
+    fit = fit_functional(data, model, spec, shape, pve=config.pve, whiten_fit=config.whiten)
+    slope = fit.beta1_coefs
     if model == "sofr":
-        fit = fit_sofr(data, spec, config.shape)
-        slope = fit.beta_coefs
         payload = {
-            "alpha": fit.alpha,
-            "gamma": fit.gamma.tolist(),
+            "alpha": float(fit.beta0_coefs[0]),
+            "gamma": fit.beta0_coefs[1:].tolist(),
             "beta_coefs": slope.tolist(),
             "grid": grid.tolist(),
-            "beta_values": fit.beta_fn(grid).tolist(),
-            "rss": fit.rss,
+            "beta_values": fit.beta1_fn(grid).tolist(),
+            "rss": fit.rss_raw,
         }
         band_rows = [
             {"t": t, "estimate": v} for t, v in zip(payload["grid"], payload["beta_values"])
         ]
     else:
-        fit = fit_functional(
-            data, model, spec, shape=config.shape, pve=config.pve, whiten_fit=config.whiten
-        )
-        slope = fit.beta1_coefs
         payload = {
             "beta0_coefs": fit.beta0_coefs.tolist(),
             "beta1_coefs": slope.tolist(),
@@ -213,41 +210,34 @@ def _cmd_fit(args) -> dict:
             band_rows = [{"t": t, "beta0": b0, "beta1": b1} for t, b0, b1 in zip(*columns)]
     # the fields every fit writes; the JSON is written with sorted keys
     payload.update(model=model, seed=config.seed, order=spec.order, ridge=fit.ridge_used)
-    payload["shape_report"] = _shape_report(slope, config.shape, spec)
+    payload["shape_report"] = _shape_report(slope, shape, spec)
     return {"payload": payload, "rows": band_rows}
 
 
 def _cmd_fit_qfosr(args) -> dict:
-    config, _, data, spec = _setup(args)
-    fit = fit_qfosr(
-        data, spec, extra_shapes=config.extra_shapes or None, pve=config.pve,
-        whiten_fit=config.whiten,
-    )
+    config, model, data, spec, shape = _setup(args)
+    fit = fit_functional(data, model, spec, shape, pve=config.pve, whiten_fit=config.whiten)
     grid = _report_grid(spec.domain)
-    blocks = {
-        name: fit.coefficient_fn(j + 1, grid).tolist()
-        for j, name in enumerate(fit.predictor_names)
-    }
+    intercept, *effects = fit.beta1_fn(grid).tolist()
+    blocks = dict(zip(data.z_names, effects))
     payload = {
-        "model": "qfosr",
+        "model": model,
         "order": spec.order,
         "seed": config.seed,
-        "coef_blocks": fit.coef_blocks.tolist(),
-        "predictors": fit.predictor_names,
-        "rescale": [list(r) for r in fit.rescale],
+        "coef_blocks": fit.beta1_coefs.reshape(len(effects) + 1, -1).tolist(),
+        "predictors": list(data.z_names),
+        "rescale": fit.rescale.tolist(),
         "grid": grid.tolist(),
-        "intercept_values": fit.coefficient_fn(0, grid).tolist(),
+        "intercept_values": intercept,
         "effect_values": blocks,
         "rss_raw": fit.rss_raw,
         "rss_whitened": fit.rss_whitened,
         "ridge": fit.ridge_used,
         "monotone_certificate": _shape_report(
-            fit.coef_blocks.ravel(),
-            quantile_monotone(fit.n_predictors),
-            spec,
+            fit.beta1_coefs, quantile_monotone(len(effects)), spec
         ),
     }
-    rows = [{"p": p, "intercept": v} for p, v in zip(payload["grid"], payload["intercept_values"])]
+    rows = [{"p": p, "intercept": v} for p, v in zip(payload["grid"], intercept)]
     for name, values in blocks.items():
         for row, v in zip(rows, values):
             row[name] = v
@@ -255,30 +245,22 @@ def _cmd_fit_qfosr(args) -> dict:
 
 
 def _cmd_test_shape(args) -> dict:
-    config, model, data, spec = _setup(args)
+    config, model, data, spec, shape = _setup(args)
     if config.shape is None:
         raise ConfigError("test-shape needs 'shape' in the config")
-    report = bootstrap_shape_test(data, model, spec, config.shape, config.bootstrap, config.seed)
+    report = bootstrap_shape_test(data, model, spec, shape, config.bootstrap, config.seed)
     payload = {"model": model, **report.to_json()}
     rows = [{"draw": i, "statistic": s} for i, s in enumerate(report.bootstrap_stats)]
     return {"payload": payload, "rows": rows}
 
 
 def _cmd_ci(args) -> dict:
-    config, model, data, spec = _setup(args)
-    common = {
-        "level": config.level,
-        "draws": config.draws,
-        "seed": config.seed,
-        "eval_grid": _report_grid(spec.domain),
-        "pve": config.pve,
-        "whiten_fit": config.whiten,
-    }
-    if model == "qfosr":
-        extra = config.extra_shapes or None
-        band = qfosr_projection_ci(data, spec, config.block, extra_shapes=extra, **common)
-    else:
-        band = projection_ci(data, model, spec, config.shape, **common)
+    config, model, data, spec, shape = _setup(args)
+    band = projection_ci(
+        data, model, spec, shape, level=config.level, draws=config.draws, seed=config.seed,
+        eval_grid=_report_grid(spec.domain), pve=config.pve, whiten_fit=config.whiten,
+        block=config.block,
+    )
     payload = {"model": model, "order": spec.order, **band.to_json()}
     rows = [
         {"t": t, "lower": lo, "upper": hi}
@@ -288,11 +270,11 @@ def _cmd_ci(args) -> dict:
 
 
 def _cmd_cv_order(args) -> dict:
-    config, model, data, _ = _setup(args)
+    config, model, data, _, shape = _setup(args)
     result = cv_select_order(
         data,
         model,
-        getattr(config, MODELS[model].shape_key) or None,
+        shape,
         candidates=config.candidates,
         folds=config.folds,
         seed=config.seed,

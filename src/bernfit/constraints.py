@@ -12,6 +12,7 @@ plus one entry in the catalog digest test (``tests/test_catalog_digest.py``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,7 @@ class Model:
     functional shape test refuse the model (empty: they serve it)."""
 
     target: str  # the coefficient: a "curve", the fofr "surface" or the qfosr "stack"
-    response: str  # "scalar" or "curve"
+    response: str  # "scalar", "curve" or "quantile" (a curve that must not decrease)
     covariate: str  # "scalar", a "concurrent" or "integrated" curve, or qfosr's "scalars"
     band: str = ""
     test: str = ""
@@ -82,8 +83,7 @@ MODELS = {
     "flcm": Model("curve", "curve", "concurrent"),
     "fofr": Model("surface", "curve", "integrated",
                   band="confidence bands for bivariate coefficients are not supported"),
-    "qfosr": Model("stack", "curve", "scalars",
-                   band="projection_ci does not band qfosr; use qfosr_projection_ci",
+    "qfosr": Model("stack", "quantile", "scalars",
                    test="the functional shape test does not support qfosr"),
 }
 
@@ -162,19 +162,29 @@ class ShapeSpec:
         return cls(kind, **values)
 
 
-def check_model(model: str, spec=None, shape: ShapeSpec | None = None) -> type:
-    """The basis class of ``model``'s coefficient. Refuses an unknown model, a
-    ``spec`` of another class, a ``shape`` that is not a ShapeSpec and one that
-    constrains another target."""
+def check_model(model: str, spec=None, shape=None) -> type:
+    """The basis class of ``model``'s coefficient. ``shape`` is the value of the
+    model's ``shape_key``: a ShapeSpec on its target, or for qfosr a mapping of
+    coefficient blocks to extra curve shapes. Refuses an unknown model, a ``spec``
+    of another class, a shape that is neither and one that constrains another target."""
     if not isinstance(model, str) or model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
-    basis = _TARGETS[MODELS[model].target][0]
+    row = MODELS[model]
+    basis = _TARGETS[row.target][0]
     if spec is not None and not isinstance(spec, basis):
         raise ConfigError(f"model {model!r} needs a {basis.__name__}, got {type(spec).__name__}")
+    if row.shape_key == "extra_shapes" and isinstance(shape, Mapping):
+        for block, extra in shape.items():
+            if not isinstance(extra, ShapeSpec) or extra.target != "curve":
+                kind = getattr(extra, "kind", type(extra).__name__)
+                raise ConfigError(f"extra shape of block {block} must be univariate, got {kind!r}")
+        return basis
     if shape is not None and not isinstance(shape, ShapeSpec):
         raise ConfigError(f"a shape must be a ShapeSpec, got {type(shape).__name__}")
-    if shape is not None and shape.target != MODELS[model].target:
+    if shape is not None and shape.target != row.target:
         raise ConfigError(_TARGETS[shape.target][2])
+    if shape is not None and row.shape_key == "extra_shapes":
+        raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
     return basis
 
 
@@ -330,6 +340,19 @@ def build_quantile_monotone(n_predictors: int, spec: BasisSpec) -> ConstraintSys
     rows = np.where(vertex[None, :, :, None], gamma_op[:, None, None, :], 0.0)
     rows = rows.reshape(order << j_count, -1)
     return ConstraintSystem(rows, np.zeros(rows.shape[0]))
+
+
+def qfosr_constraints(spec: BasisSpec, n_predictors: int, extra_shapes=None) -> ConstraintSystem:
+    """Monotonicity system of qfosr's stack plus any per-block extra curve shapes, deduplicated."""
+    p_block = spec.n_coefs
+    total = p_block * (n_predictors + 1)
+    systems = [build_quantile_monotone(n_predictors, spec)]
+    for block_index, shape in (extra_shapes or {}).items():
+        block = int(block_index)
+        if not 0 <= block <= n_predictors:
+            raise ConfigError(f"extra shape block {block} is outside 0..{n_predictors}")
+        systems.append(build_constraints(shape, spec).padded(block * p_block, total))
+    return ConstraintSystem.vstack(systems).dedup()
 
 
 def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:

@@ -1,17 +1,19 @@
-"""Stacked least-squares regression: FOSR, FLCM, FOFR and SOFR, the one-point design.
+"""Stacked least-squares regression: every model, through one design, fit and record.
 
-Every model is least squares over a row-stacked design (``StackedDesign``,
-shared with qfosr): one row kron([1, x], b(t)) per observed (subject, point)
-pair, with x = x_i (FOSR), x_i(t) (FLCM) or the integrals of x_i against the
-s-basis (FOFR, where b is the t-basis). SOFR is FOFR's row on one point with
-b = 1, its scalar confounders beside the intercept.
+Every model is least squares over a row-stacked design (``StackedDesign``):
+one row kron([1, x], b(t)) per observed (subject, point) pair, with x = x_i
+(FOSR), x_i(t) (FLCM), the integrals of x_i against the s-basis (FOFR, where
+b is the t-basis) or qfosr's scalar predictors min-max rescaled to [0, 1]. SOFR
+is FOFR's row on one point with b = 1, its scalar confounders beside the
+intercept.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
 PCA with a white-noise nugget. Step 2 pre-whitens each subject's rows with
 the inverse square root of that covariance and solves the constrained
 generalized least-squares problem, with the shape acting on the slope
-coefficient block only. A one-point design has nothing to whiten.
+coefficient block only (on qfosr's whole stack). A one-point design has
+nothing to whiten.
 """
 
 from __future__ import annotations
@@ -30,12 +32,15 @@ from .basis import (
     sofr_design,
 )
 from .clsq import ClsqSolver, QpSolution
-from .constraints import MODELS, ShapeSpec, build_constraints, check_model
+from .constraints import MODELS, ShapeSpec, build_constraints, check_model, qfosr_constraints
 from .dataset import FunctionalDataset
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 # added to the nugget of each subject's observed covariance in reconstruct_sparse
 _SCORE_RIDGE = 1e-8
+# a quantile response may decrease by this much between grid points (roundoff)
+# before it is refused; smaller drops only warn
+_MONOTONE_TOL = 1e-8
 
 
 @dataclass
@@ -216,6 +221,8 @@ class StackedDesign:
     basis at its grid point; ``subject`` and ``point`` index each row.
     The first ``n_free`` coefficients are unconstrained; a shape acts on the
     rest. In a dense design every subject has a row at every grid point.
+    ``rescale`` holds the (lo, hi) of each scalar covariate that the rows
+    rescale to [0, 1] (qfosr's predictors), one row per covariate.
     """
 
     z: np.ndarray
@@ -225,9 +232,10 @@ class StackedDesign:
     n_subjects: int
     n_points: int
     n_free: int
+    rescale: np.ndarray | None = None
 
     @classmethod
-    def assemble(cls, x, basis, mask, responses, n_free: int) -> "StackedDesign":
+    def assemble(cls, x, basis, mask, responses, n_free: int, rescale=None) -> "StackedDesign":
         """Rows kron([1, x_r], basis[point_r]) for the True entries of ``mask``.
 
         ``mask`` and ``responses`` are (subjects x points), ``x`` is per
@@ -249,7 +257,9 @@ class StackedDesign:
             b_rows = basis[point]
         out[..., 0, :] = b_rows
         np.multiply(x_rows[..., None], b_rows[..., None, :], out=out[..., 1:, :])
-        return cls(z.reshape(subject.size, -1), responses[mask], subject, point, n, m, n_free)
+        return cls(
+            z.reshape(subject.size, -1), responses[mask], subject, point, n, m, n_free, rescale
+        )
 
     @property
     def n_coefs(self) -> int:
@@ -285,42 +295,80 @@ class StackedDesign:
 
 @dataclass
 class FunctionalFit:
+    """One fitted model, of any of the five kinds.
+
+    ``beta0_coefs`` are the free coefficients: the intercept curve (fosr, flcm,
+    fofr), sofr's intercept followed by its scalar confounders, none for qfosr.
+    ``beta1_coefs`` are those the shape acts on: the slope on ``spec`` (fofr's
+    surface), or qfosr's whole stack of coefficient curves, intercept first.
+    ``shape`` is the value of the model's ``shape_key``; ``rescale`` is qfosr's
+    (lo, hi) per predictor, None for the other models.
+    """
+
     model: str
-    basis0: BasisSpec
-    basis1: BasisSpec | TensorBasisSpec
+    spec: BasisSpec | TensorBasisSpec
     beta0_coefs: np.ndarray
     beta1_coefs: np.ndarray
-    shape: ShapeSpec | None
+    shape: ShapeSpec | dict | None
     covariance: CovarianceModel | None
     rss_raw: float
     rss_whitened: float | None
     ridge_used: float
+    rescale: np.ndarray | None = None
 
     def beta0_fn(self, t) -> np.ndarray:
-        mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.basis0)
+        """Intercept curve at points ``t`` (fosr, flcm and fofr, whose intercept
+        lives on the slope's t-basis)."""
+        spec0 = getattr(self.spec, "spec_t", self.spec)
+        mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), spec0)
         return mat @ self.beta0_coefs
 
     def beta1_fn(self, t, s=None) -> np.ndarray:
-        """Slope function at points ``t`` (surface values at (s, t) for fofr)."""
-        if isinstance(self.basis1, TensorBasisSpec):
+        """Slope at points ``t``: surface values at (s, t) for fofr, and one row per
+        coefficient curve of qfosr's stack."""
+        if isinstance(self.spec, TensorBasisSpec):
             if s is None:
                 raise ValueError("bivariate coefficient needs both s and t")
-            bs = eval_basis_matrix(np.atleast_1d(np.asarray(s, float)), self.basis1.spec_s)
-            bt = eval_basis_matrix(np.atleast_1d(np.asarray(t, float)), self.basis1.spec_t)
-            return bs @ self.beta1_coefs.reshape(self.basis1.order + 1, -1) @ bt.T
-        mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.basis1)
+            bs = eval_basis_matrix(np.atleast_1d(np.asarray(s, float)), self.spec.spec_s)
+            bt = eval_basis_matrix(np.atleast_1d(np.asarray(t, float)), self.spec.spec_t)
+            return bs @ self.beta1_coefs.reshape(self.spec.order + 1, -1) @ bt.T
+        mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.spec)
+        if MODELS[self.model].target == "stack":
+            return np.array([mat @ block for block in self._blocks()])
         return mat @ self.beta1_coefs
 
+    def _blocks(self) -> np.ndarray:
+        return self.beta1_coefs.reshape(-1, self.spec.n_coefs)
+
     def predict(self, data: FunctionalDataset) -> np.ndarray:
-        """Predicted response curves (subjects x grid) on the dataset's grid."""
+        """What the model responds with on ``data``: one value per subject (sofr),
+        otherwise one curve per subject on the dataset's grid (subjects x grid)."""
+        row = MODELS[self.model]
         pts = data.grid.points
+        if row.covariate == "scalars":
+            if data.z_scalars is None or data.n_z != len(self.rescale):
+                raise DataError("prediction data must carry the training predictors")
+            lo, hi = self.rescale.T
+            x = (data.z_scalars - lo) / (hi - lo)
+            if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
+                warnings.warn(
+                    "predictors outside the training range; monotonicity is only "
+                    "guaranteed on the training hypercube"
+                )
+            blocks = self._blocks()
+            return (blocks[0] + x @ blocks[1:]) @ eval_basis_matrix(pts, self.spec).T
+        if row.response == "scalar":
+            alpha, gamma = self.beta0_coefs[0], self.beta0_coefs[1:]
+            if gamma.size and data.n_z != gamma.size:
+                raise DataError("prediction data is missing the scalar covariates used in training")
+            out = alpha + sofr_design(data.x_curves, data.grid, self.spec) @ self.beta1_coefs
+            return out + data.z_scalars @ gamma if gamma.size else out
         beta0 = self.beta0_fn(pts)
-        covariate = MODELS[self.model].covariate
-        if covariate == "integrated":
-            w = sofr_design(data.x_curves, data.grid, self.basis1.spec_s)
-            coefs = self.beta1_coefs.reshape(self.basis1.order + 1, -1)
-            return beta0[None, :] + w @ coefs @ eval_basis_matrix(pts, self.basis1.spec_t).T
-        x = data.x_scalar[:, None] if covariate == "scalar" else data.x_curves
+        if row.covariate == "integrated":
+            w = sofr_design(data.x_curves, data.grid, self.spec.spec_s)
+            coefs = self.beta1_coefs.reshape(self.spec.order + 1, -1)
+            return beta0[None, :] + w @ coefs @ eval_basis_matrix(pts, self.spec.spec_t).T
+        x = data.x_scalar[:, None] if row.covariate == "scalar" else data.x_curves
         return beta0[None, :] + x * self.beta1_fn(pts)[None, :]
 
 
@@ -332,7 +380,9 @@ def build_design(
     ``spec`` is the slope's basis: a TensorBasisSpec for fofr, whose t-basis
     also carries the intercept, and a BasisSpec otherwise (see ``check_model``).
     A scalar response (sofr) gives the one-point design of the module docstring.
-    An integrated covariate (sofr, fofr) must be complete: ``reconstruct_sparse`` first.
+    An integrated covariate (sofr, fofr) must be complete: ``reconstruct_sparse``
+    first. A quantile response (qfosr) must not decrease, and its predictors
+    must not be constant; every coefficient of its stack is constrained.
     """
     row = MODELS[model]
     if row.response == "scalar":
@@ -348,10 +398,19 @@ def build_design(
         spec0, points, y = getattr(spec, "spec_t", spec), data.grid.points, data.y_curves
         mask = data.observed_mask("y")
         _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
+    rescale = None
     if row.covariate == "scalar":
         if data.x_scalar is None:
             raise DataError("fosr needs a scalar predictor per subject")
         x = data.x_scalar[:, None]
+    elif row.covariate == "scalars":
+        if data.n_z < 1:
+            raise DataError("quantile regression needs at least one scalar predictor")
+        lo, hi = data.z_scalars.min(axis=0), data.z_scalars.max(axis=0)
+        constant = np.flatnonzero(hi <= lo)
+        if constant.size:
+            raise DataError(f"predictor {data.z_names[constant[0]]!r} is constant; drop it")
+        x, rescale = (data.z_scalars - lo) / (hi - lo), np.column_stack([lo, hi])
     elif data.x_curves is None:
         raise DataError(f"{model} needs a functional covariate")
     elif row.covariate == "concurrent":
@@ -364,11 +423,14 @@ def build_design(
         _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
                    "complete the curves first")
         x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
+    if row.response == "quantile":
+        _refuse_decreasing(data, mask)
     n_z = data.n_z if row.response == "scalar" else 0
     if n_z:
         x = np.hstack([data.z_scalars, x])
+    n_free = 0 if row.target == "stack" else (1 + n_z) * spec0.n_coefs
     basis0 = eval_basis_matrix(points, spec0)
-    return StackedDesign.assemble(x, basis0, mask, y, (1 + n_z) * spec0.n_coefs)
+    return StackedDesign.assemble(x, basis0, mask, y, n_free, rescale)
 
 
 def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
@@ -376,11 +438,35 @@ def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
         raise DataError(f"subject {data.ids[int(np.argmax(bad))]}: {message}")
 
 
-def shape_system(model: str, spec, shape: ShapeSpec | None, design: StackedDesign):
-    """Rows of ``shape`` on the constrained coefficients of ``design``; None without a shape."""
+def _refuse_decreasing(data: FunctionalDataset, mask: np.ndarray) -> None:
+    """Refuse quantile responses that drop between observed points by more than
+    ``_MONOTONE_TOL``; warn about smaller drops."""
+    # each observed point against the latest observed point before it
+    prev = np.maximum.accumulate(np.where(mask, np.arange(mask.shape[1]), -1), axis=1)[:, :-1]
+    y = np.where(mask, data.y_curves, 0.0)
+    drops = np.take_along_axis(y, np.maximum(prev, 0), axis=1) - y[:, 1:]
+    drop = np.max(drops, axis=1, where=mask[:, 1:] & (prev >= 0), initial=0.0)
+    offenders = [data.ids[i] for i in np.flatnonzero(drop > _MONOTONE_TOL)]
+    wiggles = [data.ids[i] for i in np.flatnonzero((drop > 0.0) & (drop <= _MONOTONE_TOL))]
+    if offenders:
+        raise DataError(
+            f"{len(offenders)} subjects have decreasing quantile functions: {offenders[:10]}"
+        )
+    if wiggles:
+        warnings.warn(
+            f"{len(wiggles)} subjects have tiny monotonicity violations within tolerance"
+        )
+
+
+def shape_system(model: str, spec, shape, design: StackedDesign):
+    """Rows of ``shape`` on the constrained coefficients of ``design``; None without
+    a shape. qfosr always constrains its stack to monotone predictions, with the
+    extra curve shapes of its ``shape`` mapping on top (``qfosr_constraints``)."""
+    check_model(model, spec, shape)
+    if MODELS[model].target == "stack":
+        return qfosr_constraints(spec, design.n_coefs // spec.n_coefs - 1, shape)
     if shape is None:
         return None
-    check_model(model, spec, shape)
     return build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
 
 
@@ -414,28 +500,31 @@ def fit_functional(
     data: FunctionalDataset,
     model: str,
     spec: BasisSpec | TensorBasisSpec,
-    shape: ShapeSpec | None = None,
+    shape: ShapeSpec | dict | None = None,
     pve: float = 0.95,
     whiten_fit: bool = True,
 ) -> FunctionalFit:
-    """Fit a functional-response model, optionally shape-constrained.
+    """Fit any of the five models, optionally shape-constrained.
 
-    ``spec`` is the slope's basis, as for ``build_design``.
+    ``spec`` is the slope's basis, as for ``build_design``, and ``shape`` the
+    value of the model's ``shape_key`` (see ``check_model``): for qfosr, a
+    mapping of coefficient blocks (0 = intercept, j >= 1 the j-th predictor) to
+    extra curve shapes stacked on its monotone system.
     ``whiten_fit=False`` skips covariance estimation entirely and solves the
     raw stacked least-squares problem (the bootstrap-test path); otherwise
     step 1 residuals feed the FPCA covariance.
     """
     check_model(model, spec, shape)
-    if MODELS[model].response == "scalar" or MODELS[model].covariate == "scalars":
-        raise ConfigError(f"fit_functional does not fit {model}; use fit_{model}")
     design = build_design(data, model, spec)
+    n = design.n_subjects
+    if design.n_points == 1 and n < design.n_coefs:  # fewer subjects than coefficients
+        raise DataError(f"need at least {design.n_coefs} subjects for order {spec.order}, got {n}")
     constraints = shape_system(model, spec, shape, design)
     whitened, cov = _prewhiten(design, data, pve, whiten_fit)
     sol = _solve_stacked(whitened, constraints)
     return FunctionalFit(
         model=model,
-        basis0=getattr(spec, "spec_t", spec),
-        basis1=spec,
+        spec=spec,
         beta0_coefs=sol.beta[: design.n_free],
         beta1_coefs=sol.beta[design.n_free :],
         shape=shape,
@@ -443,6 +532,7 @@ def fit_functional(
         rss_raw=float(np.sum(design.residuals(sol.beta) ** 2)),
         rss_whitened=None if cov is None else sol.rss,
         ridge_used=sol.ridge,
+        rescale=design.rescale,
     )
 
 

@@ -107,16 +107,42 @@ def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndar
     return out
 
 
-def _projection_band(
-    design, data, constraints, spec, offset, level, draws, seed, eval_grid, pve, whiten_fit
+def projection_ci(
+    data: FunctionalDataset,
+    model: str,
+    spec: BasisSpec,
+    shape: ShapeSpec | dict | None = None,
+    level: float = 0.95,
+    draws: int = 500,
+    seed: int = 0,
+    eval_grid=None,
+    pve: float = 0.95,
+    whiten_fit: bool = True,
+    block: int = 0,
 ) -> CiBand:
-    """Draw around the unconstrained estimate of ``design``, project the draws,
-    read off pointwise quantiles on ``eval_grid`` (the data's grid by default).
+    """Pointwise confidence band for one (possibly constrained) coefficient curve.
 
-    The band is for the coefficient function of ``spec`` whose coefficients
-    start at ``offset`` in the stacked vector. Without constraints the
-    projection is the identity and no projector is factored.
+    Draws around the unconstrained estimate are projected onto the shape's
+    polyhedron, and pointwise quantiles are read off on ``eval_grid`` (the
+    data's grid by default). ``shape`` is the value of the model's
+    ``shape_key``, as for ``fit_functional``. ``block`` picks the curve among
+    the constrained coefficients: the slope is block 0; for qfosr block 0 is
+    the intercept and j >= 1 the j-th predictor's effect (on the rescaled
+    [0, 1] predictor). Without constraints (no shape, and not qfosr) the
+    projection is the identity and the band is the plain percentile band.
     """
+    check_model(model, spec, shape)
+    if MODELS[model].band:
+        raise ConfigError(MODELS[model].band)
+    if not 0.0 < level < 1.0:
+        raise ConfigError("level must be in (0, 1)")
+    if draws < 100:
+        raise ConfigError("use at least 100 draws")
+    design = build_design(data, model, spec)
+    n_blocks = (design.n_coefs - design.n_free) // spec.n_coefs
+    if not 0 <= block < n_blocks:
+        raise ConfigError(f"block must be in 0..{n_blocks - 1}")
+    constraints = shape_system(model, spec, shape, design)
     beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
     factor = _normal_factor(delta_n)
     z = np.empty((draws, beta_ur.size))
@@ -125,6 +151,7 @@ def _projection_band(
     if constraints is not None:
         z = _project(z, omega, ClsqSolver(omega, constraints))
     grid = np.asarray(data.grid.points if eval_grid is None else eval_grid, dtype=float)
+    offset = design.n_free + block * spec.n_coefs
     curves = z[:, offset : offset + spec.n_coefs] @ eval_basis_matrix(grid, spec).T
     alpha = 1.0 - level
     return CiBand(
@@ -134,42 +161,6 @@ def _projection_band(
         level=level,
         draws=draws,
         seed=seed,
-    )
-
-
-def _check_band_args(level: float, draws: int) -> None:
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must be in (0, 1)")
-    if draws < 100:
-        raise ConfigError("use at least 100 draws")
-
-
-def projection_ci(
-    data: FunctionalDataset,
-    model: str,
-    spec: BasisSpec,
-    shape: ShapeSpec | None = None,
-    level: float = 0.95,
-    draws: int = 500,
-    seed: int = 0,
-    eval_grid=None,
-    pve: float = 0.95,
-    whiten_fit: bool = True,
-) -> CiBand:
-    """Pointwise confidence band for the (possibly constrained) coefficient.
-
-    With ``shape=None`` the projection is the identity and the band is the
-    plain percentile band of the normal draws.
-    """
-    check_model(model, spec, shape)
-    if MODELS[model].band:
-        raise ConfigError(MODELS[model].band)
-    _check_band_args(level, draws)
-    design = build_design(data, model, spec)
-    constraints = shape_system(model, spec, shape, design)
-    return _projection_band(
-        design, data, constraints, spec, design.n_free, level, draws, seed, eval_grid, pve,
-        whiten_fit,
     )
 
 
@@ -185,25 +176,9 @@ def qfosr_projection_ci(
     pve: float = 0.95,
     whiten_fit: bool = True,
 ) -> CiBand:
-    """Pointwise band for one quantile-regression coefficient function.
-
-    ``block`` picks the curve: 0 is the intercept, j >= 1 the j-th predictor
-    effect (on the rescaled [0, 1] predictor). Draws around the unconstrained
-    estimator are projected onto the monotonicity polyhedron (plus any extra
-    per-block shapes) before the quantiles are read off.
-    """
-    from .qfosr import build_qfosr_design, qfosr_constraints
-
-    check_model("qfosr", spec)
-    _check_band_args(level, draws)
-    design, _ = build_qfosr_design(data, spec)
-    j_count = data.z_scalars.shape[1]
-    if not 0 <= block <= j_count:
-        raise ConfigError(f"block must be in 0..{j_count}")
-    constraints = qfosr_constraints(spec, j_count, extra_shapes)
-    return _projection_band(
-        design, data, constraints, spec, block * spec.n_coefs, level, draws, seed, eval_grid,
-        pve, whiten_fit,
+    """``projection_ci`` on qfosr's coefficient ``block`` under ``extra_shapes``."""
+    return projection_ci(
+        data, "qfosr", spec, extra_shapes, level, draws, seed, eval_grid, pve, whiten_fit, block
     )
 
 
@@ -250,38 +225,6 @@ def _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed) -> 
         bootstrap_stats=stats_boot,
         seed=seed,
     )
-
-
-def bootstrap_shape_test_scalar(
-    data: FunctionalDataset,
-    spec: BasisSpec,
-    shape_null: ShapeSpec,
-    draws: int = 200,
-    seed: int = 0,
-) -> TestReport:
-    """Residual bootstrap test of a shape null for scalar responses.
-
-    Residuals come from the unconstrained fit; bootstrap responses are
-    rebuilt around the constrained (null) fitted values, and the statistic
-    is recomputed on each resample.
-    """
-    check_model("sofr", spec, shape_null)
-    if draws < 100:
-        raise ConfigError("use at least 100 bootstrap draws")
-    design = build_design(data, "sofr", spec)
-    z, n = design.z, design.n_subjects
-
-    def resampler(beta_u, beta_c):
-        residuals = design.residuals(beta_u)
-        fitted_null = z @ beta_c
-
-        def moments(rng):
-            y_star = fitted_null + residuals[rng.integers(0, n, size=n)]
-            return z.T @ y_star, float(y_star @ y_star)
-
-        return moments
-
-    return _bootstrap_test(design, "sofr", spec, shape_null, resampler, draws, seed)
 
 
 def bootstrap_shape_test_functional(
@@ -338,8 +281,40 @@ def bootstrap_shape_test(
     draws: int = 200,
     seed: int = 0,
 ) -> TestReport:
-    """Dispatch to the scalar or functional bootstrap by the model's response."""
+    """Residual bootstrap test of a shape null.
+
+    A scalar response resamples individual residuals: they come from the
+    unconstrained fit, bootstrap responses are rebuilt around the constrained
+    (null) fitted values, and the statistic is recomputed on each resample.
+    Functional responses go to ``bootstrap_shape_test_functional``.
+    """
     check_model(model, spec, shape_null)
-    if MODELS[model].response == "scalar":
-        return bootstrap_shape_test_scalar(data, spec, shape_null, draws=draws, seed=seed)
-    return bootstrap_shape_test_functional(data, model, spec, shape_null, draws, seed)
+    if MODELS[model].response != "scalar":
+        return bootstrap_shape_test_functional(data, model, spec, shape_null, draws, seed)
+    if draws < 100:
+        raise ConfigError("use at least 100 bootstrap draws")
+    design = build_design(data, model, spec)
+    z, n = design.z, design.n_subjects
+
+    def resampler(beta_u, beta_c):
+        residuals = design.residuals(beta_u)
+        fitted_null = z @ beta_c
+
+        def moments(rng):
+            y_star = fitted_null + residuals[rng.integers(0, n, size=n)]
+            return z.T @ y_star, float(y_star @ y_star)
+
+        return moments
+
+    return _bootstrap_test(design, model, spec, shape_null, resampler, draws, seed)
+
+
+def bootstrap_shape_test_scalar(
+    data: FunctionalDataset,
+    spec: BasisSpec,
+    shape_null: ShapeSpec,
+    draws: int = 200,
+    seed: int = 0,
+) -> TestReport:
+    """``bootstrap_shape_test`` on sofr."""
+    return bootstrap_shape_test(data, "sofr", spec, shape_null, draws, seed)

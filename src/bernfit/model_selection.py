@@ -9,7 +9,6 @@ squares; the final refit at the chosen order is free to whiten.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from .basis import TensorBasisSpec
 from .constraints import MODELS, ShapeSpec, check_model, quantile_monotone
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
+from .functional import fit_functional
 from .utils import spawn_rng
 
 # scores within this relative band of the minimum count as ties, broken downward
@@ -47,20 +47,11 @@ class CvResult:
 
 
 def _holdout_error(train, test, model, order, shape) -> float:
-    from .functional import fit_functional
-    from .qfosr import fit_qfosr, predict_qfosr
-    from .sofr import fit_sofr, predict_sofr
-
     spec = check_model(model)(order, train.domain)
-    if model == "sofr":
-        pred = predict_sofr(fit_sofr(train, spec, shape), test)
-        return float(np.sum((test.y_scalar - pred) ** 2))
-    if model == "qfosr":
-        pred = predict_qfosr(fit_qfosr(train, spec, extra_shapes=shape, whiten_fit=False), test)
-    else:
-        pred = fit_functional(train, model, spec, shape, whiten_fit=False).predict(test)
-    mask = np.isfinite(test.y_curves)
-    return float(np.sum((test.y_curves[mask] - pred[mask]) ** 2))
+    pred = fit_functional(train, model, spec, shape, whiten_fit=False).predict(test)
+    y = test.y_scalar if MODELS[model].response == "scalar" else test.y_curves
+    mask = np.isfinite(y)
+    return float(np.sum((y[mask] - pred[mask]) ** 2))
 
 
 def cv_select_order(
@@ -78,13 +69,9 @@ def cv_select_order(
     the qfosr model the monotonicity system is implied and ``shape`` is the
     optional extra-shapes mapping passed through to the fit.
     """
-    check_model(model)
-    takes_extra = MODELS[model].shape_key == "extra_shapes"
-    basis = check_model(model, shape=None if takes_extra and isinstance(shape, Mapping) else shape)
+    basis = check_model(model, shape=shape)
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
-    if takes_extra and shape is not None and not isinstance(shape, Mapping):
-        raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
     default = range(2, 7 if basis is TensorBasisSpec else 11)
     candidates = sorted(candidates if candidates is not None else default)
     if not candidates:
@@ -101,7 +88,7 @@ def cv_select_order(
     fold_assignment = np.empty(n, dtype=int)
     fold_assignment[perm] = np.arange(n) % folds
 
-    if takes_extra:  # the monotonicity system is implied
+    if MODELS[model].shape_key == "extra_shapes":  # the monotonicity system is implied
         shapes = [quantile_monotone(1), *(shape or {}).values()]
     else:
         shapes = [] if shape is None else [shape]

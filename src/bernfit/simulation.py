@@ -287,7 +287,6 @@ def run_benchmark(
     """
     from .inference import bootstrap_shape_test, projection_ci
     from .functional import fit_functional, reconstruct_sparse
-    from .sofr import fit_sofr
     from .basis import BasisSpec
 
     if mode not in ("imse", "coverage", "test"):
@@ -302,14 +301,10 @@ def run_benchmark(
         data = reconstruct_sparse(generate_scenario(spec, rep))  # complete data comes back as is
         beta_true = data.meta["beta_true"]
         if mode == "imse":
-            if spec.model == "sofr":
-                con = fit_sofr(data, basis, shape)
-                unc = fit_sofr(data, basis, None)
-                return imse(con.beta_fn, beta_true), imse(unc.beta_fn, beta_true)
             # the unconstrained arm is the plain stacked least-squares fit,
             # mirroring the off-the-shelf baselines it stands in for
-            con = fit_functional(data, "flcm", basis, shape)
-            unc = fit_functional(data, "flcm", basis, None, whiten_fit=False)
+            con = fit_functional(data, spec.model, basis, shape)
+            unc = fit_functional(data, spec.model, basis, None, whiten_fit=False)
             return imse(con.beta1_fn, beta_true), imse(unc.beta1_fn, beta_true)
         if mode == "coverage":
             band = projection_ci(

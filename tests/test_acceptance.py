@@ -21,7 +21,6 @@ from bernfit import (
     build_constraints,
     check_shape,
     fit_functional,
-    fit_sofr,
     fixed_boundaries,
     generate_scenario,
     partial_convex,
@@ -269,10 +268,10 @@ class TestAcceptance:
         # RSS ordering and shape certificates on fitted datasets
         for rep in range(3):
             data = generate_scenario(ScenarioSpec("A", n=50, seed=5), rep)
-            con = fit_sofr(data, BasisSpec(4), NON_NEGATIVE)
-            unc = fit_sofr(data, BasisSpec(4), None)
-            ok &= con.rss >= unc.rss - 1e-10
-            ok &= check_shape(con.beta_coefs, NON_NEGATIVE, spec=BasisSpec(4)).feasible
+            con = fit_functional(data, "sofr", BasisSpec(4), NON_NEGATIVE)
+            unc = fit_functional(data, "sofr", BasisSpec(4), None)
+            ok &= con.rss_raw >= unc.rss_raw - 1e-10
+            ok &= check_shape(con.beta1_coefs, NON_NEGATIVE, spec=BasisSpec(4)).feasible
             fdata = generate_scenario(ScenarioSpec("B", n=40, seed=5), rep)
             fcon = fit_functional(fdata, "flcm", BasisSpec(5), NON_INCREASING)
             func = fit_functional(fdata, "flcm", BasisSpec(5), None, whiten_fit=False)

@@ -150,7 +150,8 @@ def digests() -> dict[str, str]:
         workdir = Path(tmp)
         files = {}
         for key, data in _datasets().items():
-            fmt = "long_csv" if data.x_curves is not None and data.y_curves is not None else "wide_csv"
+            two_curves = data.x_curves is not None and data.y_curves is not None
+            fmt = "long_csv" if two_curves else "wide_csv"
             path = workdir / f"{key}.csv"
             write_dataset(data, path, fmt=fmt)
             files[key] = (path, fmt)

@@ -92,13 +92,7 @@ def _groups(d: dict) -> dict:
     groups = {}
     for name, call in fits.items():
         fit = call()
-        if name == "fit-sofr":
-            coefs = [fit.alpha, *fit.gamma, *fit.beta_coefs]
-        elif name == "fit-qfosr":
-            coefs = fit.coef_blocks
-        else:
-            coefs = np.concatenate([fit.beta0_coefs, fit.beta1_coefs])
-        groups[name] = [_text(coefs)]
+        groups[name] = [_text(np.concatenate([fit.beta0_coefs, fit.beta1_coefs]))]
     bands = {
         "ci-sofr": lambda: projection_ci(d["A"], "sofr", BasisSpec(4), NON_NEGATIVE, **band),
         "ci-flcm": lambda: projection_ci(d["B"], "flcm", BasisSpec(4), NON_INCREASING, **band),

@@ -2,10 +2,10 @@
 
 Outside ``constraints.py``, which holds ``MODELS``, every comparison of a
 model name with a string literal in ``src/bernfit`` is listed below with why
-it stays: each picks an output format or the record a fit returns, not a
-fact about the model. A new comparison fails this test; read the fact from
-the model's ``MODELS`` row instead, or list the line here with its reason.
-A removed one fails it too, so the list stays current.
+it stays: each picks an output format, not a fact about the model. A new
+comparison fails this test; read the fact from the model's ``MODELS`` row
+instead, or list the line here with its reason. A removed one fails it too,
+so the list stays current.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bernfit"
 
 # (file, stripped source line, why the branch stays)
 ALLOWED = [
-    ("cli.py", 'if model == "sofr":', "fit-sofr writes a SofrFit's alpha, gamma and beta"),
+    ("cli.py", 'if model == "sofr":', "fit-sofr writes sofr's alpha, gamma and beta"),
     ("cli.py", 'if model == "fofr":', "fit-fofr writes its surface on a 50 x 50 grid"),
-    ("cli.py", 'if model == "qfosr":', "ci bands a qfosr block through qfosr_projection_ci"),
-    ("model_selection.py", 'if model == "sofr":', "a sofr fold scores a SofrFit's predictions"),
-    ("model_selection.py", 'if model == "qfosr":', "a qfosr fold scores a QfosrFit's predictions"),
-    ("simulation.py", 'if spec.model == "sofr":', "the sofr imse arms are SofrFits"),
 ]
 
 

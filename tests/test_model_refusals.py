@@ -2,21 +2,29 @@
 
 One case per entry point, model and kind of mistake: an unknown model, a
 basis spec of the wrong kind, a shape that constrains another target than
-the model's coefficient, a mapping of shapes where a shape is due, an
-operation the entry point does not offer for the model, and fewer than 100
-band or bootstrap draws. Each must raise ConfigError with the message of
-``check_model``, of the operation's refusal or of the draw count. The data is
-None throughout, so every refusal must come before the data is touched.
+the model's coefficient, a mapping of shapes where a shape is due, for qfosr
+a shape where its mapping of extra shapes is due and a mapping with a shape
+that is not a curve's, an operation the entry point does not offer for the
+model, and fewer than 100 band or bootstrap draws. Each must raise
+ConfigError with the message of ``check_model``, of the operation's refusal
+or of the draw count. The data is None throughout, so every refusal must come
+before the data is touched. The entry points that serve a model it once
+refused are run on data at the end.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bernfit import (
     NON_INCREASING,
+    NON_NEGATIVE,
     BasisSpec,
     ConfigError,
+    FunctionalDataset,
+    Grid,
+    ScenarioSpec,
     TensorBasisSpec,
     bivariate_monotone,
     bootstrap_shape_test,
@@ -26,6 +34,7 @@ from bernfit import (
     fit_functional,
     fit_qfosr,
     fit_sofr,
+    generate_scenario,
     projection_ci,
     qfosr_projection_ci,
     quantile_monotone,
@@ -40,15 +49,20 @@ _ENTRY_POINTS = {
         tuple(MODELS), lambda m, spec, shape, d: fit_functional(None, m, spec, shape),
         True, True, False,
     ),
-    "fit_qfosr": (("qfosr",), lambda m, spec, shape, d: fit_qfosr(None, spec), True, False, False),
+    "fit_qfosr": (
+        ("qfosr",), lambda m, spec, shape, d: fit_qfosr(None, spec, shape), True, True, False
+    ),
     "projection_ci": (
         tuple(MODELS),
         lambda m, spec, shape, d: projection_ci(None, m, spec, shape, draws=d),
         True, True, True,
     ),
     "qfosr_projection_ci": (
-        ("qfosr",), lambda m, spec, shape, d: qfosr_projection_ci(None, spec, 1, draws=d),
-        True, False, True,
+        ("qfosr",),
+        lambda m, spec, shape, d: qfosr_projection_ci(
+            None, spec, 1, draws=d, extra_shapes=shape
+        ),
+        True, True, True,
     ),
     "bootstrap_shape_test": (
         tuple(MODELS),
@@ -85,18 +99,23 @@ _OTHER_TARGET = {
     "fofr": (NON_INCREASING, "univariate shapes apply to the sofr, fosr and flcm models"),
     "qfosr": (NON_INCREASING, "univariate shapes apply to the sofr, fosr and flcm models"),
 }
-# a mapping of coefficient blocks to shapes is the qfosr extra-shapes form, which only
-# cv_select_order takes in place of a shape, and only for qfosr
+# a mapping of coefficient blocks to shapes is the qfosr extra-shapes form, which is
+# qfosr's shape and no other model's
 _SHAPE_MAPPING = {1: NON_INCREASING}
-_TAKES_MAPPING = {("cv_select_order", "qfosr")}
 # a shape the model takes, for the calls that need one
-_OWN_SHAPE = {"fofr": bivariate_monotone(), "qfosr": quantile_monotone(1)}
+_OWN_SHAPE = {"fofr": bivariate_monotone(), "qfosr": _SHAPE_MAPPING}
+# qfosr's mistakes of its own: a shape where the mapping is due, a mapping with a surface
+_MAPPING_MISTAKES = {
+    "shape_for_mapping": (
+        quantile_monotone(1), "for qfosr, shape must map coefficient blocks to extra shapes"
+    ),
+    "mapping_other_target": (
+        {1: bivariate_monotone()}, "extra shape of block 1 must be univariate"
+    ),
+}
 # (entry point, model): the message of the operation's refusal
 _UNSUPPORTED = {
-    ("fit_functional", "sofr"): "fit_functional does not fit sofr; use fit_sofr",
-    ("fit_functional", "qfosr"): "fit_functional does not fit qfosr; use fit_qfosr",
     ("projection_ci", "fofr"): "confidence bands for bivariate coefficients are not supported",
-    ("projection_ci", "qfosr"): "projection_ci does not band qfosr; use qfosr_projection_ci",
     ("bootstrap_shape_test", "qfosr"): "shape test does not support qfosr",
     ("bootstrap_shape_test_functional", "sofr"): "shape test does not support sofr",
     ("bootstrap_shape_test_functional", "qfosr"): "shape test does not support qfosr",
@@ -116,9 +135,12 @@ def _cases():
             if takes_shape:
                 other, message = _OTHER_TARGET[model]
                 yield entry, model, "other_target", (spec, other), message
-                if (entry, model) not in _TAKES_MAPPING:
+                if MODELS[model].shape_key == "shape":
                     message = "a shape must be a ShapeSpec, got dict"
                     yield entry, model, "shape_mapping", (spec, _SHAPE_MAPPING), message
+                else:
+                    for mistake, (wrong, message) in _MAPPING_MISTAKES.items():
+                        yield entry, model, mistake, (spec, wrong), message
             if (entry, model) in _UNSUPPORTED:
                 yield entry, model, "unsupported", (spec, shape), _UNSUPPORTED[entry, model]
             elif takes_draws:
@@ -144,9 +166,42 @@ def test_entry_point_refuses_before_touching_data(entry, model, mistake, args, m
 def test_every_mistake_kind_is_covered():
     kinds = {mistake for _, _, mistake, _, _ in _CASES}
     assert kinds == {
-        "unknown", "wrong_spec", "other_target", "shape_mapping", "unsupported", "few_draws"
+        "unknown", "wrong_spec", "other_target", "shape_mapping", "unsupported", "few_draws",
+        *_MAPPING_MISTAKES,
     }
     assert {entry for entry, *_ in _CASES} == set(_ENTRY_POINTS)
+
+
+def _quantile_data():
+    rng = np.random.default_rng(3)
+    pts = np.linspace(0.0, 1.0, 12)
+    z = rng.uniform(0.0, 1.0, size=(30, 2))
+    q = pts * (1.0 - 0.2 * z[:, [0]]) + 0.3 * z[:, [1]] * pts**2
+    return FunctionalDataset(grid=Grid(pts), ids=list(range(30)), y_curves=q, z_scalars=z)
+
+
+# (entry point, model) pairs refused before one fit path served every model, each
+# with a call on data that now runs
+_NOW_SERVED = {
+    ("fit_functional", "sofr"): lambda: fit_functional(
+        generate_scenario(ScenarioSpec("A", n=20, seed=1), 0), "sofr", BasisSpec(3), NON_NEGATIVE
+    ).predict(generate_scenario(ScenarioSpec("A", n=20, seed=1), 1)),
+    ("fit_functional", "qfosr"): lambda: fit_functional(
+        _quantile_data(), "qfosr", BasisSpec(3), _SHAPE_MAPPING
+    ).predict(_quantile_data()),
+    ("projection_ci", "qfosr"): lambda: projection_ci(
+        _quantile_data(), "qfosr", BasisSpec(3), _SHAPE_MAPPING, draws=100, block=2
+    ).lower,
+}
+
+
+@pytest.mark.parametrize("entry, model", sorted(_NOW_SERVED))
+def test_entry_point_serves_model_it_once_refused(entry, model):
+    assert (entry, model) not in _UNSUPPORTED
+    # the pair still takes its part of the refusal matrix
+    kinds = {kind for e, m, kind, _, _ in _CASES if (e, m) == (entry, model)}
+    assert {"wrong_spec", "other_target"} <= kinds
+    assert np.isfinite(_NOW_SERVED[entry, model]()).all()
 
 
 @pytest.mark.parametrize("model", [None, 3, ["flcm"], "FLCM", ""])

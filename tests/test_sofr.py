@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from bernfit import NON_DECREASING, NON_NEGATIVE, BasisSpec, DataError, Grid
+from bernfit import NON_DECREASING, NON_NEGATIVE, BasisSpec, DataError, Grid, fit_functional
 from bernfit.basis import eval_basis_matrix, sofr_design
 from bernfit.dataset import FunctionalDataset
-from bernfit.sofr import fit_sofr, predict_sofr
+from bernfit.sofr import fit_sofr
 
 
 def make_dataset(n=60, m=50, seed=0, beta_coefs=None, order=4, noise=0.0, n_z=0):
@@ -35,74 +35,85 @@ class TestFitSofr:
         data = FunctionalDataset(
             grid=grid, ids=list(range(n)), x_curves=x, y_scalar=np.full(n, 3.25)
         )
-        fit = fit_sofr(data, BasisSpec(3), NON_NEGATIVE)
-        assert fit.alpha == pytest.approx(3.25, abs=1e-8)
-        assert np.abs(fit.beta_coefs).max() <= 1e-8
-        assert fit.rss == pytest.approx(0.0, abs=1e-12)
+        fit = fit_functional(data, "sofr", BasisSpec(3), NON_NEGATIVE)
+        assert fit.beta0_coefs[0] == pytest.approx(3.25, abs=1e-8)
+        assert np.abs(fit.beta1_coefs).max() <= 1e-8
+        assert fit.rss_raw == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_recovery_in_the_sieve(self):
         beta_coefs = np.array([0.1, 0.4, 0.9, 1.0, 1.3])
         data, spec, beta = make_dataset(beta_coefs=beta_coefs, noise=0.0)
-        fit = fit_sofr(data, spec, NON_DECREASING)
-        assert np.abs(fit.beta_coefs - beta).max() <= 1e-6
-        assert fit.alpha == pytest.approx(0.7, abs=1e-6)
+        fit = fit_functional(data, "sofr", spec, NON_DECREASING)
+        assert np.abs(fit.beta1_coefs - beta).max() <= 1e-6
+        assert fit.beta0_coefs[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_scalar_confounders_estimated_unconstrained(self):
         beta_coefs = np.array([0.5, 0.5, 0.5, 0.5, 0.5])
         data, spec, _ = make_dataset(beta_coefs=beta_coefs, noise=0.0, n_z=2)
-        fit = fit_sofr(data, spec, NON_NEGATIVE)
-        assert np.allclose(fit.gamma, [1.0, 2.0], atol=1e-6)
+        fit = fit_functional(data, "sofr", spec, NON_NEGATIVE)
+        assert np.allclose(fit.beta0_coefs[1:], [1.0, 2.0], atol=1e-6)
 
     def test_constrained_rss_at_least_unconstrained(self):
         data, spec, _ = make_dataset(beta_coefs=[1, 0.2, 0.1, 0.9, 2.0], noise=0.3, seed=5)
-        constrained = fit_sofr(data, spec, NON_DECREASING)
-        unconstrained = fit_sofr(data, spec, None)
-        assert constrained.rss >= unconstrained.rss - 1e-10
-        report_coefs = constrained.beta_coefs
+        constrained = fit_functional(data, "sofr", spec, NON_DECREASING)
+        unconstrained = fit_functional(data, "sofr", spec, None)
+        assert constrained.rss_raw >= unconstrained.rss_raw - 1e-10
+        report_coefs = constrained.beta1_coefs
         assert np.all(np.diff(report_coefs) >= -1e-8)
 
     def test_intercept_affine_equivariance(self):
         data, spec, _ = make_dataset(beta_coefs=[0.2, 0.3, 0.5, 0.9, 1.1], noise=0.2, seed=9)
-        fit0 = fit_sofr(data, spec, NON_DECREASING)
+        fit0 = fit_functional(data, "sofr", spec, NON_DECREASING)
         shifted = FunctionalDataset(
             grid=data.grid,
             ids=data.ids,
             x_curves=data.x_curves,
             y_scalar=data.y_scalar + 10.0,
         )
-        fit1 = fit_sofr(shifted, spec, NON_DECREASING)
-        assert fit1.alpha - fit0.alpha == pytest.approx(10.0, abs=1e-7)
-        assert np.abs(fit1.beta_coefs - fit0.beta_coefs).max() <= 1e-7
+        fit1 = fit_functional(shifted, "sofr", spec, NON_DECREASING)
+        assert fit1.beta0_coefs[0] - fit0.beta0_coefs[0] == pytest.approx(10.0, abs=1e-7)
+        assert np.abs(fit1.beta1_coefs - fit0.beta1_coefs).max() <= 1e-7
 
     def test_too_few_subjects(self):
         data, spec, _ = make_dataset(n=4, noise=0.0)
         with pytest.raises(DataError):
-            fit_sofr(data, spec, NON_NEGATIVE)
+            fit_functional(data, "sofr", spec, NON_NEGATIVE)
 
-    def test_beta_fn_matches_coefficients(self):
+    def test_beta1_fn_matches_coefficients(self):
         data, spec, _ = make_dataset(beta_coefs=[0, 0.5, 1, 1.5, 2], noise=0.0)
-        fit = fit_sofr(data, spec, NON_DECREASING)
+        fit = fit_functional(data, "sofr", spec, NON_DECREASING)
         t = np.linspace(0, 1, 11)
-        direct = eval_basis_matrix(t, spec) @ fit.beta_coefs
-        assert np.array_equal(fit.beta_fn(t), direct)
+        direct = eval_basis_matrix(t, spec) @ fit.beta1_coefs
+        assert np.array_equal(fit.beta1_fn(t), direct)
 
 
 class TestPredictSofr:
+    """A sofr fit predicts one value per subject."""
+
     def test_training_predictions_reproduce_rss(self):
         data, spec, _ = make_dataset(beta_coefs=[0.4, 0.5, 0.6, 1.0, 1.4], noise=0.25, seed=3)
-        fit = fit_sofr(data, spec, NON_DECREASING)
-        pred = predict_sofr(fit, data)
+        fit = fit_functional(data, "sofr", spec, NON_DECREASING)
+        pred = fit.predict(data)
         rss = float(np.sum((data.y_scalar - pred) ** 2))
-        assert rss == pytest.approx(fit.rss, rel=1e-10)
+        assert rss == pytest.approx(fit.rss_raw, rel=1e-10)
 
     def test_zero_curves_predict_intercept(self):
         data, spec, _ = make_dataset(beta_coefs=[1, 1, 1, 1, 1], noise=0.0, seed=4)
-        fit = fit_sofr(data, spec, None)
+        fit = fit_functional(data, "sofr", spec, None)
         zero = FunctionalDataset(
             grid=data.grid,
             ids=["a", "b"],
             x_curves=np.zeros((2, data.grid.n_points)),
             y_scalar=np.zeros(2),
         )
-        pred = predict_sofr(fit, zero)
-        assert np.allclose(pred, fit.alpha, atol=1e-12)
+        pred = fit.predict(zero)
+        assert np.allclose(pred, fit.beta0_coefs[0], atol=1e-12)
+
+
+def test_fit_sofr_is_fit_functional_on_sofr():
+    data, spec, _ = make_dataset(beta_coefs=[0.4, 0.5, 0.6, 1.0, 1.4], noise=0.25, seed=3, n_z=1)
+    wrapped = fit_sofr(data, spec, NON_DECREASING)
+    direct = fit_functional(data, "sofr", spec, NON_DECREASING)
+    assert wrapped.beta0_coefs.tobytes() == direct.beta0_coefs.tobytes()
+    assert wrapped.beta1_coefs.tobytes() == direct.beta1_coefs.tobytes()
+    assert wrapped.predict(data).shape == (data.n_subjects,)
