@@ -269,13 +269,18 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
 
 
 def _read_scalar_file(path, ids) -> dict:
-    """The companion's scalar fields, in the order of the long file's ``ids``."""
+    """The companion's scalar fields, in the order of the long file's ``ids``; the
+    companion has one row for each subject of the long file and no other rows."""
     header, rows = _read_rows(path)
     table_ids, fields = _read_subjects(path, header, rows)
     row_of = {s: i for i, s in enumerate(table_ids)}
     missing = [s for s in ids if s not in row_of]
     if missing:
         raise DataError(f"{path}: missing scalar rows for subjects {missing[:5]}")
+    known = set(ids)
+    unknown = [s for s in table_ids if s not in known]
+    if unknown:
+        raise DataError(f"{path}: scalar rows for subjects not in the long file: {unknown[:5]}")
     index = [row_of[s] for s in ids]
     return {name: v if name == "z_names" else v[index] for name, v in fields.items()}
 

@@ -346,7 +346,7 @@ class FunctionalFit:
         row = MODELS[self.model]
         pts = data.grid.points
         if row.covariate == "scalars":
-            if data.z_scalars is None or data.n_z != len(self.rescale):
+            if data.n_z != len(self.rescale):
                 raise DataError("prediction data must carry the training predictors")
             lo, hi = self.rescale.T
             x = (data.z_scalars - lo) / (hi - lo)

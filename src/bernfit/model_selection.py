@@ -57,7 +57,7 @@ def _holdout_error(train, test, model, order, shape) -> float:
 def cv_select_order(
     data: FunctionalDataset,
     model: str,
-    shape: ShapeSpec | None = None,
+    shape: ShapeSpec | dict | None = None,
     candidates=None,
     folds: int = 5,
     seed: int = 0,

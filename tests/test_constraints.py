@@ -351,8 +351,7 @@ def test_readme_names_every_model_with_its_basis_spec():
     expected = {}
     for model, row in MODELS.items():
         commands = set()
-        # projection_ci bands the curves, qfosr_projection_ci the qfosr stack
-        if not row.band or row.target == "stack":
+        if not row.band:
             commands.add("ci")
         # a scalar response takes the scalar bootstrap test, the others the functional one
         if row.response == "scalar" or not row.test:

@@ -170,6 +170,32 @@ class TestReadScalars:
             assert read.z_scalars.tolist() == [[3.0], [4.0]] and read.z_names == ["age"]
             assert read.x_scalar is None
 
+    def test_unknown_subject_ids_refused(self, tmp_path):
+        # ids match exactly, so S1 is not s1; these rows used to be dropped without a word
+        scalars = "id,y\ns1,1.0\ns2,2.0\ns3,3.0\nS1,4.0\n"
+        with pytest.raises(DataError) as info:
+            self.read(tmp_path, scalars)
+        assert str(info.value) == (
+            f"{tmp_path / 'scalars.csv'}: scalar rows for subjects not in the long file: "
+            "['s3', 'S1']"
+        )
+
+    def test_unknown_subject_ids_exit_1_from_the_cli(self, tmp_path, capsys):
+        with pytest.raises(DataError):
+            self.read(tmp_path, "id,y\ns1,1.0\ns2,2.0\ns3,3.0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"order": 1}))
+        argv = ["fit-sofr", "--data", str(tmp_path / "long.csv"), "--format", "long_csv",
+                "--scalars", str(tmp_path / "scalars.csv"), "--config", str(config),
+                "--out", str(tmp_path / "out.json")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"data error: {tmp_path / 'scalars.csv'}: scalar rows for subjects not in the "
+            "long file: ['s3']\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("cells", [("", ""), ("1.0", ""), ("1.0", "2.0")])
     def test_z_names_never_without_z_scalars(self, tmp_path, cells):
         text = "id,z_age\n" + "".join(f"s{i},{c}\n" for i, c in enumerate(cells, 1))
@@ -797,6 +823,14 @@ _REFUSALS = {
             tmp, "test-shape", {"model": "qfosr", "order": 2, "shape": _QUANTILE}, _QFOSR_DATA
         ),
         "the functional shape test does not support qfosr",
+    ),
+    # every model's band takes a block; flcm's one banded curve is block 0
+    "ci-flcm-block": (
+        lambda tmp: _config_argv(
+            tmp, "ci", {"model": "flcm", "order": 3, "block": 1}, _FLCM_DATA,
+            ["--format", "long_csv"],
+        ),
+        "block must be in 0..0",
     ),
     "fit-flcm-extra-shapes": (
         lambda tmp: _config_argv(
