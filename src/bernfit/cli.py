@@ -145,7 +145,7 @@ def _setup(args):
     model = _FIT_MODELS.get(args.command, config.model)
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
-    check_model(model)
+    basis = check_model(model)
     row = MODELS[model]
     # test-shape refuses qfosr itself, with that reason
     if config.shape is not None and row.shape_key != "shape" and args.command != "test-shape":
@@ -156,7 +156,7 @@ def _setup(args):
     if config.extra_shapes and row.shape_key != "extra_shapes":
         raise ConfigError(f"'extra_shapes' applies only to the qfosr model, not {model}")
     shape = getattr(config, row.shape_key) or None
-    basis = check_model(model, shape=shape)
+    check_model(model, shape=shape)
     if config.order is None and args.command != "cv-order":
         raise ConfigError("config needs an 'order' (or 'candidates' for cv-order)")
     if not args.data:
