@@ -61,7 +61,7 @@ _TARGETS = {
 @dataclass(frozen=True)
 class Model:
     """One model-table row; ``band`` and ``test`` say why ``projection_ci`` and the
-    functional shape test refuse the model (empty: they serve it)."""
+    shape test refuse the model (empty: they serve it)."""
 
     target: str  # the coefficient: a "curve", the fofr "surface" or the qfosr "stack"
     response: str  # "scalar", "curve" or "quantile" (a curve that must not decrease)
@@ -77,8 +77,7 @@ class Model:
 
 # per model: its target fixes its basis kind; sofr is the one-point integrated design
 MODELS = {
-    "sofr": Model("curve", "scalar", "integrated",
-                  test="the functional shape test does not support sofr"),
+    "sofr": Model("curve", "scalar", "integrated"),
     "fosr": Model("curve", "curve", "scalar"),
     "flcm": Model("curve", "curve", "concurrent"),
     "fofr": Model("surface", "curve", "integrated",
@@ -116,6 +115,9 @@ class ShapeSpec:
                 raise ConfigError(f"unknown shape kind {self.kind!r}")
             if self.kind == "fixed_boundaries" and self.a0 is None and self.a1 is None:
                 raise ConfigError("fixed_boundaries needs at least one of a0, a1")
+            for name, value in (("a0", self.a0), ("a1", self.a1)):
+                if value is not None and not np.isfinite(value):
+                    raise ConfigError(f"fixed_boundaries needs a finite {name}, got {value!r}")
             if self.kind == "quantile_monotone" and self.n_predictors < 1:
                 raise ConfigError("quantile_monotone requires at least one scalar predictor")
             if self.target == "surface" and not (self.in_s or self.in_t):

@@ -38,13 +38,18 @@ class InfeasibleError(ConfigError):
 
 
 def config_cast(value, cast, name: str):
-    """``cast(value)``, raising ConfigError if the value has the wrong type.
+    """``value`` as a ``cast`` (bool, int or float), raising ConfigError for any other type.
 
-    A bool field takes only true or false, since bool() accepts any value.
+    Nothing is coerced: a bool field takes only true or false, an int field an
+    integer (4.0 reads as 4, 3.7 is refused) and a float field any number; a
+    boolean is no number here, and a string is never one.
     """
-    try:
-        if cast is bool and not isinstance(value, bool):
-            raise TypeError
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be of type {cast.__name__}, got {value!r}") from None
+    if cast is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    kinds = {bool: bool, int: int, float: (int, float)}[cast]
+    if isinstance(value, kinds) and isinstance(value, bool) == (cast is bool):
+        try:
+            return cast(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be of type {cast.__name__}, got {value!r}")

@@ -293,6 +293,11 @@ def run_benchmark(
         raise ConfigError(f"unknown benchmark mode {mode!r}")
     if mode == "test" and test_shape is None:
         raise ConfigError("test mode needs the null shape to test")
+    if mode == "test" and spec.kind == "B_sparse":
+        # every replication would fail the shape test's dense-response check alike
+        raise ConfigError(
+            f"the shape test needs densely observed responses; {spec.kind} has sparse ones"
+        )
     order = order if order is not None else spec.default_order
     shape = spec.shape
     basis = BasisSpec(order)

@@ -217,6 +217,15 @@ class TestCheckShape:
         with pytest.raises(ValueError):
             check_shape([1.0, 2.0], NON_DECREASING, spec=BasisSpec(5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_boundary_is_refused(self, value):
+        # a NaN boundary used to give a system no vector violates, so check_shape said feasible
+        for bounds in ({"a0": value}, {"a1": value}, {"a0": 0.0, "a1": value}):
+            with pytest.raises(ConfigError, match="fixed_boundaries needs a finite"):
+                check_shape(np.zeros(4), fixed_boundaries(**bounds), spec=BasisSpec(3))
+        with pytest.raises(ConfigError, match="needs a finite a1"):
+            ShapeSpec.from_json({"kind": "fixed_boundaries", "a1": value})
+
 
 class TestQuantileMonotone:
     def test_j1_structure(self):
@@ -353,8 +362,7 @@ def test_readme_names_every_model_with_its_basis_spec():
         commands = set()
         if not row.band:
             commands.add("ci")
-        # a scalar response takes the scalar bootstrap test, the others the functional one
-        if row.response == "scalar" or not row.test:
+        if not row.test:
             commands.add("test-shape")
         expected[model] = (check_model(model).__name__, row.shape_key, commands)
     assert documented == expected

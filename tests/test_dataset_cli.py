@@ -688,6 +688,34 @@ _MALFORMED_INPUTS = {
     "config-seed-negative-cv-order": (
         "cv-order", {"model": "sofr", "candidates": [2, 3], "seed": -1}, None
     ),
+    # an int field takes an integer only, a float field a number only; nothing is coerced
+    **{
+        f"config-{name}": ("fit-sofr", {"order": 4, **config}, None)
+        for name, config in [
+            ("order-fraction", {"order": 3.7}), ("order-bool", {"order": True}),
+            ("order-string", {"order": "4"}), ("seed-fraction", {"seed": 2.9}),
+            ("seed-bool", {"seed": False}), ("pve-string", {"pve": "0.5"}),
+            ("pve-bool", {"pve": True}),
+            ("shape-a0-bool", {"shape": {"kind": "fixed_boundaries", "a0": True}}),
+        ]
+    },
+    "config-candidates-fraction": ("cv-order", {"model": "sofr", "candidates": [2, 3.5]}, None),
+    "config-bootstrap-fraction": (
+        "test-shape",
+        {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}, "bootstrap": 150.5},
+        None,
+    ),
+    "config-level-string": ("ci", {"model": "sofr", "order": 4, "level": "0.9"}, None),
+    # an integer too large for a float is refused, not an internal error
+    "config-pve-huge-integer": ("fit-sofr", {"order": 4, "pve": 10**400}, None),
+    # a boundary must be finite: NaN fitted without it, infinity failed in the solver
+    **{
+        f"config-shape-a0-{name}": (
+            "fit-flcm", {"order": 3, "shape": {"kind": "fixed_boundaries", "a0": value}},
+            (_FLCM_DATA.encode(), None),
+        )
+        for name, value in [("nan", float("nan")), ("nan-string", "nan"), ("inf", float("inf"))]
+    },
     "config-not-utf8": ("fit-sofr", b'{"order": 4, "model": "Jos\xe9"}', None),
     "data-short-row": ("fit-sofr", {"order": 4}, b"id,y,t=0.0,t=0.5,t=1.0\ns1\n"),
     "data-not-utf8": (
@@ -806,6 +834,12 @@ _REFUSALS = {
     "bench-test-shape-not-json": (
         lambda tmp: [*_BENCH, "--mode", "test", "--test-shape", "nope"],
         "--test-shape is not valid JSON",
+    ),
+    # every replication would fail the test's dense-response check
+    "bench-test-sparse": (
+        lambda tmp: ["bench", "--scenario", "B_sparse", "--n", "30", "--reps", "3", "--mode", "test",
+                     "--test-shape", json.dumps(_NON_INCREASING), "--bootstrap-draws", "100"],
+        "the shape test needs densely observed responses; B_sparse has sparse ones",
     ),
     "bench-test-shape-quantile": (
         lambda tmp: [*_BENCH, "--mode", "test", "--test-shape", json.dumps(_QUANTILE)],

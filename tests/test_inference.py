@@ -195,6 +195,23 @@ class TestFunctionalBootstrap:
         with pytest.raises(DataError):
             bootstrap_shape_test_functional(data, "flcm", BasisSpec(5), NON_INCREASING, draws=100)
 
+    @pytest.mark.parametrize("model", ["sofr", "flcm"])
+    def test_every_name_gives_the_same_bits(self, model):
+        data = scenario_a(n=50) if model == "sofr" else scenario_b(n=30)
+        args = (BasisSpec(4), NON_NEGATIVE if model == "sofr" else NON_INCREASING)
+        reports = [
+            bootstrap_shape_test(data, model, *args, draws=100, seed=5),
+            bootstrap_shape_test_functional(data, model, *args, draws=100, seed=5),
+        ]
+        if model == "sofr":
+            reports.append(bootstrap_shape_test_scalar(data, *args, draws=100, seed=5))
+        first = reports[0]
+        for report in reports[1:]:
+            assert report.bootstrap_stats.tobytes() == first.bootstrap_stats.tobytes()
+            assert (report.statistic, report.p_value) == (first.statistic, first.p_value)
+            assert report.rss_constrained == first.rss_constrained
+            assert report.rss_unconstrained == first.rss_unconstrained
+
     def test_dispatch(self):
         data = scenario_a(n=50)
         report = bootstrap_shape_test(data, "sofr", BasisSpec(4), NON_NEGATIVE, draws=100, seed=8)
@@ -259,33 +276,27 @@ class TestBatchedLoops:
             assert np.all(np.diff(projected) >= -1e-8)
 
     @pytest.mark.parametrize("negative, expected", [(True, np.inf), (False, 0.0)])
-    def test_exact_unconstrained_fit_warns_once(self, negative, expected):
-        # identity Gram with yty = rhs'rhs: every unconstrained fit is exact (RSS 0);
-        # a nonnegativity null then leaves RSS > 0 (T = inf) unless rhs >= 0 (T = 0)
+    def test_exact_unconstrained_fit_warns_once(self, monkeypatch, negative, expected):
+        # a square identity design fits every response exactly (RSS 0); a nonnegativity
+        # null then leaves RSS > 0 (T = inf) on a negative response and 0 (T = 0) on a
+        # positive one. An exact fit leaves no residuals to resample, so the stub's
+        # residuals take the response's sign: every resample keeps the observed T.
         from types import SimpleNamespace
         import warnings
 
-        from bernfit.inference import _bootstrap_test
+        from bernfit import inference
 
         p = 5
         sign = -1.0 if negative else 1.0
-        rhs = sign * np.linspace(1.0, 2.0, p)
+        y = sign * np.linspace(1.0, 2.0, p)
         design = SimpleNamespace(
-            n_free=0, n_coefs=p, gram_parts=lambda: (np.eye(p), rhs, float(rhs @ rhs))
+            n_subjects=p, n_points=1, n_free=0, n_coefs=p, z=np.eye(p),
+            gram_parts=lambda: (np.eye(p), y, float(y @ y)), residuals=lambda beta: y[::-1],
         )
-
-        def resampler(beta_u, beta_c):
-            def moments(rng):
-                star = sign * rng.uniform(1.0, 2.0, size=p)
-                return star, float(star @ star)
-
-            return moments
-
+        monkeypatch.setattr(inference, "build_design", lambda data, model, spec: design)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = _bootstrap_test(
-                design, "sofr", BasisSpec(p - 1), NON_NEGATIVE, resampler, 100, 0
-            )
+            report = bootstrap_shape_test(None, "sofr", BasisSpec(p - 1), NON_NEGATIVE, 100, 0)
         assert report.statistic == expected
         assert np.all(report.bootstrap_stats == expected)
         assert report.p_value == 1.0

@@ -117,7 +117,6 @@ _MAPPING_MISTAKES = {
 _UNSUPPORTED = {
     ("projection_ci", "fofr"): "confidence bands for bivariate coefficients are not supported",
     ("bootstrap_shape_test", "qfosr"): "shape test does not support qfosr",
-    ("bootstrap_shape_test_functional", "sofr"): "shape test does not support sofr",
     ("bootstrap_shape_test_functional", "qfosr"): "shape test does not support qfosr",
 }
 
@@ -180,8 +179,8 @@ def _quantile_data():
     return FunctionalDataset(grid=Grid(pts), ids=list(range(30)), y_curves=q, z_scalars=z)
 
 
-# (entry point, model) pairs refused before one fit path served every model, each
-# with a call on data that now runs
+# (entry point, model) pairs refused before one fit path and one bootstrap test
+# served every model, each with a call on data that now runs
 _NOW_SERVED = {
     ("fit_functional", "sofr"): lambda: fit_functional(
         generate_scenario(ScenarioSpec("A", n=20, seed=1), 0), "sofr", BasisSpec(3), NON_NEGATIVE
@@ -189,6 +188,10 @@ _NOW_SERVED = {
     ("fit_functional", "qfosr"): lambda: fit_functional(
         _quantile_data(), "qfosr", BasisSpec(3), _SHAPE_MAPPING
     ).predict(_quantile_data()),
+    ("bootstrap_shape_test_functional", "sofr"): lambda: bootstrap_shape_test_functional(
+        generate_scenario(ScenarioSpec("A", n=20, seed=1), 0), "sofr", BasisSpec(3), NON_NEGATIVE,
+        draws=100,
+    ).bootstrap_stats,
     ("projection_ci", "qfosr"): lambda: projection_ci(
         _quantile_data(), "qfosr", BasisSpec(3), _SHAPE_MAPPING, draws=100, block=2
     ).lower,

@@ -5,6 +5,7 @@ import pytest
 
 from bernfit import (
     CONVEX,
+    NON_INCREASING,
     ConfigError,
     DataError,
     InfeasibleError,
@@ -147,6 +148,16 @@ class TestRunBenchmark:
             assert table.rows() == []
             assert table.summary()["replications"] == 0
             assert table.summary_row()["scenario"] == "B_sparse"
+
+    def test_shape_test_on_sparse_responses_is_refused_up_front(self, monkeypatch):
+        import bernfit.simulation as simulation
+
+        monkeypatch.setattr(simulation, "generate_scenario", lambda *a: pytest.fail("ran"))
+        with pytest.raises(ConfigError, match="needs densely observed responses"):
+            run_benchmark(
+                ScenarioSpec("B_sparse", n=30, replications=3), mode="test",
+                test_shape=NON_INCREASING, bootstrap_draws=100,
+            )
 
     def test_rows_carry_true_replication_labels(self):
         # replication 0 fails (as above); the survivors keep their own indices

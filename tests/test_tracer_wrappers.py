@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` looks each name of its ``TARGETS`` up with ``getattr``,
 and CI checks that every one exists. The names below no longer hold code of
-their own: each forwards to the one fit, design or band path. The list fails
+their own: each forwards to the one fit, design, band or test path. The list fails
 when a name leaves ``TARGETS``, so the change that stops tracing it deletes
 the wrapper too, and when a wrapper grows a body of its own.
 """
@@ -24,6 +24,7 @@ WRAPPERS = [
     ("bernfit.qfosr", "fit_qfosr", 'fit_functional(data, "qfosr", ...)'),
     ("bernfit.inference", "qfosr_projection_ci", 'projection_ci(data, "qfosr", ...)'),
     ("bernfit.inference", "bootstrap_shape_test_scalar", 'bootstrap_shape_test(data, "sofr", ...)'),
+    ("bernfit.inference", "bootstrap_shape_test_functional", "bootstrap_shape_test(data, model, ...)"),
 ]
 
 
