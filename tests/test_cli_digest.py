@@ -3,8 +3,11 @@
 Each case runs one subcommand in process and hashes the files it writes:
 every ``fit-*`` (sofr with and without scalar confounders, flcm on dense and
 sparse curves), ``ci`` for sofr, fosr, flcm and qfosr blocks 0 and 1,
-``test-shape`` for sofr, fosr, flcm and fofr, and ``cv-order`` for all five
-models. Numbers enter the hash at 10 significant digits, with values below
+``test-shape`` for sofr, fosr, flcm and fofr, ``cv-order`` for all five
+models, ``bench`` in each mode and ``simulate`` in both layouts. ``bench``
+adds its ``.reps.csv`` to the hash, ``simulate`` its dataset and
+``.meta.json``; these cases are the only check on ``MetricTable.summary``,
+``summary_row`` and ``rows`` as the CLI writes them. Numbers enter the hash at 10 significant digits, with values below
 1e-9 in magnitude read as 0, as in ``tests/test_model_digest.py``, so a
 rounding-level difference between BLAS builds does not count while any change
 to what a subcommand writes does. A refactor of the fit, band or test paths
@@ -74,6 +77,21 @@ _CASES = {
         "cv-order", "quantile", {"model": "qfosr", "candidates": [2, 3], "extra_shapes": _EXTRA}
     ),
 }
+# subcommands that make their own data: the arguments before --out
+_SELF_CASES = {
+    "bench-imse-A": ["bench", "--scenario", "A", "--n", "30", "--reps", "3", "--seed", "5"],
+    "bench-imse-B": ["bench", "--scenario", "B", "--n", "20", "--reps", "3", "--seed", "5"],
+    "bench-coverage-B": [
+        "bench", "--scenario", "B", "--n", "20", "--reps", "2", "--seed", "5",
+        "--mode", "coverage", "--ci-draws", "100",
+    ],
+    "bench-test-S1": [
+        "bench", "--scenario", "S1", "--n", "20", "--reps", "2", "--seed", "5",
+        "--mode", "test", "--bootstrap-draws", "100", "--test-shape", json.dumps(_NON_INCREASING),
+    ],
+    "simulate-A": ["simulate", "--scenario", "A", "--n", "20", "--seed", "5", "--rep", "1"],
+    "simulate-B": ["simulate", "--scenario", "B", "--n", "20", "--seed", "5"],
+}
 # settings every case shares: small draw counts, fixed seeds
 _COMMON = {"draws": 100, "bootstrap": 100, "folds": 3, "seed": 5}
 
@@ -128,21 +146,47 @@ def _csv_lines(path: Path) -> list:
     return lines
 
 
+def _invoke(argv: list, name: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):  # the path of each written file
+        code = run_cli(argv)
+    assert code == 0, f"{name} exited {code}"
+
+
+def _outputs(json_path: Path) -> list:
+    """The JSON and the CSV files written next to it; a written dataset's path
+    enters by file name only."""
+    payload = json.loads(json_path.read_text())
+    lines = []
+    if "data_file" in payload:
+        data_file = Path(payload["data_file"])
+        payload["data_file"] = data_file.name
+        lines = ["--- data"] + _csv_lines(data_file)
+    lines = _json_lines(payload) + lines
+    for suffix in (".csv", ".reps.csv"):
+        path = json_path.with_suffix(suffix)
+        if path.exists():
+            lines += [f"--- {suffix[1:]}"] + _csv_lines(path)
+    return lines
+
+
 def _run(workdir: Path, files: dict, name: str) -> list:
+    if name in _SELF_CASES:
+        argv = _SELF_CASES[name]
+        if argv[0] == "simulate":  # --out names the dataset; the JSON goes beside it
+            out = workdir / f"{name}.csv"
+            _invoke([*argv, "--out", str(out)], name)
+            return _outputs(Path(f"{out}.meta.json"))
+        out = workdir / f"{name}.json"
+        _invoke([*argv, "--out", str(out)], name)
+        return _outputs(out)
     command, dataset, config = _CASES[name]
     config_path = workdir / f"{name}.config.json"
     config_path.write_text(json.dumps({**_COMMON, **config}))
     data_path, fmt = files[dataset]
     out = workdir / f"{name}.json"
-    argv = [command, "--data", str(data_path), "--format", fmt,
-            "--config", str(config_path), "--out", str(out)]
-    with contextlib.redirect_stdout(io.StringIO()):  # the path of each written file
-        code = run_cli(argv)
-    assert code == 0, f"{name} exited {code}"
-    lines = _json_lines(json.loads(out.read_text()))
-    if out.with_suffix(".csv").exists():
-        lines += ["--- csv"] + _csv_lines(out.with_suffix(".csv"))
-    return lines
+    _invoke([command, "--data", str(data_path), "--format", fmt,
+             "--config", str(config_path), "--out", str(out)], name)
+    return _outputs(out)
 
 
 def digests() -> dict[str, str]:
@@ -157,11 +201,15 @@ def digests() -> dict[str, str]:
             files[key] = (path, fmt)
         return {
             name: hashlib.sha256("\n".join(_run(workdir, files, name)).encode()).hexdigest()[:16]
-            for name in _CASES
+            for name in (*_CASES, *_SELF_CASES)
         }
 
 
 EXPECTED = {
+    "bench-coverage-B": "33341dc8d16111ed",
+    "bench-imse-A": "0623ded3d1580195",
+    "bench-imse-B": "b7b90e89c4780f60",
+    "bench-test-S1": "304795e0e2c50993",
     "ci-flcm": "0ab175dd0bcb975f",
     "ci-fosr": "8f4e15e125cb8a20",
     "ci-qfosr-0": "938274c5fcf707fa",
@@ -179,6 +227,8 @@ EXPECTED = {
     "fit-qfosr": "d05c91ca6d87c435",
     "fit-sofr": "46099c6757a42ae9",
     "fit-sofr-z": "3b5782b5529e3b98",
+    "simulate-A": "da051c9099a26638",
+    "simulate-B": "db84c7414b14171a",
     "test-flcm": "c794b58847255fae",
     "test-fofr": "8b9d3cdf76ed3c30",
     "test-fosr": "30d83af4fd507fbc",
