@@ -65,11 +65,10 @@ class RunConfig:
             raise ConfigError("extra_shapes must map coefficient blocks to shapes")
         self.extra_shapes = {}
         for key, value in extra.items():
-            try:
-                block = int(key)
-            except ValueError:
-                raise ConfigError(f"extra_shapes key {key!r} is not a coefficient block number") from None
-            self.extra_shapes[block] = ShapeSpec.from_json(value)
+            # only ASCII digits name a block: int() would also read "1_0", " 1 " and "+1"
+            if not (key.isascii() and key.isdigit()):
+                raise ConfigError(f"extra_shapes key {key!r} is not a coefficient block number")
+            self.extra_shapes[int(key)] = ShapeSpec.from_json(value)
         if not 0.0 < self.pve <= 1.0:
             raise ConfigError("pve must lie in (0, 1]")
         if not 0.0 < self.level < 1.0:

@@ -177,6 +177,8 @@ def check_model(model: str, spec=None, shape=None) -> type:
         raise ConfigError(f"model {model!r} needs a {basis.__name__}, got {type(spec).__name__}")
     if row.shape_key == "extra_shapes" and isinstance(shape, Mapping):
         for block, extra in shape.items():
+            if isinstance(block, bool) or not isinstance(block, (int, np.integer)):
+                raise ConfigError(f"extra shape block {block!r} is not an integer")
             if not isinstance(extra, ShapeSpec) or extra.target != "curve":
                 kind = getattr(extra, "kind", type(extra).__name__)
                 raise ConfigError(f"extra shape of block {block} must be univariate, got {kind!r}")
@@ -349,8 +351,7 @@ def qfosr_constraints(spec: BasisSpec, n_predictors: int, extra_shapes=None) -> 
     p_block = spec.n_coefs
     total = p_block * (n_predictors + 1)
     systems = [build_quantile_monotone(n_predictors, spec)]
-    for block_index, shape in (extra_shapes or {}).items():
-        block = int(block_index)
+    for block, shape in (extra_shapes or {}).items():
         if not 0 <= block <= n_predictors:
             raise ConfigError(f"extra shape block {block} is outside 0..{n_predictors}")
         systems.append(build_constraints(shape, spec).padded(block * p_block, total))

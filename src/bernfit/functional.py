@@ -344,6 +344,7 @@ class FunctionalFit:
         """What the model responds with on ``data``: one value per subject (sofr),
         otherwise one curve per subject on the dataset's grid (subjects x grid)."""
         row = MODELS[self.model]
+        _require_covariate(data, self.model)
         pts = data.grid.points
         if row.covariate == "scalars":
             if data.n_z != len(self.rescale):
@@ -386,8 +387,7 @@ def build_design(
     """
     row = MODELS[model]
     if row.response == "scalar":
-        if data.x_curves is None:
-            raise DataError("scalar-on-function regression needs functional covariates")
+        _require_covariate(data, model)
         if data.y_scalar is None:
             raise DataError("scalar-on-function regression needs a scalar response")
         spec0, points, y = BasisSpec(0, spec.domain), spec.domain[:1], data.y_scalar[:, None]
@@ -398,10 +398,9 @@ def build_design(
         spec0, points, y = getattr(spec, "spec_t", spec), data.grid.points, data.y_curves
         mask = data.observed_mask("y")
         _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
+        _require_covariate(data, model)
     rescale = None
     if row.covariate == "scalar":
-        if data.x_scalar is None:
-            raise DataError("fosr needs a scalar predictor per subject")
         x = data.x_scalar[:, None]
     elif row.covariate == "scalars":
         if data.n_z < 1:
@@ -411,8 +410,6 @@ def build_design(
         if constant.size:
             raise DataError(f"predictor {data.z_names[constant[0]]!r} is constant; drop it")
         x, rescale = (data.z_scalars - lo) / (hi - lo), np.column_stack([lo, hi])
-    elif data.x_curves is None:
-        raise DataError(f"{model} needs a functional covariate")
     elif row.covariate == "concurrent":
         unobserved = (mask & ~np.isfinite(data.x_curves)).any(axis=1)
         _first_bad(data, unobserved, "covariate unobserved at response points; "
@@ -431,6 +428,18 @@ def build_design(
     n_free = 0 if row.target == "stack" else (1 + n_z) * spec0.n_coefs
     basis0 = eval_basis_matrix(points, spec0)
     return StackedDesign.assemble(x, basis0, mask, y, n_free, rescale)
+
+
+def _require_covariate(data: FunctionalDataset, model: str) -> None:
+    """Refuse ``data`` without ``model``'s scalar or functional covariate, alike
+    for fitting and prediction."""
+    row = MODELS[model]
+    if row.covariate == "scalar" and data.x_scalar is None:
+        raise DataError(f"{model} needs a scalar predictor per subject")
+    if row.covariate in ("concurrent", "integrated") and data.x_curves is None:
+        if row.response == "scalar":
+            raise DataError("scalar-on-function regression needs functional covariates")
+        raise DataError(f"{model} needs a functional covariate")
 
 
 def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:

@@ -14,6 +14,10 @@ the empirical inner product on the scenario grid; every draw is keyed by
 (seed, replication, role) so replications regenerate bit-identically in any
 execution order.
 
+``run_benchmark`` measures each replication into one record (or counts it as
+a failure when it fails on its own data); ``MetricTable`` keeps the records,
+which the CLI writes as ``.reps.csv``, and summarizes them by mode.
+
 ``scipy.stats`` is imported inside ``MetricTable.summary``, the one place that
 uses it (its two t-tests): importing it takes about half a second, which
 every CLI call would otherwise pay.
@@ -178,94 +182,80 @@ def imse(beta_hat, beta_true) -> float:
 
 @dataclass
 class MetricTable:
-    """Per-replication benchmark metrics with paper-style summaries."""
+    """One record per replication that ran, with paper-style summaries.
+
+    A record is ``{"replication": rep, **values}``; the values are
+    ``imse_constrained`` and ``imse_unconstrained`` in imse mode, ``coverage``
+    and ``width`` in coverage mode and ``rejected`` (0 or 1) in test mode.
+    ``failures`` counts the replications that failed on their own data and
+    left no record.
+    """
 
     scenario: str
     n: int
     mode: str
-    imse_constrained: np.ndarray = field(default_factory=lambda: np.empty(0))
-    imse_unconstrained: np.ndarray = field(default_factory=lambda: np.empty(0))
-    coverage: np.ndarray = field(default_factory=lambda: np.empty(0))
-    width: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rejections: np.ndarray = field(default_factory=lambda: np.empty(0))
-    replication_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    records: list[dict] = field(default_factory=list)
     failures: int = 0
     seed: int = 0
 
+    def column(self, name: str) -> np.ndarray:
+        return np.array([record[name] for record in self.records], dtype=float)
+
     def summary(self) -> dict:
+        """Means and spreads of the records' values. With more than one
+        replication, imse mode adds paired and two-sample t-test p-values; when
+        every paired difference is 0 (the shape never binds, so the two arms
+        are the same fit) the paired p-value is 1.0, where the t statistic
+        would be 0/0."""
         out: dict = {
             "scenario": self.scenario,
             "n": self.n,
             "mode": self.mode,
-            "replications": int(max(self.imse_constrained.size, self.coverage.size, self.rejections.size)),
+            "replications": len(self.records),
             "failures": self.failures,
             "seed": self.seed,
         }
-        if self.imse_constrained.size:
-            con, unc = self.imse_constrained, self.imse_unconstrained
-            out.update(
-                {
-                    "imse_constrained_mean": float(con.mean()),
-                    "imse_constrained_sd": float(con.std(ddof=1)) if con.size > 1 else 0.0,
-                    "imse_unconstrained_mean": float(unc.mean()),
-                    "imse_unconstrained_sd": float(unc.std(ddof=1)) if unc.size > 1 else 0.0,
-                }
-            )
+        if not self.records:
+            return out
+        if self.mode == "imse":
+            con, unc = self.column("imse_constrained"), self.column("imse_unconstrained")
+            for arm, values in (("constrained", con), ("unconstrained", unc)):
+                out[f"imse_{arm}_mean"] = float(values.mean())
+                out[f"imse_{arm}_sd"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
             if con.mean() > 0:
                 out["efficiency_ratio"] = float(unc.mean() / con.mean())
             if con.size > 1:
                 from scipy import stats
 
-                paired = stats.ttest_rel(con, unc)
-                welch = stats.ttest_ind(con, unc, equal_var=False)
-                out["p_value_paired"] = float(paired.pvalue)
+                paired = 1.0 if np.array_equal(con, unc) else stats.ttest_rel(con, unc).pvalue
+                out["p_value_paired"] = float(paired)
                 # unpaired comparison, reported for comparability with two-sample summaries
+                welch = stats.ttest_ind(con, unc, equal_var=False)
                 out["p_value_two_sample"] = float(welch.pvalue)
-        if self.coverage.size:
-            out["coverage_mean"] = float(self.coverage.mean())
-            out["width_mean"] = float(self.width.mean())
-        if self.rejections.size:
-            out["rejection_rate"] = float(self.rejections.mean())
+        elif self.mode == "coverage":
+            out["coverage_mean"] = float(self.column("coverage").mean())
+            out["width_mean"] = float(self.column("width").mean())
+        else:
+            out["rejection_rate"] = float(self.column("rejected").mean())
         return out
 
     def summary_row(self) -> dict:
-        """One flat row in the layout of the published comparison tables."""
+        """One flat row in the layout of the published comparison tables; a
+        statistic the summary leaves out is blank."""
         s = self.summary()
         if self.mode == "imse":
-            return {
-                "scenario": self.scenario,
-                "n": self.n,
-                "constrained_mean": s.get("imse_constrained_mean", ""),
-                "constrained_sd": s.get("imse_constrained_sd", ""),
-                "unconstrained_mean": s.get("imse_unconstrained_mean", ""),
-                "unconstrained_sd": s.get("imse_unconstrained_sd", ""),
-                "p_value_two_sample": s.get("p_value_two_sample", ""),
-                "p_value_paired": s.get("p_value_paired", ""),
-            }
-        if self.mode == "coverage":
-            return {
-                "scenario": self.scenario,
-                "n": self.n,
-                "coverage_mean": s.get("coverage_mean", ""),
-                "width_mean": s.get("width_mean", ""),
-            }
-        rate = s.get("rejection_rate", "")
-        return {"scenario": self.scenario, "n": self.n, "rejection_rate": rate}
+            arms = ("imse_constrained", "imse_unconstrained")
+            keys = [f"{arm}_{stat}" for arm in arms for stat in ("mean", "sd")]
+            keys += ["p_value_two_sample", "p_value_paired"]
+        elif self.mode == "coverage":
+            keys = ["coverage_mean", "width_mean"]
+        else:
+            keys = ["rejection_rate"]
+        row = {key.removeprefix("imse_"): s.get(key, "") for key in keys}
+        return {"scenario": self.scenario, "n": self.n, **row}
 
     def rows(self) -> list[dict]:
-        rows = []
-        for r, label in enumerate(self.replication_ids):
-            row: dict = {"replication": int(label)}
-            if self.imse_constrained.size:
-                row["imse_constrained"] = float(self.imse_constrained[r])
-                row["imse_unconstrained"] = float(self.imse_unconstrained[r])
-            if self.coverage.size:
-                row["coverage"] = float(self.coverage[r])
-                row["width"] = float(self.width[r])
-            if self.rejections.size:
-                row["rejected"] = int(self.rejections[r])
-            rows.append(row)
-        return rows
+        return [dict(record) for record in self.records]
 
 
 def run_benchmark(
@@ -302,69 +292,53 @@ def run_benchmark(
     shape = spec.shape
     basis = BasisSpec(order)
 
-    def one_replication(rep: int):
-        data = reconstruct_sparse(generate_scenario(spec, rep))  # complete data comes back as is
-        beta_true = data.meta["beta_true"]
-        if mode == "imse":
-            # the unconstrained arm is the plain stacked least-squares fit,
-            # mirroring the off-the-shelf baselines it stands in for
-            con = fit_functional(data, spec.model, basis, shape)
-            unc = fit_functional(data, spec.model, basis, None, whiten_fit=False)
-            return imse(con.beta1_fn, beta_true), imse(unc.beta1_fn, beta_true)
-        if mode == "coverage":
-            band = projection_ci(
-                data, spec.model, basis, shape, draws=ci_draws, seed=spec.seed + 7919 * (rep + 1)
-            )
-            truth = np.asarray(beta_true(band.grid), dtype=float)
-            covered = (band.lower <= truth) & (truth <= band.upper)
-            return float(covered.mean()), float((band.upper - band.lower).mean())
-        report = bootstrap_shape_test(
-            data,
-            spec.model,
-            basis,
-            test_shape,
-            draws=bootstrap_draws,
-            seed=spec.seed + 104729 * (rep + 1),
-        )
-        return int(report.p_value <= 0.05)
+    def one_replication(rep: int) -> dict | None:
+        """The replication's record, or None when it fails on its own data.
 
-    outcomes = parallel_map(_Catcher(one_replication), range(spec.replications))
-    ok = [rep for rep, outcome in enumerate(outcomes) if outcome is not None]
-    results = [outcomes[rep] for rep in ok]
-    table = MetricTable(scenario=spec.kind, n=spec.n, mode=mode, seed=spec.seed)
-    table.replication_ids = np.asarray(ok, dtype=int)
-    table.failures = len(outcomes) - len(ok)
-    if mode == "imse":
-        arr = np.asarray(results, dtype=float).reshape(-1, 2)
-        table.imse_constrained = arr[:, 0]
-        table.imse_unconstrained = arr[:, 1]
-    elif mode == "coverage":
-        arr = np.asarray(results, dtype=float).reshape(-1, 2)
-        table.coverage = arr[:, 0]
-        table.width = arr[:, 1]
-    else:
-        table.rejections = np.asarray(results, dtype=int)
-    return table
-
-
-class _Catcher:
-    """Wrap a replication worker so isolated failures are counted, not fatal.
-
-    Only the errors the CLI maps to exit codes count as replication
-    failures. Of the configuration errors only an infeasible constraint
-    system depends on the replication's data; any other one would fail every
-    replication alike, so it propagates, as does anything else (a bug).
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, rep):
+        Only the errors the CLI maps to exit codes count as replication
+        failures. Of the configuration errors only an infeasible constraint
+        system depends on the replication's data; any other one would fail
+        every replication alike, so it propagates, as does anything else (a
+        bug).
+        """
         try:
-            return self.fn(rep)
+            # complete data comes back as is
+            data = reconstruct_sparse(generate_scenario(spec, rep))
+            beta_true = data.meta["beta_true"]
+            if mode == "imse":
+                # the unconstrained arm is the plain stacked least-squares fit,
+                # mirroring the off-the-shelf baselines it stands in for
+                con = fit_functional(data, spec.model, basis, shape)
+                unc = fit_functional(data, spec.model, basis, None, whiten_fit=False)
+                values = {
+                    "imse_constrained": imse(con.beta1_fn, beta_true),
+                    "imse_unconstrained": imse(unc.beta1_fn, beta_true),
+                }
+            elif mode == "coverage":
+                seed = spec.seed + 7919 * (rep + 1)
+                band = projection_ci(data, spec.model, basis, shape, draws=ci_draws, seed=seed)
+                truth = np.asarray(beta_true(band.grid), dtype=float)
+                covered = (band.lower <= truth) & (truth <= band.upper)
+                values = {
+                    "coverage": float(covered.mean()),
+                    "width": float((band.upper - band.lower).mean()),
+                }
+            else:
+                seed = spec.seed + 104729 * (rep + 1)
+                report = bootstrap_shape_test(
+                    data, spec.model, basis, test_shape, draws=bootstrap_draws, seed=seed
+                )
+                values = {"rejected": int(report.p_value <= 0.05)}
         except InfeasibleError:
             return None
         except ConfigError:
             raise
         except (BernfitError, np.linalg.LinAlgError):
             return None
+        return {"replication": rep, **values}
+
+    outcomes = parallel_map(one_replication, range(spec.replications))
+    records = [record for record in outcomes if record is not None]
+    return MetricTable(
+        spec.kind, spec.n, mode, records, failures=len(outcomes) - len(records), seed=spec.seed
+    )

@@ -293,7 +293,8 @@ class TestAcceptance:
         spec = ScenarioSpec("A", n=50, seed=9, replications=6)
         serial = run_benchmark(spec, mode="imse", threads=1)
         threaded = run_benchmark(spec, mode="imse", threads=4)
-        ok &= serial.imse_constrained.tobytes() == threaded.imse_constrained.tobytes()
+        column = "imse_constrained"
+        ok &= serial.column(column).tobytes() == threaded.column(column).tobytes()
 
         report(
             "criterion 10 property suites",

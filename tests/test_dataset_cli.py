@@ -404,6 +404,18 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["failures"] == 1 and payload["replications"] == 0
 
+    def test_bench_with_identical_arms(self, tmp_path):
+        # the shape never binds: the paired p-value is 1.0, not a non-finite value
+        out = tmp_path / "bench.json"
+        code = run_cli(
+            ["bench", "--scenario", "A", "--n", "100", "--reps", "2", "--seed", "10",
+             "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["p_value_paired"] == 1.0
+        assert payload["imse_constrained_mean"] == payload["imse_unconstrained_mean"]
+
     def test_missing_file_is_clean_data_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"order": 3}))
@@ -635,6 +647,16 @@ _MALFORMED_INPUTS = {
     "config-shape-in_t": (
         "fit-sofr", {"order": 4, "extra_shapes": {"0": {"kind": "partial_convex", "in_t": 1}}}, None
     ),
+    # only ASCII digits name an extra-shapes block; int() would read each of these
+    **{
+        f"config-extra-key-{name}": (
+            "fit-qfosr", {"order": 3, "extra_shapes": {key: _NON_INCREASING}},
+            _QFOSR_DATA.encode(),
+        )
+        for name, key in [
+            ("underscore", "1_0"), ("spaces", " 1 "), ("plus", "+1"), ("arabic-indic", "\u0661"),
+        ]
+    },
     # a shape that is present must be a shape object, and a malformed one is refused
     **{
         f"config-shape-{name}": (

@@ -1,5 +1,6 @@
 """Tests for functional-response fitting, covariance estimation, and whitening."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from bernfit import (
     NON_INCREASING,
     BasisSpec,
     ConfigError,
+    DataError,
     Grid,
     ScenarioSpec,
     TensorBasisSpec,
@@ -170,6 +172,30 @@ def test_mismatched_basis_spec_is_config_error(entry, model, spec):
             projection_ci(data, model, spec, draws=100)
         else:
             bootstrap_shape_test(data, model, spec, NON_INCREASING, draws=100)
+
+
+@pytest.mark.parametrize(
+    "model, spec, covariate, message",
+    [
+        ("sofr", BasisSpec(3), "x_curves",
+         "scalar-on-function regression needs functional covariates"),
+        ("fosr", BasisSpec(2), "x_scalar", "fosr needs a scalar predictor per subject"),
+        ("flcm", BasisSpec(2), "x_curves", "flcm needs a functional covariate"),
+        ("fofr", TensorBasisSpec(2), "x_curves", "fofr needs a functional covariate"),
+    ],
+)
+def test_predict_without_the_covariate_raises_the_fit_data_error(model, spec, covariate, message):
+    if model == "sofr":
+        data = generate_scenario(ScenarioSpec("A", n=20, seed=1, m=20), 0)
+    else:
+        data, _, _, _ = make_flcm_dataset(n=15, m=12, noise=0.1)
+        data.x_scalar = np.linspace(-1.0, 1.0, data.n_subjects)
+    fit = fit_functional(data, model, spec)
+    bare = replace(data, **{covariate: None})
+    for call in (fit.predict, lambda d: build_design(d, model, spec)):
+        with pytest.raises(DataError) as info:
+            call(bare)
+        assert str(info.value) == message
 
 
 class TestEstimateCovariance:

@@ -27,9 +27,12 @@ import numpy as np
 
 from bernfit import ClsqSolver, ConstraintSystem, MetricTable
 
-table = MetricTable(scenario="B", n=10, mode="imse")
-table.imse_constrained = np.array([1.0, 2.0, 3.5])
-table.imse_unconstrained = np.array([1.5, 2.5, 3.0])
+arms = [(1.0, 1.5), (2.0, 2.5), (3.5, 3.0)]
+records = [
+    {"replication": rep, "imse_constrained": con, "imse_unconstrained": unc}
+    for rep, (con, unc) in enumerate(arms)
+]
+table = MetricTable(scenario="B", n=10, mode="imse", records=records)
 summary = table.summary()
 assert 0.0 <= summary["p_value_paired"] <= 1.0, summary
 assert 0.0 <= summary["p_value_two_sample"] <= 1.0, summary

@@ -3,9 +3,10 @@
 One case per entry point, model and kind of mistake: an unknown model, a
 basis spec of the wrong kind, a shape that constrains another target than
 the model's coefficient, a mapping of shapes where a shape is due, for qfosr
-a shape where its mapping of extra shapes is due and a mapping with a shape
-that is not a curve's, an operation the entry point does not offer for the
-model, and fewer than 100 band or bootstrap draws. Each must raise
+a shape where its mapping of extra shapes is due, a mapping with a shape
+that is not a curve's and one with a block key that is not an integer, an
+operation the entry point does not offer for the model, and fewer than 100
+band or bootstrap draws. Each must raise
 ConfigError with the message of ``check_model``, of the operation's refusal
 or of the draw count. The data is None throughout, so every refusal must come
 before the data is touched. The entry points that serve a model it once
@@ -104,7 +105,8 @@ _OTHER_TARGET = {
 _SHAPE_MAPPING = {1: NON_INCREASING}
 # a shape the model takes, for the calls that need one
 _OWN_SHAPE = {"fofr": bivariate_monotone(), "qfosr": _SHAPE_MAPPING}
-# qfosr's mistakes of its own: a shape where the mapping is due, a mapping with a surface
+# qfosr's mistakes of its own: a shape where the mapping is due, a mapping with a
+# surface, a mapping whose block key is not an integer
 _MAPPING_MISTAKES = {
     "shape_for_mapping": (
         quantile_monotone(1), "for qfosr, shape must map coefficient blocks to extra shapes"
@@ -112,6 +114,8 @@ _MAPPING_MISTAKES = {
     "mapping_other_target": (
         {1: bivariate_monotone()}, "extra shape of block 1 must be univariate"
     ),
+    "mapping_float_key": ({1.7: NON_INCREASING}, "extra shape block 1.7 is not an integer"),
+    "mapping_bool_key": ({True: NON_INCREASING}, "extra shape block True is not an integer"),
 }
 # (entry point, model): the message of the operation's refusal
 _UNSUPPORTED = {

@@ -123,7 +123,7 @@ class TestRunBenchmark:
         table = run_benchmark(ScenarioSpec("A", n=50, seed=7, replications=20), mode="imse")
         s = table.summary()
         assert s["imse_constrained_mean"] < s["imse_unconstrained_mean"]
-        assert table.imse_constrained.size == 20
+        assert table.column("imse_constrained").size == 20
         assert s["p_value_paired"] < 0.05
 
     def test_rows_align_with_replications(self):
@@ -136,8 +136,18 @@ class TestRunBenchmark:
         spec = ScenarioSpec("A", n=50, seed=7, replications=8)
         serial = run_benchmark(spec, mode="imse", threads=1)
         threaded = run_benchmark(spec, mode="imse", threads=4)
-        assert serial.imse_constrained.tobytes() == threaded.imse_constrained.tobytes()
-        assert serial.imse_unconstrained.tobytes() == threaded.imse_unconstrained.tobytes()
+        for name in ("imse_constrained", "imse_unconstrained"):
+            assert serial.column(name).tobytes() == threaded.column(name).tobytes()
+
+    def test_identical_arms_give_paired_p_value_one(self):
+        # the nonnegativity constraint never binds here, so both arms are the same fit
+        table = run_benchmark(ScenarioSpec("A", n=100, seed=10, replications=2), mode="imse")
+        con, unc = table.column("imse_constrained"), table.column("imse_unconstrained")
+        assert con.tobytes() == unc.tobytes()
+        s = table.summary()
+        assert s["p_value_paired"] == 1.0
+        assert s["p_value_two_sample"] == 1.0
+        assert table.summary_row()["p_value_paired"] == 1.0
 
     def test_only_replication_failing_is_counted(self):
         # this sparse draw leaves a pooled grid point unobserved, a data error
