@@ -392,8 +392,9 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # each distinct warning once: a filter change during the run (importing
-    # scipy.optimize makes one) clears Python's once-per-location registry, so
-    # a repeated warning would print again; the caller's filters stay in force
+    # scipy.special at the first benchmark summary makes one) clears Python's
+    # once-per-location registry, so a repeated warning would print again; the
+    # caller's filters stay in force
     shown = set()
     show = warnings.showwarning
 

@@ -2,21 +2,20 @@
 
 The solver is a dual method: the problem is reduced through the Cholesky
 factor of the Gram matrix to a least-distance program, whose dual is a
-nonnegative least-squares problem solved by SciPy's compiled Lawson-Hanson
-NNLS. Constraint multipliers fall out of the dual solution, so KKT
+nonnegative least-squares problem (Lawson and Hanson, Solving Least Squares
+Problems, ch. 23). ``_nnls`` solves a whole stack of those duals at once by
+Lawson and Hanson's active-set algorithm in NumPy, with Householder-QR
+subproblems. Constraint multipliers fall out of the dual solution, so KKT
 certificates come for free. Everything is deterministic: the same inputs give
-the same bits.
+the same bits, and a row's bits do not depend on the block it came in.
 
 ``ClsqSolver.solve_many`` solves a block of right-hand sides against one
 factorization, as the band's draws and the bootstrap's resamples need: every
 unconstrained minimizer first, one product to find the infeasible ones, and
-the dual only for those. ``solve`` is its one-row case with the full
+one stacked dual solve for those. ``solve`` is its one-row case with the full
 certificate.
 
-Only ``scipy.linalg`` is imported with the module. ``scipy.optimize`` takes
-about a quarter of a second to import and many solves never reach the dual
-(an unconstrained fit, or a feasible unconstrained minimizer), so ``_nnls``
-imports it at the first dual solve.
+The module imports numpy and ``scipy.linalg`` only.
 """
 
 from __future__ import annotations
@@ -60,40 +59,224 @@ class QpSolution:
     iterations: int
 
 
-def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> np.ndarray:
-    """min ||e x - f|| subject to x >= 0, by SciPy's Lawson-Hanson NNLS."""
-    from scipy.optimize import nnls
+def _lsq(cols: np.ndarray, rows: np.ndarray, passive: np.ndarray, entering=None, test=True) -> tuple:
+    """Least squares of f on the passive columns of each of the problems ``rows``,
+    and on the column ``entering[i]`` after them when given; ``cols[j]`` holds
+    problem j's columns as rows, f last, and ``passive`` the rows' passive sets.
 
-    try:
-        return nnls(e, f, maxiter=max_iter)[0]
-    except (RuntimeError, ValueError) as exc:  # iteration limit, or non-finite input
-        raise NumericalError(f"nonnegative least squares failed: {exc}") from None
+    Problems whose column sets have one size share one stacked Householder QR
+    of [e_P f], which gives R and Q'f together, and one stacked solve. With
+    ``test``, each column is tested for independence from the ones before it
+    by LH's rule: its diagonal must not be lost against the norm of its part
+    in their span. A dependent column is left out of the solve. Returns the
+    coefficients scattered into full-width rows, the residuals f - e_P z, and
+    whether the entering column (without one, every column) is independent.
+    """
+    m = cols.shape[2]
+    z = np.zeros(passive.shape)
+    resid = cols[rows, -1]  # f, the residual of no columns
+    independent = np.ones(rows.size, dtype=bool)
+    sizes = passive.sum(axis=1) + (entering is not None)
+    for size in np.unique(sizes) if sizes.size > 1 else sizes:
+        group = (sizes == size).nonzero()[0]
+        if size == 0 or size > m:  # no columns, or too many to be independent
+            independent[group] = size == 0
+            continue
+        idx = np.full((group.size, size + 1), -1)
+        idx[:, : size - (entering is not None)] = passive[group].nonzero()[1].reshape(group.size, -1)
+        if entering is not None:
+            idx[:, size - 1] = entering[group]
+        a = cols[rows[group, None], idx]
+        r = np.linalg.qr(a.transpose(0, 2, 1), mode="r")
+        if test:
+            # R is upper triangular: a column's squares above its diagonal are
+            # its column sum of squares less the diagonal's
+            sq = r[:, :size, :size] ** 2
+            diag2 = np.diagonal(sq, axis1=1, axis2=2)
+            unorm = np.sqrt(np.maximum(sq.sum(axis=1) - diag2, 0.0))
+            dependent = (unorm + 0.01 * np.sqrt(diag2)) - unorm <= 0.0
+            if dependent.any():
+                at = dependent.nonzero()
+                r[at[0], at[1], at[1]] = 1.0
+                r[at[0], at[1], size] = 0.0
+                dependent = dependent[:, -1] if entering is not None else dependent.any(axis=1)
+                independent[group] = ~dependent
+        try:
+            z_g = np.linalg.solve(r[:, :size, :size], r[:, :size, size:]).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:  # an exactly zero diagonal in a passive set
+            raise NumericalError("nonnegative least squares failed: singular subproblem") from None
+        z[group[:, None], idx[:, :size]] = z_g[:, 0]
+        resid[group] = a[:, size] - (z_g @ a[:, :size])[:, 0]
+    return z, resid, independent
 
 
-def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Least distance program: min ||u|| subject to g @ u >= h.
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=1))
 
-    Returns the minimizer, the constraint multipliers, and the number of
-    positive dual variables. The minimizer is None when roundoff in a
+
+def _rounding(abs_cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The scale of the rounding in each problem's computed residual f - e x,
+    eps || |f| + |e| |x| ||, where ``abs_cols`` holds |e| and |f| as ``_nnls``'s
+    ``cols`` holds e and f. The worst case is (n + 1) times larger; this
+    typical scale still grows with the coefficients, which is what tells a
+    step on nearly dependent columns from a step that lowers the residual by
+    little."""
+    n = x.shape[1]
+    size = abs_cols[:, n] + (np.abs(x)[:, None, :] @ abs_cols[:, :n])[:, 0]
+    return np.finfo(float).eps * _norms(size)
+
+
+def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """min ||e[j] x - f[j]|| subject to x >= 0 for every problem j of a (k, m, n) stack.
+
+    Lawson and Hanson's active-set algorithm (Solving Least Squares Problems,
+    ch. 23) with every problem advancing in lockstep, as in Van Benthem and
+    Keenan's FC-NNLS (J. Chemometrics 18, 2004). The start, like theirs, is
+    the positive part of a least-squares solution, here on the columns of
+    positive dual value at x = 0 (for a least-distance dual, the violated
+    rows). Each step then moves into every unfinished problem's passive set
+    the column of largest positive dual value e_j'r that is independent of
+    the passive columns and gets a positive coefficient, and steps back
+    toward the last iterate until every passive coefficient is positive; a
+    problem with no such column is solved. Each least-squares subproblem is
+    solved afresh by Householder QR, for all problems with the same
+    passive-set size at once; every LAPACK call sees one problem, so a
+    problem's bits do not depend on the stack it came in. The residual norms
+    are those of the computed iterates, whose coefficients can be far from
+    exact on nearly dependent columns. Returns the (k, n) solutions and their
+    (k, m) residuals f - e x. Raises NumericalError on non-finite input and
+    when a problem needs more than ``max_iter`` subproblem solves.
+    """
+    k, m, n = e.shape
+    if n == 0:  # no columns (a polish with no active rows): x is empty
+        return np.zeros((k, 0)), np.array(f, dtype=float)
+    # the unfinished problems, compacted whenever some finish: their ids, columns
+    # as rows (f last) and their absolute values, iterates, residuals, passive
+    # sets and subproblem counts
+    ids = np.arange(k)
+    cols = np.concatenate([e, f[:, :, None]], axis=2).transpose(0, 2, 1).copy()
+    if not np.isfinite(cols).all():
+        raise NumericalError("nonnegative least squares failed: non-finite input")
+    abs_cols = np.abs(cols)
+    out, out_resid = np.zeros((k, n)), np.empty((k, m))
+    guess = (cols[:, :n] @ f[:, :, None])[..., 0] > 0.0
+    z, resid, independent = _lsq(cols, ids, guess)
+    # a start that does not lower the residual beyond its rounding came from
+    # nearly dependent columns, and the problem starts at 0 instead
+    usable = independent & (_norms(resid) + _rounding(abs_cols, z) < _norms(f))
+    passive = guess & usable[:, None] & (z > 0.0)
+    x = np.where(passive, z, 0.0)
+    solves = np.ones(k, dtype=int)
+    rows = (passive != guess).any(axis=1).nonzero()[0]  # the others are solved by z
+    if rows.size:
+        z[rows], resid[rows], _ = _lsq(cols, rows, passive[rows], test=False)
+        solves[rows] += 1
+    _check_solves(solves, max_iter)
+    rows, last = ids, None
+    while True:
+        # step back toward the last iterate until every passive coefficient is positive
+        while rows.size:
+            low = passive[rows] & (z <= 0.0)
+            stepped = low.any(axis=1)
+            if not stepped.any():
+                x[rows] = z
+                break
+            x[rows[~stepped]] = z[~stepped]
+            rows, z, low = rows[stepped], z[stepped], low[stepped]
+            xr = x[rows]
+            ratio = np.full(low.shape, np.inf)
+            ratio[low] = xr[low] / (xr[low] - z[low])
+            xr += ratio.min(axis=1)[:, None] * (z - xr)
+            xr[np.arange(rows.size), ratio.argmin(axis=1)] = 0.0
+            keep = passive[rows] & (xr > 0.0)
+            passive[rows] = keep
+            x[rows] = np.where(keep, xr, 0.0)
+            z, resid[rows], _ = _lsq(cols, rows, keep, test=False)
+            solves[rows] += 1
+            _check_solves(solves, max_iter)
+        rnorm = _norms(resid)
+        stalled = False
+        if last is not None:  # the start is not a step
+            # every step lowers the residual in exact arithmetic; one that does
+            # not lower it beyond its rounding followed rounding noise (a dual
+            # value of 0 computed as positive, as at the zero residual of an
+            # infeasible least-distance program, or a column dependent on the
+            # passive ones to rounding), and the problem ends at its last iterate
+            stalled = rnorm + _rounding(abs_cols, x) >= last[2]
+            if stalled.any():
+                x[stalled], resid[stalled], rnorm[stalled] = (v[stalled] for v in last)
+        dual = (cols[:, :n] @ resid[:, :, None])[..., 0]
+        dual[passive] = 0.0
+        best = dual.argmax(axis=1)
+        done = stalled | (dual[np.arange(ids.size), best] <= 0.0)
+        if done.all():
+            out[ids], out_resid[ids] = x, resid
+            return out, out_resid
+        if done.any():
+            out[ids[done]], out_resid[ids[done]] = x[done], resid[done]
+            going = (~done).nonzero()[0]
+            ids, cols, abs_cols, x, resid = (v[going] for v in (ids, cols, abs_cols, x, resid))
+            rnorm, passive, solves, dual, best = (v[going] for v in (rnorm, passive, solves, dual, best))
+        last = x.copy(), resid.copy(), rnorm
+        # candidates in order of dual value, until one enters or none is left
+        z = np.zeros(x.shape)
+        todo = np.arange(ids.size)
+        entered = np.zeros(ids.size, dtype=bool)
+        while True:
+            z_t, r_t, independent = _lsq(cols, todo, passive[todo], best)
+            solves[todo] += 1
+            _check_solves(solves, max_iter)
+            ok = independent & (z_t[np.arange(todo.size), best] > 0.0)
+            passive[todo[ok], best[ok]] = True
+            entered[todo[ok]] = True
+            z[todo[ok]], resid[todo[ok]] = z_t[ok], r_t[ok]
+            todo, best = todo[~ok], best[~ok]
+            dual[todo, best] = 0.0
+            best = dual[todo].argmax(axis=1)
+            todo, best = todo[dual[todo, best] > 0.0], best[dual[todo, best] > 0.0]
+            if not todo.size:
+                break
+        # a problem where no candidate entered keeps its residual, so the descent
+        # rule ends it
+        rows = entered.nonzero()[0]
+        z = z[rows]
+
+
+def _check_solves(solves: np.ndarray, max_iter: int) -> None:
+    if solves.max() > max_iter:
+        raise NumericalError(
+            f"nonnegative least squares failed: more than {max_iter} subproblems"
+        )
+
+
+def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least distance programs: min ||u|| subject to g @ u >= h[j], for each row j of ``h``.
+
+    All the duals are solved in one ``_nnls`` call. Returns the (k, p)
+    minimizers, the (k, m) constraint multipliers, and the number of positive
+    dual variables of each program. A minimizer row is NaN when roundoff in a
     degenerate dual leaves a residual that cannot be mapped back (at an exact
     NNLS solution r[-1] = -||r||^2 < 0). Raises InfeasibleError when the
-    polyhedron is (numerically) empty and NumericalError when the dual does not
+    polyhedron is (numerically) empty and NumericalError when a dual does not
     converge.
     """
-    p = g.shape[1]
-    e = np.vstack([g.T, h])
-    f = np.zeros(p + 1)
-    f[-1] = 1.0
-    x = _nnls(e, f, max_iter)
-    r = e @ x - f
-    rnorm2 = float(r @ r)
-    if rnorm2 <= _ZERO_RESIDUAL2:
+    k, p = h.shape[0], g.shape[1]
+    e = np.empty((k, p + 1, g.shape[0]))
+    e[:, :p] = g.T
+    e[:, p] = h
+    f = np.zeros((k, p + 1))
+    f[:, p] = 1.0
+    x, r = _nnls(e, f, max_iter)
+    r = -r  # e x - f
+    rnorm2 = (r * r).sum(axis=1)
+    empty = rnorm2 <= _ZERO_RESIDUAL2
+    if empty.any():
         raise InfeasibleError(
             "constraint system is infeasible (or its solution exceeds 1e10 in norm)",
-            certificate=np.flatnonzero(x > 0),
+            certificate=np.flatnonzero(x[empty.argmax()] > 0),
         )
-    u = -r[:p] / r[-1] if r[-1] < 0.0 else None
-    return u, x / rnorm2, int(np.count_nonzero(x))
+    u = np.divide(-r[:, :p], r[:, p:], out=np.full((k, p), np.nan), where=r[:, p:] < 0.0)
+    return u, x / rnorm2[:, None], (x > 0.0).sum(axis=1)
 
 
 class ClsqSolver:
@@ -131,11 +314,8 @@ class ClsqSolver:
             self._scale = 1.0 + float(np.abs(constraints.b).max())
             a_ext = np.vstack([constraints.a, -constraints.a[eq]])
             b_ext = np.concatenate([constraints.b, -constraints.b[eq]])
-            # ext row -> (original row, sign); equality rows appear with both signs
-            self._row_map = np.concatenate([np.arange(constraints.n_rows), np.flatnonzero(eq)])
-            self._row_sign = np.concatenate(
-                [np.ones(constraints.n_rows), -np.ones(int(eq.sum()))]
-            )
+            # the equality rows, which the extended rows hold with both signs
+            self._eq_rows = np.flatnonzero(eq)
             self._a_ext = a_ext
             self._b_ext = b_ext
             self._g_ext = self._tri_solve(a_ext.T, 1).T
@@ -192,10 +372,11 @@ class ClsqSolver:
         return (beta @ self._a_ext.T - self._b_ext).min(axis=-1)
 
     def _fold_multipliers(self, lam_ext: np.ndarray) -> np.ndarray:
+        """Multipliers of the original rows from those of the extended rows (last axis)."""
         if not self._has_equality:  # the extended rows are the original rows
             return lam_ext
-        mult = np.zeros(self.constraints.n_rows)
-        np.add.at(mult, self._row_map, self._row_sign * lam_ext)
+        mult = lam_ext[..., : self.constraints.n_rows].copy()
+        mult[..., self._eq_rows] -= lam_ext[..., self.constraints.n_rows :]
         return mult
 
     def _polish(self, lam_ext: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -224,7 +405,7 @@ class ClsqSolver:
         if self._slack(beta) < -FEASIBILITY_TOL * self._scale:
             return None
         lam_full = np.zeros(self._a_ext.shape[0])
-        lam_full[act] = _nnls(a_act.T, gram_r @ beta - rhs, self.max_iter)
+        lam_full[act] = _nnls(a_act.T[None], (gram_r @ beta - rhs)[None], self.max_iter)[0][0]
         return beta, lam_full
 
     def _dual(self, rows, beta, w, rhs, mult, iters) -> np.ndarray:
@@ -232,45 +413,45 @@ class ClsqSolver:
         are infeasible; fills their rows of ``beta``, ``mult`` and ``iters`` and
         returns their KKT residuals.
 
-        Each row's least-distance dual is solved and mapped back; the mapped-back
-        points are then certified together, and only a row that misses the
-        feasibility or the KKT tolerance is polished.
+        The rows' least-distance duals are solved together and mapped back; the
+        mapped-back points are then certified together, and only a row that
+        misses the feasibility or the KKT tolerance is polished.
         """
-        lam_ext = []
-        for j in rows:
-            u, lam, iters[j] = _ldp(self._g_ext, self._b_ext - self._g_ext @ w[j], self.max_iter)
-            lam_ext.append(lam)
-            mult[j] = self._fold_multipliers(lam)
-            # a dual with no point to map back leaves NaN, which fails both checks
-            beta[j] = np.nan if u is None else self._tri_solve(u + w[j], 0)
-        beta_rows, rhs_rows = beta[rows], rhs[rows]
-        kkt = self._kkt(beta_rows, mult[rows], rhs_rows)
+        w_rows, rhs_rows = w[rows], rhs[rows]
+        # h_j = b - G w_j as one matrix-vector product per row, like a single solve's
+        h = self._b_ext - (self._g_ext @ w_rows[:, :, None])[..., 0]
+        u, lam_ext, iters[rows] = _ldp(self._g_ext, h, self.max_iter)
+        mult_rows = self._fold_multipliers(lam_ext)
+        # a dual with no point to map back leaves NaN, which fails both checks; one
+        # trtrs call per row, as in _unconstrained
+        beta_rows = np.array([self._tri_solve(v, 0) for v in u + w_rows])
+        kkt = self._kkt(beta_rows, mult_rows, rhs_rows)
         feasible = self._slack(beta_rows) >= -FEASIBILITY_TOL * self._scale
         tol_kkt = FEASIBILITY_TOL * (1.0 + np.abs(rhs_rows).max(axis=1))
         # an ill-conditioned factor or a degenerate dual can leave the mapped-back
         # LDP point outside the polyhedron, or leave none; the KKT re-solve on the
         # dual's active rows restores it
         for i in (~feasible | (kkt > tol_kkt)).nonzero()[0]:
-            j = rows[i]
-            polished = self._polish(lam_ext[i], rhs[j])
+            polished = self._polish(lam_ext[i], rhs_rows[i])
             if polished is not None:
                 beta_p, lam_p = polished
                 mult_p = self._fold_multipliers(lam_p)
-                kkt_p = self._kkt(beta_p, mult_p, rhs[j])
+                kkt_p = self._kkt(beta_p, mult_p, rhs_rows[i])
                 if not feasible[i] or kkt_p < kkt[i]:
-                    beta[j], mult[j], kkt[i] = beta_p, mult_p, kkt_p
+                    beta_rows[i], mult_rows[i], kkt[i] = beta_p, mult_p, kkt_p
                     feasible[i] = self._slack(beta_p) >= -FEASIBILITY_TOL * self._scale
             if not feasible[i]:
                 raise NumericalError(
                     "constrained solve violates its constraints by more than "
                     f"{FEASIBILITY_TOL:.1e}",
-                    last_iterate=None if np.isnan(beta[j]).any() else beta[j].copy(),
+                    last_iterate=None if np.isnan(beta_rows[i]).any() else beta_rows[i].copy(),
                 )
             if kkt[i] > tol_kkt[i] * 100.0:
                 raise NumericalError(
                     f"constrained solve left a KKT residual of {kkt[i]:.3e}",
-                    last_iterate=beta[j].copy(),
+                    last_iterate=beta_rows[i].copy(),
                 )
+        beta[rows], mult[rows] = beta_rows, mult_rows
         return kkt
 
     def _solve_rows(self, rhs: np.ndarray) -> tuple:
@@ -287,8 +468,10 @@ class ClsqSolver:
         iters = np.zeros(k, dtype=int)
         kkt = None
         if self._a_ext is not None:
-            rows = (self._slack(beta) < 0.0).nonzero()[0]
-            if rows.size:
+            infeasible = self._slack(beta) < 0.0
+            if infeasible.any():
+                # every row (as in any one solve) is a slice, which copies nothing
+                rows = slice(None) if infeasible.all() else infeasible.nonzero()[0]
                 kkt = self._dual(rows, beta, w, rhs, mult, iters)
         return beta, mult, iters, kkt
 

@@ -18,9 +18,9 @@ execution order.
 a failure when it fails on its own data); ``MetricTable`` keeps the records,
 which the CLI writes as ``.reps.csv``, and summarizes them by mode.
 
-``scipy.stats`` is imported inside ``MetricTable.summary``, the one place that
-uses it (its two t-tests): importing it takes about half a second, which
-every CLI call would otherwise pay.
+The summary's paired and Welch t-tests are computed with NumPy; their
+p-values come from ``scipy.special.stdtr``, imported at the first summary,
+so a bare import loads neither it nor ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -180,6 +180,32 @@ def imse(beta_hat, beta_true) -> float:
     return float(np.trapezoid(diff**2, t))
 
 
+def _t_pvalue(t: float, df: float) -> float:
+    """Two-sided p-value of Student's t statistic ``t`` on ``df`` degrees of freedom."""
+    from scipy.special import stdtr
+
+    return float(2.0 * stdtr(df, -abs(t)))
+
+
+def _paired_t_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """p-value of the paired t-test of a against b (``scipy.stats.ttest_rel``)."""
+    d = a - b
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero spread gives t = ±inf or nan
+        t = d.mean() / np.sqrt(d.var(ddof=1) / d.size)
+    return _t_pvalue(t, d.size - 1)
+
+
+def _welch_t_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """p-value of Welch's unequal-variance t-test (``scipy.stats.ttest_ind``,
+    ``equal_var=False``)."""
+    vn1, vn2 = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn1 + vn2) ** 2 / (vn1**2 / (a.size - 1) + vn2**2 / (b.size - 1))
+        t = (a.mean() - b.mean()) / np.sqrt(vn1 + vn2)
+    # zero variances leave df undefined, and then t is ±inf or nan for any df
+    return _t_pvalue(t, 1.0 if np.isnan(df) else df)
+
+
 @dataclass
 class MetricTable:
     """One record per replication that ran, with paper-style summaries.
@@ -225,13 +251,10 @@ class MetricTable:
             if con.mean() > 0:
                 out["efficiency_ratio"] = float(unc.mean() / con.mean())
             if con.size > 1:
-                from scipy import stats
-
-                paired = 1.0 if np.array_equal(con, unc) else stats.ttest_rel(con, unc).pvalue
-                out["p_value_paired"] = float(paired)
+                paired = 1.0 if np.array_equal(con, unc) else _paired_t_pvalue(con, unc)
+                out["p_value_paired"] = paired
                 # unpaired comparison, reported for comparability with two-sample summaries
-                welch = stats.ttest_ind(con, unc, equal_var=False)
-                out["p_value_two_sample"] = float(welch.pvalue)
+                out["p_value_two_sample"] = _welch_t_pvalue(con, unc)
         elif self.mode == "coverage":
             out["coverage_mean"] = float(self.column("coverage").mean())
             out["width_mean"] = float(self.column("width").mean())

@@ -230,7 +230,7 @@ EXPECTED = {
     "simulate-A": "da051c9099a26638",
     "simulate-B": "db84c7414b14171a",
     "test-flcm": "c794b58847255fae",
-    "test-fofr": "8b9d3cdf76ed3c30",
+    "test-fofr": "a983b26ad00f7f36",
     "test-fosr": "30d83af4fd507fbc",
     "test-sofr": "62aee61a8449cb04",
 }

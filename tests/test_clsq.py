@@ -260,7 +260,9 @@ def test_iteration_limit_is_a_numerical_error():
     y = z @ np.array([3.0, 2.0, 1.0, 0.0, -1.0, -2.0])
     solver = ClsqSolver(z.T @ z, build_constraints(NON_DECREASING, BasisSpec(5)))
     assert solver.solve(z.T @ y, y @ y).iterations > 1
-    solver.max_iter = 1
+    # every row is violated, so the dual's start (its violated rows) solves it in
+    # one subproblem; a limit of 0 subproblems is below what it needs
+    solver.max_iter = 0
     with pytest.raises(NumericalError, match="nonnegative least squares"):
         solver.solve(z.T @ y, y @ y)
 

@@ -146,7 +146,7 @@ EXPECTED = {
     "fit-qfosr": "2e1ec19381735534",
     "fit-sofr": "a163700008bc90e3",
     "test-flcm": "602a4c08732ec705",
-    "test-fofr": "9d1c3bd34bc57a23",
+    "test-fofr": "ebb55ca4d883338b",
     "test-sofr": "813ce15ba46f8c9c",
 }
 

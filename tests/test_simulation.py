@@ -1,7 +1,10 @@
 """Tests for scenario generation and benchmark metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from bernfit import (
     CONVEX,
@@ -14,7 +17,7 @@ from bernfit import (
     imse,
     run_benchmark,
 )
-from bernfit.simulation import orthonormal_polynomials
+from bernfit.simulation import MetricTable, orthonormal_polynomials
 
 
 class TestOrthonormalPolynomials:
@@ -215,3 +218,35 @@ class TestRunBenchmark:
     def test_test_mode_requires_null(self):
         with pytest.raises(ConfigError):
             run_benchmark(ScenarioSpec("A", n=50, seed=7, replications=2), mode="test")
+
+
+_RNG = np.random.default_rng(20)
+T_TEST_ARMS = {
+    "n=2": ([1.0, 2.5], [1.5, 2.0]),
+    "n=20": (_RNG.gamma(2.0, size=20), _RNG.gamma(2.0, size=20)),
+    "equal arms": ([1.0, 2.0, 3.5], [1.0, 2.0, 3.5]),
+    "constant difference": ([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]),
+    "zero variance": ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]),
+    "zero variance, equal arms": ([1.0, 1.0], [1.0, 1.0]),
+    "one arm of zero variance": ([1.0, 1.0, 1.0], [2.0, 3.0, 2.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(T_TEST_ARMS))
+def test_summary_t_tests_match_scipy_stats(case):
+    con, unc = (np.asarray(arm, dtype=float) for arm in T_TEST_ARMS[case])
+    with warnings.catch_warnings():  # SciPy warns of the degenerate cases
+        warnings.simplefilter("ignore")
+        paired = stats.ttest_rel(con, unc).pvalue
+        welch = stats.ttest_ind(con, unc, equal_var=False).pvalue
+    records = [
+        {"replication": rep, "imse_constrained": c, "imse_unconstrained": u}
+        for rep, (c, u) in enumerate(zip(con, unc))
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = MetricTable(scenario="B", n=10, mode="imse", records=records).summary()
+    # all-equal arms: the paired t statistic is 0/0 and the summary reports 1.0
+    paired = 1.0 if np.array_equal(con, unc) else paired
+    np.testing.assert_allclose(s["p_value_paired"], paired, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(s["p_value_two_sample"], welch, rtol=1e-12, atol=0.0)

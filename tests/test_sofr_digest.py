@@ -79,8 +79,8 @@ def digests() -> dict[str, str]:
 
 
 EXPECTED = {
-    "ci-completed-z": "e6683da2ec9317fb",
-    "ci-non_negative": "e089590b0e461ca2",
+    "ci-completed-z": "2f3b8fcf27a56475",
+    "ci-non_negative": "7dc6a924eb1056a9",
     "ci-plain": "86421af22852a92c",
     "design-completed": "a23475169b97d069",
     "design-completed-z": "937cd1097f4b5b69",
