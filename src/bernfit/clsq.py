@@ -76,9 +76,12 @@ def _lsq(cols: np.ndarray, rows: np.ndarray, passive: np.ndarray, entering=None,
     z = np.zeros(passive.shape)
     resid = cols[rows, -1]  # f, the residual of no columns
     independent = np.ones(rows.size, dtype=bool)
-    sizes = passive.sum(axis=1) + (entering is not None)
-    for size in np.unique(sizes) if sizes.size > 1 else sizes:
-        group = (sizes == size).nonzero()[0]
+    sizes = passive.sum(axis=1)
+    if entering is not None:
+        sizes += 1
+    one = sizes.size == 1  # one problem: one group, and no grouping work
+    for size in sizes if one else np.unique(sizes):
+        group = _FIRST if one else (sizes == size).nonzero()[0]
         if size == 0 or size > m:  # no columns, or too many to be independent
             independent[group] = size == 0
             continue
@@ -92,9 +95,9 @@ def _lsq(cols: np.ndarray, rows: np.ndarray, passive: np.ndarray, entering=None,
             # R is upper triangular: a column's squares above its diagonal are
             # its column sum of squares less the diagonal's
             sq = r[:, :size, :size] ** 2
-            diag2 = np.diagonal(sq, axis1=1, axis2=2)
+            diag2 = sq.diagonal(0, 1, 2)
             unorm = np.sqrt(np.maximum(sq.sum(axis=1) - diag2, 0.0))
-            dependent = (unorm + 0.01 * np.sqrt(diag2)) - unorm <= 0.0
+            dependent = unorm + 0.01 * np.sqrt(diag2) == unorm
             if dependent.any():
                 at = dependent.nonzero()
                 r[at[0], at[1], at[1]] = 1.0
@@ -110,6 +113,11 @@ def _lsq(cols: np.ndarray, rows: np.ndarray, passive: np.ndarray, entering=None,
     return z, resid, independent
 
 
+_FIRST = np.zeros(1, dtype=np.intp)  # the index of a one-problem group
+_FIRST.setflags(write=False)
+_EPS = np.finfo(float).eps
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=1))
 
@@ -123,7 +131,7 @@ def _rounding(abs_cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     little."""
     n = x.shape[1]
     size = abs_cols[:, n] + (np.abs(x)[:, None, :] @ abs_cols[:, :n])[:, 0]
-    return np.finfo(float).eps * _norms(size)
+    return _EPS * _norms(size)
 
 
 def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,30 +159,35 @@ def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.n
     if n == 0:  # no columns (a polish with no active rows): x is empty
         return np.zeros((k, 0)), np.array(f, dtype=float)
     # the unfinished problems, compacted whenever some finish: their ids, columns
-    # as rows (f last) and their absolute values, iterates, residuals, passive
-    # sets and subproblem counts
+    # as rows (f last) and their absolute values, iterates, residuals and their
+    # norms, passive sets and subproblem counts
     ids = np.arange(k)
-    cols = np.concatenate([e, f[:, :, None]], axis=2).transpose(0, 2, 1).copy()
+    cols = np.empty((k, n + 1, m))
+    cols[:, :n] = e.transpose(0, 2, 1)
+    cols[:, n] = f
     if not np.isfinite(cols).all():
         raise NumericalError("nonnegative least squares failed: non-finite input")
     abs_cols = np.abs(cols)
-    out, out_resid = np.zeros((k, n)), np.empty((k, m))
     guess = (cols[:, :n] @ f[:, :, None])[..., 0] > 0.0
     z, resid, independent = _lsq(cols, ids, guess)
+    rnorm = _norms(resid)
     # a start that does not lower the residual beyond its rounding came from
     # nearly dependent columns, and the problem starts at 0 instead
-    usable = independent & (_norms(resid) + _rounding(abs_cols, z) < _norms(f))
+    usable = independent & (rnorm + _rounding(abs_cols, z) < _norms(f))
     passive = guess & usable[:, None] & (z > 0.0)
     x = np.where(passive, z, 0.0)
     solves = np.ones(k, dtype=int)
-    rows = (passive != guess).any(axis=1).nonzero()[0]  # the others are solved by z
+    # the problems whose start dropped columns are solved again; z solves the others
+    rows = (passive != guess).any(axis=1).nonzero()[0]
     if rows.size:
-        z[rows], resid[rows], _ = _lsq(cols, rows, passive[rows], test=False)
+        z, resid[rows], _ = _lsq(cols, rows, passive[rows], test=False)
         solves[rows] += 1
     _check_solves(solves, max_iter)
-    rows, last = ids, None
+    last = None
     while True:
-        # step back toward the last iterate until every passive coefficient is positive
+        # the rows whose residual moved: step back toward the last iterate until
+        # every passive coefficient is positive
+        moved = rows
         while rows.size:
             low = passive[rows] & (z <= 0.0)
             stepped = low.any(axis=1)
@@ -194,7 +207,8 @@ def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.n
             z, resid[rows], _ = _lsq(cols, rows, keep, test=False)
             solves[rows] += 1
             _check_solves(solves, max_iter)
-        rnorm = _norms(resid)
+        if moved.size:
+            rnorm[moved] = _norms(resid[moved])
         stalled = False
         if last is not None:  # the start is not a step
             # every step lowers the residual in exact arithmetic; one that does
@@ -210,14 +224,18 @@ def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.n
         best = dual.argmax(axis=1)
         done = stalled | (dual[np.arange(ids.size), best] <= 0.0)
         if done.all():
+            if ids.size == k:  # nothing finished before
+                return x, resid
             out[ids], out_resid[ids] = x, resid
             return out, out_resid
         if done.any():
+            if ids.size == k:
+                out, out_resid = np.zeros((k, n)), np.empty((k, m))
             out[ids[done]], out_resid[ids[done]] = x[done], resid[done]
             going = (~done).nonzero()[0]
             ids, cols, abs_cols, x, resid = (v[going] for v in (ids, cols, abs_cols, x, resid))
             rnorm, passive, solves, dual, best = (v[going] for v in (rnorm, passive, solves, dual, best))
-        last = x.copy(), resid.copy(), rnorm
+        last = x.copy(), resid.copy(), rnorm.copy()
         # candidates in order of dual value, until one enters or none is left
         z = np.zeros(x.shape)
         todo = np.arange(ids.size)
@@ -227,6 +245,11 @@ def _nnls(e: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.n
             solves[todo] += 1
             _check_solves(solves, max_iter)
             ok = independent & (z_t[np.arange(todo.size), best] > 0.0)
+            if ok.all():  # the common case, without the bookkeeping of the rest
+                passive[todo, best] = True
+                entered[todo] = True
+                z[todo], resid[todo] = z_t, r_t
+                break
             passive[todo[ok], best[ok]] = True
             entered[todo[ok]] = True
             z[todo[ok]], resid[todo[ok]] = z_t[ok], r_t[ok]
@@ -255,10 +278,10 @@ def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.nd
     All the duals are solved in one ``_nnls`` call. Returns the (k, p)
     minimizers, the (k, m) constraint multipliers, and the number of positive
     dual variables of each program. A minimizer row is NaN when roundoff in a
-    degenerate dual leaves a residual that cannot be mapped back (at an exact
-    NNLS solution r[-1] = -||r||^2 < 0). Raises InfeasibleError when the
-    polyhedron is (numerically) empty and NumericalError when a dual does not
-    converge.
+    degenerate dual leaves a residual r = f - e x that cannot be mapped back
+    (at an exact NNLS solution r[-1] = ||r||^2 > 0). Raises InfeasibleError
+    when the polyhedron is (numerically) empty and NumericalError when a dual
+    does not converge.
     """
     k, p = h.shape[0], g.shape[1]
     e = np.empty((k, p + 1, g.shape[0]))
@@ -266,8 +289,7 @@ def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.nd
     e[:, p] = h
     f = np.zeros((k, p + 1))
     f[:, p] = 1.0
-    x, r = _nnls(e, f, max_iter)
-    r = -r  # e x - f
+    x, r = _nnls(e, f, max_iter)  # r = f - e x
     rnorm2 = (r * r).sum(axis=1)
     empty = rnorm2 <= _ZERO_RESIDUAL2
     if empty.any():
@@ -275,7 +297,7 @@ def _ldp(g: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.nd
             "constraint system is infeasible (or its solution exceeds 1e10 in norm)",
             certificate=np.flatnonzero(x[empty.argmax()] > 0),
         )
-    u = np.divide(-r[:, :p], r[:, p:], out=np.full((k, p), np.nan), where=r[:, p:] < 0.0)
+    u = np.divide(r[:, :p], -r[:, p:], out=np.full((k, p), np.nan), where=r[:, p:] > 0.0)
     return u, x / rnorm2[:, None], (x > 0.0).sum(axis=1)
 
 
@@ -468,10 +490,8 @@ class ClsqSolver:
         iters = np.zeros(k, dtype=int)
         kkt = None
         if self._a_ext is not None:
-            infeasible = self._slack(beta) < 0.0
-            if infeasible.any():
-                # every row (as in any one solve) is a slice, which copies nothing
-                rows = slice(None) if infeasible.all() else infeasible.nonzero()[0]
+            rows = (self._slack(beta) < 0.0).nonzero()[0]
+            if rows.size:
                 kkt = self._dual(rows, beta, w, rhs, mult, iters)
         return beta, mult, iters, kkt
 

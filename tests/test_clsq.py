@@ -257,12 +257,14 @@ def test_tight_problems_solve_cleanly():
 def test_iteration_limit_is_a_numerical_error():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(30, 6))
-    y = z @ np.array([3.0, 2.0, 1.0, 0.0, -1.0, -2.0])
+    # a zigzag under a monotone shape: the dual's start (its violated rows)
+    # does not settle it, and it needs three subproblems, so a limit of two
+    # is hit inside the iteration
+    y = z @ np.array([5.0, 0.0, 4.0, 1.0, 3.0, 2.0])
     solver = ClsqSolver(z.T @ z, build_constraints(NON_DECREASING, BasisSpec(5)))
+    solver.max_iter = 3
     assert solver.solve(z.T @ y, y @ y).iterations > 1
-    # every row is violated, so the dual's start (its violated rows) solves it in
-    # one subproblem; a limit of 0 subproblems is below what it needs
-    solver.max_iter = 0
+    solver.max_iter = 2
     with pytest.raises(NumericalError, match="nonnegative least squares"):
         solver.solve(z.T @ y, y @ y)
 

@@ -174,15 +174,34 @@ def test_non_finite_input_is_a_numerical_error(bad):
         clsq._nnls(e, f, 1000)
 
 
-def test_iteration_cap_is_a_numerical_error():
-    # the start solves some problems in one subproblem, so a limit of 0 is
-    # below what any problem with a positive coefficient needs
-    rng = np.random.default_rng(3)
-    e, f = random_stack(rng, 20, 10, 6)
-    x = clsq._nnls(e, f, 1000)[0]
-    assert np.count_nonzero(x, axis=1).max() > 1
-    with pytest.raises(NumericalError, match="nonnegative least squares"):
-        clsq._nnls(e, f, 0)
+def test_iteration_cap_is_a_numerical_error(monkeypatch):
+    lsq, calls = clsq._lsq, []
+    monkeypatch.setattr(clsq, "_lsq", lambda *args, **kw: calls.append(1) or lsq(*args, **kw))
+
+    def subproblems(e, f):
+        # one problem: one subproblem per least-squares call; the cap is tight
+        calls.clear()
+        clsq._nnls(e, f, 1000)
+        need = len(calls)
+        clsq._nnls(e, f, need)
+        with pytest.raises(NumericalError, match=f"more than {need - 1} subproblems"):
+            clsq._nnls(e, f, need - 1)
+        return need
+
+    # more columns than rows: the start settles none of these problems, so a
+    # cap one below what a problem solves is hit inside the iteration, at a
+    # step back (problem 0, whose last subproblem is one) or at a candidate's
+    # entry (problem 1)
+    e, f = random_stack(np.random.default_rng(5), 30, 8, 20)
+    need = [subproblems(e[j : j + 1], f[j : j + 1]) for j in range(4)]
+    assert min(need) > 3
+    # the cap is per problem: a stack needs what its neediest problem needs
+    clsq._nnls(e[:4], f[:4], max(need))
+    with pytest.raises(NumericalError, match=f"more than {max(need) - 1} subproblems"):
+        clsq._nnls(e[:4], f[:4], max(need) - 1)
+    # problems the start settles, in its one solve and with its re-solve
+    e, f = random_stack(np.random.default_rng(5), 30, 12, 12)
+    assert [subproblems(e[j : j + 1], f[j : j + 1]) for j in (0, 4)] == [1, 2]
 
 
 def test_degenerate_fofr_dual_matches_scipy_in_beta_and_certificate(monkeypatch):
