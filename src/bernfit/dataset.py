@@ -18,8 +18,10 @@ All files go through one row reader (``_read_rows``), and the wide file and
 the companion read their subject columns through one subject-table reader
 (``_read_subjects``): subject ids are unique, every ``y``, ``x`` and
 ``z_<name>`` cell must be numeric (an empty one is an error, not a missing
-value) and any other column is ignored. In the long layout each (id, t)
-pair is unique. Errors name the file's real line.
+value) and any other column is ignored. Every number, times included, must be
+finite: a ``nan`` or ``inf`` cell is an error, and only an empty curve cell
+marks an unobserved point. In the long layout each (id, t) pair is unique.
+Errors name the file's real line.
 
 The writer refuses a layout that would drop a field: the wide layout holds
 one curve block beside the scalar fields, the long layout the curves only.
@@ -28,6 +30,7 @@ one curve block beside the scalar fields, the long layout the curves only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,8 @@ class FunctionalDataset:
     """Per-subject curves and scalars on a shared grid.
 
     Exactly which fields are required depends on the model being fit; the
-    assemblers validate presence and raise DataError otherwise.
+    assemblers validate presence and raise DataError otherwise. Scalars must be
+    finite; a curve may hold NaN (an unobserved point) but not an infinity.
     """
 
     grid: Grid
@@ -63,6 +67,7 @@ class FunctionalDataset:
                 arr = np.asarray(arr, dtype=float)
                 if arr.shape != (n, m):
                     raise DataError(f"{name} must have shape ({n}, {m}), got {arr.shape}")
+                self._refuse(name, np.isinf(arr), "an infinite value")  # NaN is unobserved
                 setattr(self, name, arr)
         for name in ("y_scalar", "x_scalar"):
             arr = getattr(self, name)
@@ -70,16 +75,24 @@ class FunctionalDataset:
                 arr = np.asarray(arr, dtype=float).ravel()
                 if arr.size != n:
                     raise DataError(f"{name} must have one value per subject")
+                self._refuse(name, ~np.isfinite(arr), "a non-finite value")
                 setattr(self, name, arr)
         if self.z_scalars is not None:
             z = np.atleast_2d(np.asarray(self.z_scalars, dtype=float))
             if z.shape[0] != n:
                 raise DataError("z_scalars must have one row per subject")
+            self._refuse("z_scalars", ~np.isfinite(z), "a non-finite value")
             self.z_scalars = z
             if not self.z_names:
                 self.z_names = [f"z{j}" for j in range(z.shape[1])]
             if len(self.z_names) != z.shape[1]:
                 raise DataError("z_names must name each column of z_scalars")
+
+    def _refuse(self, name: str, bad: np.ndarray, what: str) -> None:
+        """DataError naming ``name`` and the first subject with a ``bad`` entry."""
+        rows = np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1))
+        if rows.size:
+            raise DataError(f"subject {self.ids[rows[0]]}: {name} holds {what}")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -127,22 +140,18 @@ class FunctionalDataset:
 
 def _parse_float(cell: str, where: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(f"non-numeric value {cell!r} at {where}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {cell!r} at {where}")
+    return value
 
 
 def _parse_optional(cell: str, where: str) -> float:
     """A cell that may be empty: NaN marks an unobserved value."""
     cell = cell.strip()
     return _parse_float(cell, where) if cell else np.nan
-
-
-def _parse_time(cell: str, where: str) -> float:
-    t = _parse_float(cell, where)
-    if not np.isfinite(t):
-        raise DataError(f"non-finite time {cell!r} at {where}")
-    return t
 
 
 def read_dataset(path, fmt: str = "wide_csv", scalars_path=None) -> FunctionalDataset:
@@ -210,7 +219,7 @@ def _read_wide(path) -> FunctionalDataset:
     t_cols = [(j, name) for j, name in enumerate(header) if name.startswith("t=")]
     if not t_cols:
         raise DataError(f"{path}: no 't=<value>' columns found")
-    times = [_parse_time(name[2:], f"header column {j + 1}") for j, name in t_cols]
+    times = [_parse_float(name[2:], f"{path} header column {j + 1}") for j, name in t_cols]
     order = np.argsort(times)
     times_sorted = np.asarray(times, dtype=float)[order]
     if np.unique(times_sorted).size != times_sorted.size:
@@ -237,7 +246,7 @@ def _read_long(path, scalars_path) -> FunctionalDataset:
     for line, row in rows:
         where = f"{path}:{line}"
         cells = dict(zip(header, row))
-        t = _parse_time(cells["t"], where)
+        t = _parse_float(cells["t"], where)
         x, y = (_parse_optional(cells.get(name, ""), where) for name in ("x", "y_t"))
         records.append((cells["id"].strip(), t, x, y, line))
     if not records:

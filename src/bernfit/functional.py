@@ -5,7 +5,8 @@ one row kron([1, x], b(t)) per observed (subject, point) pair, with x = x_i
 (FOSR), x_i(t) (FLCM), the integrals of x_i against the s-basis (FOFR, where
 b is the t-basis) or qfosr's scalar predictors min-max rescaled to [0, 1]. SOFR
 is FOFR's row on one point with b = 1, its scalar confounders beside the
-intercept.
+intercept. ``build_design`` and ``FunctionalFit.predict`` take x and b from one
+covariate map, so a prediction is its design row times the coefficients.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
@@ -334,43 +335,20 @@ class FunctionalFit:
             return bs @ self.beta1_coefs.reshape(self.spec.order + 1, -1) @ bt.T
         mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.spec)
         if MODELS[self.model].target == "stack":
-            return np.array([mat @ block for block in self._blocks()])
+            return np.array([mat @ block for block in self.beta1_coefs.reshape(-1, mat.shape[1])])
         return mat @ self.beta1_coefs
 
-    def _blocks(self) -> np.ndarray:
-        return self.beta1_coefs.reshape(-1, self.spec.n_coefs)
-
     def predict(self, data: FunctionalDataset) -> np.ndarray:
-        """What the model responds with on ``data``: one value per subject (sofr),
-        otherwise one curve per subject on the dataset's grid (subjects x grid)."""
-        row = MODELS[self.model]
-        _require_covariate(data, self.model)
-        pts = data.grid.points
-        if row.covariate == "scalars":
-            if data.n_z != len(self.rescale):
-                raise DataError("prediction data must carry the training predictors")
-            lo, hi = self.rescale.T
-            x = (data.z_scalars - lo) / (hi - lo)
-            if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
-                warnings.warn(
-                    "predictors outside the training range; monotonicity is only "
-                    "guaranteed on the training hypercube"
-                )
-            blocks = self._blocks()
-            return (blocks[0] + x @ blocks[1:]) @ eval_basis_matrix(pts, self.spec).T
-        if row.response == "scalar":
-            alpha, gamma = self.beta0_coefs[0], self.beta0_coefs[1:]
-            if gamma.size and data.n_z != gamma.size:
-                raise DataError("prediction data is missing the scalar covariates used in training")
-            out = alpha + sofr_design(data.x_curves, data.grid, self.spec) @ self.beta1_coefs
-            return out + data.z_scalars @ gamma if gamma.size else out
-        beta0 = self.beta0_fn(pts)
-        if row.covariate == "integrated":
-            w = sofr_design(data.x_curves, data.grid, self.spec.spec_s)
-            coefs = self.beta1_coefs.reshape(self.spec.order + 1, -1)
-            return beta0[None, :] + w @ coefs @ eval_basis_matrix(pts, self.spec.spec_t).T
-        x = data.x_scalar[:, None] if row.covariate == "scalar" else data.x_curves
-        return beta0[None, :] + x * self.beta1_fn(pts)[None, :]
+        """What the model responds with on ``data``, its design's rows times the
+        coefficients: one value per subject (sofr), otherwise one curve per subject on
+        the dataset's grid (subjects x grid). ``data`` has the training covariates."""
+        coefs = np.concatenate([self.beta0_coefs, self.beta1_coefs])
+        x, basis, _ = _regressors(data, self.model, self.spec, self.rescale, coefs.size)
+        curves = coefs.reshape(-1, basis.shape[1]) @ basis.T
+        # x is per subject, or per subject and point (flcm)
+        slope = x @ curves[1:] if x.ndim == 2 else np.einsum("ijq,qj->ij", x, curves[1:])
+        out = curves[0] + slope
+        return out[:, 0] if MODELS[self.model].response == "scalar" else out
 
 
 def build_design(
@@ -387,52 +365,35 @@ def build_design(
     """
     row = MODELS[model]
     if row.response == "scalar":
-        _require_covariate(data, model)
+        x, basis0, rescale = _regressors(data, model, spec)
         if data.y_scalar is None:
             raise DataError("scalar-on-function regression needs a scalar response")
-        spec0, points, y = BasisSpec(0, spec.domain), spec.domain[:1], data.y_scalar[:, None]
+        y = data.y_scalar[:, None]
         mask = np.ones(y.shape, dtype=bool)
     else:
         if data.y_curves is None:
             raise DataError(f"model {model!r} needs functional responses")
-        spec0, points, y = getattr(spec, "spec_t", spec), data.grid.points, data.y_curves
-        mask = data.observed_mask("y")
+        y, mask = data.y_curves, data.observed_mask("y")
         _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
-        _require_covariate(data, model)
-    rescale = None
-    if row.covariate == "scalar":
-        x = data.x_scalar[:, None]
-    elif row.covariate == "scalars":
-        if data.n_z < 1:
-            raise DataError("quantile regression needs at least one scalar predictor")
-        lo, hi = data.z_scalars.min(axis=0), data.z_scalars.max(axis=0)
-        constant = np.flatnonzero(hi <= lo)
-        if constant.size:
-            raise DataError(f"predictor {data.z_names[constant[0]]!r} is constant; drop it")
-        x, rescale = (data.z_scalars - lo) / (hi - lo), np.column_stack([lo, hi])
-    elif row.covariate == "concurrent":
+        x, basis0, rescale = _regressors(data, model, spec)
+    if row.covariate == "concurrent":
         unobserved = (mask & ~np.isfinite(data.x_curves)).any(axis=1)
         _first_bad(data, unobserved, "covariate unobserved at response points; "
                    "complete the curves first")
-        x = data.x_curves[:, :, None]
-    else:  # integrated over the whole domain
-        incomplete = ~np.isfinite(data.x_curves).all(axis=1)
-        _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
-                   "complete the curves first")
-        x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
     if row.response == "quantile":
         _refuse_decreasing(data, mask)
     n_z = data.n_z if row.response == "scalar" else 0
-    if n_z:
-        x = np.hstack([data.z_scalars, x])
-    n_free = 0 if row.target == "stack" else (1 + n_z) * spec0.n_coefs
-    basis0 = eval_basis_matrix(points, spec0)
+    n_free = 0 if row.target == "stack" else (1 + n_z) * basis0.shape[1]
     return StackedDesign.assemble(x, basis0, mask, y, n_free, rescale)
 
 
-def _require_covariate(data: FunctionalDataset, model: str) -> None:
-    """Refuse ``data`` without ``model``'s scalar or functional covariate, alike
-    for fitting and prediction."""
+def _regressors(data: FunctionalDataset, model: str, spec, rescale=None, n_coefs=None):
+    """``model``'s covariate map: x of the rows kron([1, x], b(t)), per subject or
+    per subject and point (flcm), sofr's confounders first; the basis b at the
+    response's points; qfosr's (lo, hi) per predictor (its own, or ``rescale`` as
+    given, warning of values outside it), else None. With a fit's ``n_coefs``, x
+    must give each row that many coefficients.
+    """
     row = MODELS[model]
     if row.covariate == "scalar" and data.x_scalar is None:
         raise DataError(f"{model} needs a scalar predictor per subject")
@@ -440,6 +401,44 @@ def _require_covariate(data: FunctionalDataset, model: str) -> None:
         if row.response == "scalar":
             raise DataError("scalar-on-function regression needs functional covariates")
         raise DataError(f"{model} needs a functional covariate")
+    if row.covariate == "scalar":
+        x = data.x_scalar[:, None]
+    elif row.covariate == "scalars":
+        if data.n_z < 1:
+            raise DataError("quantile regression needs at least one scalar predictor")
+        x = data.z_scalars
+        if rescale is None:
+            lo, hi = x.min(axis=0), x.max(axis=0)
+            constant = np.flatnonzero(hi <= lo)
+            if constant.size:
+                raise DataError(f"predictor {data.z_names[constant[0]]!r} is constant; drop it")
+            rescale = np.column_stack([lo, hi])
+    elif row.covariate == "concurrent":
+        x = data.x_curves[:, :, None]
+    else:  # integrated over the whole domain
+        incomplete = ~np.isfinite(data.x_curves).all(axis=1)
+        _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
+                   "complete the curves first")
+        x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
+    if row.response == "scalar":
+        x = np.hstack([data.z_scalars, x]) if data.n_z else x
+        spec0, points = BasisSpec(0, spec.domain), spec.domain[:1]
+    else:
+        spec0, points = getattr(spec, "spec_t", spec), data.grid.points
+    basis = eval_basis_matrix(points, spec0)
+    if n_coefs is not None and (x.shape[-1] + 1) * basis.shape[1] != n_coefs:
+        expected = data.n_z + n_coefs // basis.shape[1] - 1 - x.shape[-1]
+        raise DataError(f"prediction data needs {expected} scalar covariates, as in "
+                        f"training; it has {data.n_z}")
+    if row.covariate == "scalars":
+        lo, hi = rescale.T
+        x = (x - lo) / (hi - lo)
+        if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
+            warnings.warn(
+                "predictors outside the training range; monotonicity is only "
+                "guaranteed on the training hypercube"
+            )
+    return x, basis, rescale
 
 
 def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:

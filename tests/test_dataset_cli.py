@@ -207,6 +207,55 @@ class TestReadScalars:
             assert data.z_names == ["age"] and data.z_scalars.tolist() == [[1.0], [2.0]]
 
 
+class TestNonFinite:
+    """Only an empty curve cell marks an unobserved point; a number that is not
+    finite is refused where it stands, in a file or in a dataset."""
+
+    @pytest.mark.parametrize(
+        "fmt, text, token, line",
+        [
+            ("wide_csv", "id,y,t=0.0,t=1.0\na,1,0,1\nb,inf,1,2\n", "inf", 3),
+            ("wide_csv", "id,z_a,t=0.0,t=1.0\na,nan,0,1\nb,2,1,2\n", "nan", 2),
+            ("wide_csv", "id,y,t=0.0,t=1.0\na,1,0,1\nb,2,-inf,2\n", "-inf", 3),
+            ("wide_csv", "id,y,t=0.0,t=1.0\na,1,NaN,1\nb,2,1,2\n", "NaN", 2),
+            ("long_csv", "id,t,x,y_t\na,0,1,1\na,1,1,inf\nb,0,1,1\n", "inf", 3),
+            ("long_csv", "id,t,x\na,0,1\na,nan,1\n", "nan", 3),
+        ],
+    )
+    def test_file_cell(self, tmp_path, fmt, text, token, line):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^non-finite value '{token}' at .*data.csv:{line}"):
+            read_dataset(path, fmt)
+
+    def test_header_time(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,y,t=0.0,t=inf\na,1,0,1\n")
+        with pytest.raises(DataError, match="^non-finite value 'inf' at .*data.csv header column 4"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "name, value, what",
+        [
+            ("y_scalar", [1.0, np.inf], "a non-finite value"),
+            ("x_scalar", [np.nan, 1.0], "a non-finite value"),
+            ("z_scalars", [[1.0, 2.0], [3.0, -np.inf]], "a non-finite value"),
+            ("x_curves", [[0.0, 1.0], [np.nan, -np.inf]], "an infinite value"),
+            ("y_curves", [[0.0, np.inf], [1.0, 1.0]], "an infinite value"),
+        ],
+    )
+    def test_dataset_field(self, name, value, what):
+        first = "b" if np.isfinite(np.asarray(value)[0]).all() else "a"
+        with pytest.raises(DataError, match=f"^subject {first}: {name} holds {what}$"):
+            FunctionalDataset(grid=Grid([0.0, 1.0]), ids=["a", "b"], **{name: value})
+
+    def test_nan_in_a_curve_is_unobserved(self):
+        curves = [[0.0, np.nan], [np.nan, 1.0]]
+        data = FunctionalDataset(grid=Grid([0.0, 1.0]), ids=["a", "b"], x_curves=curves,
+                                 y_curves=curves)
+        assert data.observed_mask("x").tolist() == [[True, False], [False, True]]
+
+
 def _write_sofr_data(tmp_path, n=40, seed=0, feasible=True):
     data = generate_scenario(ScenarioSpec("A", n=n, seed=seed), 0)
     path = tmp_path / "a.csv"
@@ -610,8 +659,19 @@ _FLCM_DATA = "id,t,x,y_t\n" + "".join(
 _SOFR_LONG_DATA = "id,t,x\n" + "".join(
     f"s{i},{t},{(i * 7 + j * 3) % 5 / 4}\n" for i in range(6) for j, t in enumerate((0.0, 0.5, 1.0))
 )
+# a sofr dataset in the wide layout
+_SOFR_DATA = "id,y,t=0.0,t=0.5,t=1.0\n" + "".join(
+    f"s{i},{i % 5 / 2},{i % 3},{(i * 7) % 5 / 4},{i % 2}\n" for i in range(12)
+)
 _NON_INCREASING = {"kind": "non_increasing"}
 _QUANTILE = {"kind": "quantile_monotone", "n_predictors": 1}
+
+
+def _with_cell(text: str, line: int, column: int, value: str) -> bytes:
+    """``text`` with the cell at 0-based ``line`` and ``column`` set to ``value``."""
+    rows = [row.split(",") for row in text.splitlines()]
+    rows[line][column] = value
+    return "".join(",".join(row) + "\n" for row in rows).encode()
 
 # (subcommand, config object or raw config bytes, raw data bytes or None for valid data);
 # a (long-layout data bytes, companion scalar bytes or None) pair is read as long_csv
@@ -769,6 +829,11 @@ _MALFORMED_INPUTS = {
     "data-one-point-grid-outside-unit": (
         "fit-flcm", {"order": 3}, (b"id,t,x,y_t\ns1,5.0,1.0,2.0\ns2,5.0,1.5,2.5\n", None)
     ),
+    # a non-finite number is bad data at its line: these exited 3 (the sofr fit's output,
+    # qfosr's eigensolver) or 0 (the flcm fit dropped the point as unobserved)
+    "data-wide-y-inf": ("fit-sofr", {"order": 1}, _with_cell(_SOFR_DATA, 4, 1, "inf")),
+    "data-wide-z-nan": ("fit-qfosr", {"order": 3}, _with_cell(_QFOSR_DATA, 6, 1, "nan")),
+    "data-long-y_t-inf": ("fit-flcm", {"order": 3}, (_with_cell(_FLCM_DATA, 13, 3, "inf"), None)),
 }
 
 

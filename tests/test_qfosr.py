@@ -176,11 +176,15 @@ class TestPredictQfosr:
         assert np.all(np.diff(preds, axis=1) >= -1e-9)
 
     def test_missing_predictors_rejected(self):
-        data = quantile_dataset(seed=11)
+        # no predictors is the fit's own data error; too few is the covariate count's
+        data = quantile_dataset(seed=11, n_z=2)
         fit = fit_functional(data, "qfosr", BasisSpec(3))
         bare = FunctionalDataset(grid=data.grid, ids=data.ids, y_curves=data.y_curves)
-        with pytest.raises(DataError, match="must carry the training predictors"):
+        with pytest.raises(DataError, match="^quantile regression needs at least one scalar"):
             fit.predict(bare)
+        one = FunctionalDataset(grid=data.grid, ids=data.ids, z_scalars=data.z_scalars[:, :1])
+        with pytest.raises(DataError, match="^prediction data needs 2 scalar covariates"):
+            fit.predict(one)
 
 
 def _per_subject_drops(y):
