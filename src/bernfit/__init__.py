@@ -4,8 +4,6 @@ from .basis import (
     BasisSpec,
     Grid,
     TensorBasisSpec,
-    derivative_coeffs,
-    eval_basis,
     eval_basis_matrix,
     fofr_design,
     sofr_design,
@@ -62,9 +60,7 @@ __all__ = [
     "BasisSpec",
     "Grid",
     "TensorBasisSpec",
-    "eval_basis",
     "eval_basis_matrix",
-    "derivative_coeffs",
     "sofr_design",
     "fofr_design",
     "ShapeSpec",

@@ -109,29 +109,11 @@ def _bernstein_matrix(u: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def eval_basis(t: float, spec: BasisSpec) -> np.ndarray:
-    """Vector (b_0(t), ..., b_N(t)) for a single point ``t`` in the domain."""
-    u = map_to_unit(t, spec.domain)
-    return _bernstein_matrix(np.atleast_1d(u), spec.order)[0]
-
-
 def eval_basis_matrix(grid, spec: BasisSpec) -> np.ndarray:
-    """Matrix with row j equal to ``eval_basis(t_j, spec)``."""
+    """Matrix with row j equal to (b_0(t_j), ..., b_N(t_j)) at the points of ``grid``."""
     pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     u = map_to_unit(pts, spec.domain)
     return _bernstein_matrix(u, spec.order)
-
-
-def derivative_coeffs(beta) -> np.ndarray:
-    """Coefficients of the derivative in the order-(N-1) basis.
-
-    For B(t) = sum_k beta_k b_k(t, N), the derivative is
-    B'(t) = N * sum_k (beta_{k+1} - beta_k) b_k(t, N-1).
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.size < 2:
-        raise ValueError("derivative needs a coefficient vector of length >= 2")
-    return (beta.size - 1) * np.diff(beta)
 
 
 def quadrature_weights(points: np.ndarray) -> np.ndarray:

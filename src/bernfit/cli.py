@@ -172,6 +172,7 @@ def _cmd_fit(args) -> dict:
     grid = _report_grid(spec.domain)
     fit = fit_functional(data, model, spec, shape, pve=config.pve, whiten_fit=config.whiten)
     slope = fit.beta1_coefs
+    report = "shape_report"
     if model == "sofr":
         payload = {
             "alpha": float(fit.beta0_coefs[0]),
@@ -184,6 +185,25 @@ def _cmd_fit(args) -> dict:
         band_rows = [
             {"t": t, "estimate": v} for t, v in zip(payload["grid"], payload["beta_values"])
         ]
+    elif MODELS[model].target == "stack":
+        intercept, *effects = fit.beta1_fn(grid).tolist()
+        blocks = dict(zip(data.z_names, effects))
+        payload = {
+            "coef_blocks": slope.reshape(len(effects) + 1, -1).tolist(),
+            "predictors": list(data.z_names),
+            "rescale": fit.rescale.tolist(),
+            "grid": grid.tolist(),
+            "intercept_values": intercept,
+            "effect_values": blocks,
+            "rss_raw": fit.rss_raw,
+            "rss_whitened": fit.rss_whitened,
+        }
+        band_rows = [{"p": p, "intercept": v} for p, v in zip(payload["grid"], intercept)]
+        for name, values in blocks.items():
+            for row, v in zip(band_rows, values):
+                row[name] = v
+        # the certificate covers the monotone rows of the stack
+        report, shape = "monotone_certificate", quantile_monotone(len(effects))
     else:
         payload = {
             "beta0_coefs": fit.beta0_coefs.tolist(),
@@ -209,38 +229,8 @@ def _cmd_fit(args) -> dict:
             band_rows = [{"t": t, "beta0": b0, "beta1": b1} for t, b0, b1 in zip(*columns)]
     # the fields every fit writes; the JSON is written with sorted keys
     payload.update(model=model, seed=config.seed, order=spec.order, ridge=fit.ridge_used)
-    payload["shape_report"] = _shape_report(slope, shape, spec)
+    payload[report] = _shape_report(slope, shape, spec)
     return {"payload": payload, "rows": band_rows}
-
-
-def _cmd_fit_qfosr(args) -> dict:
-    config, model, data, spec, shape = _setup(args)
-    fit = fit_functional(data, model, spec, shape, pve=config.pve, whiten_fit=config.whiten)
-    grid = _report_grid(spec.domain)
-    intercept, *effects = fit.beta1_fn(grid).tolist()
-    blocks = dict(zip(data.z_names, effects))
-    payload = {
-        "model": model,
-        "order": spec.order,
-        "seed": config.seed,
-        "coef_blocks": fit.beta1_coefs.reshape(len(effects) + 1, -1).tolist(),
-        "predictors": list(data.z_names),
-        "rescale": fit.rescale.tolist(),
-        "grid": grid.tolist(),
-        "intercept_values": intercept,
-        "effect_values": blocks,
-        "rss_raw": fit.rss_raw,
-        "rss_whitened": fit.rss_whitened,
-        "ridge": fit.ridge_used,
-        "monotone_certificate": _shape_report(
-            fit.beta1_coefs, quantile_monotone(len(effects)), spec
-        ),
-    }
-    rows = [{"p": p, "intercept": v} for p, v in zip(payload["grid"], intercept)]
-    for name, values in blocks.items():
-        for row, v in zip(rows, values):
-            row[name] = v
-    return {"payload": payload, "rows": rows}
 
 
 def _cmd_test_shape(args) -> dict:
@@ -335,7 +325,6 @@ def _cmd_bench(args) -> dict:
 
 _COMMANDS = {
     **dict.fromkeys(_FIT_MODELS, _cmd_fit),
-    "fit-qfosr": _cmd_fit_qfosr,
     "test-shape": _cmd_test_shape,
     "ci": _cmd_ci,
     "cv-order": _cmd_cv_order,
@@ -351,11 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_data=True):
-        if with_data:
-            p.add_argument("--data", help="input dataset file")
-            p.add_argument("--format", default="wide_csv", choices=["wide_csv", "long_csv"])
-            p.add_argument("--scalars", help="companion scalar CSV for long format")
+    def add_common(p):
+        p.add_argument("--data", help="input dataset file")
+        p.add_argument("--format", default="wide_csv", choices=["wide_csv", "long_csv"])
+        p.add_argument("--scalars", help="companion scalar CSV for long format")
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output JSON path")

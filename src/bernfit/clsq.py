@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .constraints import ConstraintSystem
+from .constraints import FEASIBILITY_TOL, ConstraintSystem
 from .errors import InfeasibleError, NumericalError
-
-FEASIBILITY_TOL = 1e-8
 
 # The per-solve systems are 2 to ~60 columns wide, where the argument checks of
 # scipy.linalg.solve_triangular cost more than the LAPACK work itself, so the

@@ -20,6 +20,10 @@ import numpy as np
 from .basis import BasisSpec, TensorBasisSpec
 from .errors import ConfigError, config_cast
 
+# how far a coefficient vector may violate a constraint row and still count as
+# feasible: absolute in ``check_shape``, times 1 + max|b| in the solver
+FEASIBILITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class _Kind:
@@ -269,11 +273,6 @@ class ConstraintSystem:
         resid = beta @ self.a.T - self.b
         return np.where(self.equality, np.abs(resid), -resid)
 
-    def worst_violation(self, beta: np.ndarray) -> float:
-        if self.n_rows == 0:
-            return 0.0
-        return float(max(0.0, self.violations(beta).max()))
-
     @staticmethod
     def vstack(systems: list["ConstraintSystem"]) -> "ConstraintSystem":
         systems = [s for s in systems if s.n_rows > 0]
@@ -382,14 +381,14 @@ def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:
     return ConstraintSystem(a, np.zeros(a.shape[0]))
 
 
-def check_shape(beta, shape: ShapeSpec, spec, tol: float = 1e-8) -> ShapeReport:
+def check_shape(beta, shape: ShapeSpec, spec) -> ShapeReport:
     """Certify a coefficient vector against the shape's constraint system on ``spec``.
 
     Because the constraints are sufficient conditions on coefficients, a
     feasible report certifies the shape everywhere on the domain, not only
-    at evaluation points.
+    at evaluation points. A row counts as violated beyond ``FEASIBILITY_TOL``.
     """
     viol = build_constraints(shape, spec).violations(np.asarray(beta, dtype=float).ravel())
-    bad = np.flatnonzero(viol > tol)
+    bad = np.flatnonzero(viol > FEASIBILITY_TOL)
     worst = float(max(0.0, viol.max())) if viol.size else 0.0
     return ShapeReport(feasible=bad.size == 0, worst_violation=worst, violated_rows=bad)

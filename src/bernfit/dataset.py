@@ -67,7 +67,7 @@ class FunctionalDataset:
                 arr = np.asarray(arr, dtype=float)
                 if arr.shape != (n, m):
                     raise DataError(f"{name} must have shape ({n}, {m}), got {arr.shape}")
-                self._refuse(name, np.isinf(arr), "an infinite value")  # NaN is unobserved
+                self._refuse(np.isinf(arr), f"{name} holds an infinite value")  # NaN is unobserved
                 setattr(self, name, arr)
         for name in ("y_scalar", "x_scalar"):
             arr = getattr(self, name)
@@ -75,24 +75,25 @@ class FunctionalDataset:
                 arr = np.asarray(arr, dtype=float).ravel()
                 if arr.size != n:
                     raise DataError(f"{name} must have one value per subject")
-                self._refuse(name, ~np.isfinite(arr), "a non-finite value")
+                self._refuse(~np.isfinite(arr), f"{name} holds a non-finite value")
                 setattr(self, name, arr)
         if self.z_scalars is not None:
             z = np.atleast_2d(np.asarray(self.z_scalars, dtype=float))
             if z.shape[0] != n:
                 raise DataError("z_scalars must have one row per subject")
-            self._refuse("z_scalars", ~np.isfinite(z), "a non-finite value")
+            self._refuse(~np.isfinite(z), "z_scalars holds a non-finite value")
             self.z_scalars = z
             if not self.z_names:
                 self.z_names = [f"z{j}" for j in range(z.shape[1])]
             if len(self.z_names) != z.shape[1]:
                 raise DataError("z_names must name each column of z_scalars")
 
-    def _refuse(self, name: str, bad: np.ndarray, what: str) -> None:
-        """DataError naming ``name`` and the first subject with a ``bad`` entry."""
-        rows = np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1))
+    def _refuse(self, bad: np.ndarray, message: str) -> None:
+        """DataError with ``message``, naming the first subject with a ``bad`` entry
+        (``bad`` has one row, or one value, per subject)."""
+        rows = np.flatnonzero(bad.any(axis=tuple(range(1, bad.ndim))))
         if rows.size:
-            raise DataError(f"subject {self.ids[rows[0]]}: {name} holds {what}")
+            raise DataError(f"subject {self.ids[rows[0]]}: {message}")
 
     @property
     def domain(self) -> tuple[float, float]:

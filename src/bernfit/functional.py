@@ -68,9 +68,6 @@ class CovarianceModel:
         """sum_k lambda_k phi_k phi_k' on the grid, an index subset or a stack of subsets."""
         if idx is None:
             idx = np.arange(self.grid_points.size)
-        idx = np.asarray(idx)
-        if self.n_components == 0:
-            return np.zeros(idx.shape + idx.shape[-1:])
         phi = np.moveaxis(self.eigenfunctions[:, idx], 0, -2)
         base = (np.swapaxes(phi, -1, -2) * self.eigenvalues) @ phi
         return 0.5 * (base + np.swapaxes(base, -1, -2))  # exact symmetry
@@ -92,11 +89,6 @@ class CovarianceModel:
 
     def inverse_sqrt(self, idx=None) -> np.ndarray:
         """Symmetric inverse square root of ``matrix(idx)``, stacked like it."""
-        if self.n_components == 0:
-            m = self.grid_points.size if idx is None else np.shape(idx)[-1]
-            scale = float(self._floor(0.0, m))
-            eye = np.eye(m) / np.sqrt(scale)
-            return eye if idx is None else np.broadcast_to(eye, np.shape(idx) + (m,))
         evals, evecs = np.linalg.eigh(self.matrix(idx))
         return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
 
@@ -318,11 +310,11 @@ class FunctionalFit:
     rescale: np.ndarray | None = None
 
     def beta0_fn(self, t) -> np.ndarray:
-        """Intercept curve at points ``t`` (fosr, flcm and fofr, whose intercept
-        lives on the slope's t-basis)."""
-        spec0 = getattr(self.spec, "spec_t", self.spec)
-        mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), spec0)
-        return mat @ self.beta0_coefs
+        """Intercept at points ``t``: the first coefficient block on the response's
+        basis, so sofr's alpha as a constant and qfosr's intercept quantile curve."""
+        mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)),
+                                _response_spec(self.model, self.spec))
+        return mat @ np.concatenate([self.beta0_coefs, self.beta1_coefs])[: mat.shape[1]]
 
     def beta1_fn(self, t, s=None) -> np.ndarray:
         """Slope at points ``t``: surface values at (s, t) for fofr, and one row per
@@ -374,17 +366,25 @@ def build_design(
         if data.y_curves is None:
             raise DataError(f"model {model!r} needs functional responses")
         y, mask = data.y_curves, data.observed_mask("y")
-        _first_bad(data, mask.sum(axis=1) < 2, "fewer than 2 observed response points")
+        data._refuse(mask.sum(axis=1) < 2, "fewer than 2 observed response points")
         x, basis0, rescale = _regressors(data, model, spec)
     if row.covariate == "concurrent":
         unobserved = (mask & ~np.isfinite(data.x_curves)).any(axis=1)
-        _first_bad(data, unobserved, "covariate unobserved at response points; "
-                   "complete the curves first")
+        data._refuse(unobserved, "covariate unobserved at response points; "
+                     "complete the curves first")
     if row.response == "quantile":
         _refuse_decreasing(data, mask)
     n_z = data.n_z if row.response == "scalar" else 0
     n_free = 0 if row.target == "stack" else (1 + n_z) * basis0.shape[1]
     return StackedDesign.assemble(x, basis0, mask, y, n_free, rescale)
+
+
+def _response_spec(model: str, spec) -> BasisSpec:
+    """The basis b of the rows kron([1, x], b(t)): one constant for a scalar
+    response, else the slope's t-basis (fofr) or the slope's basis."""
+    if MODELS[model].response == "scalar":
+        return BasisSpec(0, spec.domain)
+    return getattr(spec, "spec_t", spec)
 
 
 def _regressors(data: FunctionalDataset, model: str, spec, rescale=None, n_coefs=None):
@@ -417,15 +417,15 @@ def _regressors(data: FunctionalDataset, model: str, spec, rescale=None, n_coefs
         x = data.x_curves[:, :, None]
     else:  # integrated over the whole domain
         incomplete = ~np.isfinite(data.x_curves).all(axis=1)
-        _first_bad(data, incomplete, f"{model} needs complete covariate curves; "
-                   "complete the curves first")
+        data._refuse(incomplete, f"{model} needs complete covariate curves; "
+                     "complete the curves first")
         x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
     if row.response == "scalar":
         x = np.hstack([data.z_scalars, x]) if data.n_z else x
-        spec0, points = BasisSpec(0, spec.domain), spec.domain[:1]
+        points = spec.domain[:1]
     else:
-        spec0, points = getattr(spec, "spec_t", spec), data.grid.points
-    basis = eval_basis_matrix(points, spec0)
+        points = data.grid.points
+    basis = eval_basis_matrix(points, _response_spec(model, spec))
     if n_coefs is not None and (x.shape[-1] + 1) * basis.shape[1] != n_coefs:
         expected = data.n_z + n_coefs // basis.shape[1] - 1 - x.shape[-1]
         raise DataError(f"prediction data needs {expected} scalar covariates, as in "
@@ -439,11 +439,6 @@ def _regressors(data: FunctionalDataset, model: str, spec, rescale=None, n_coefs
                 "guaranteed on the training hypercube"
             )
     return x, basis, rescale
-
-
-def _first_bad(data: FunctionalDataset, bad: np.ndarray, message: str) -> None:
-    if bad.any():
-        raise DataError(f"subject {data.ids[int(np.argmax(bad))]}: {message}")
 
 
 def _refuse_decreasing(data: FunctionalDataset, mask: np.ndarray) -> None:

@@ -85,6 +85,3 @@ def grid_search_projection_2d(
     values = np.einsum("ij,jk,ik->i", diffs, omega, diffs)
     return points[int(np.argmin(values))]
 
-
-def central_difference(fn, t: float, h: float = 1e-5) -> float:
-    return (fn(t + h) - fn(t - h)) / (2.0 * h)

@@ -4,31 +4,25 @@ import numpy as np
 import pytest
 
 from bernfit import BasisSpec, ConfigError, DataError, Grid, TensorBasisSpec
-from bernfit.basis import (
-    derivative_coeffs,
-    eval_basis,
-    eval_basis_matrix,
-    fofr_design,
-    sofr_design,
-)
+from bernfit.basis import eval_basis_matrix, fofr_design, sofr_design
 
-from helpers import bernstein_direct, central_difference
+from helpers import bernstein_direct
 
 
 class TestEvalBasis:
     def test_endpoint_left(self):
         spec = BasisSpec(3)
-        assert np.array_equal(eval_basis(0.0, spec), [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(eval_basis_matrix([0.0], spec)[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_endpoint_right(self):
         spec = BasisSpec(3)
-        assert np.array_equal(eval_basis(1.0, spec), [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(eval_basis_matrix([1.0], spec)[0], [0.0, 0.0, 0.0, 1.0])
 
     def test_midpoint_order_two(self):
-        assert np.allclose(eval_basis(0.5, BasisSpec(2)), [0.25, 0.5, 0.25])
+        assert np.allclose(eval_basis_matrix([0.5], BasisSpec(2))[0], [0.25, 0.5, 0.25])
 
     def test_matches_binomial_form(self):
-        vals = eval_basis(0.3, BasisSpec(7))
+        vals = eval_basis_matrix([0.3], BasisSpec(7))[0]
         assert vals[2] == pytest.approx(bernstein_direct(0.3, 2, 7), abs=1e-14)
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -46,11 +40,11 @@ class TestEvalBasis:
 
     def test_domain_mapping(self):
         spec = BasisSpec(2, domain=(2.0, 4.0))
-        assert np.allclose(eval_basis(3.0, spec), [0.25, 0.5, 0.25])
+        assert np.allclose(eval_basis_matrix([3.0], spec)[0], [0.25, 0.5, 0.25])
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DataError):
-            eval_basis(1.5, BasisSpec(2))
+            eval_basis_matrix([1.5], BasisSpec(2))
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
@@ -75,48 +69,6 @@ class TestBasisMatrix:
     def test_grid_validation(self):
         with pytest.raises(DataError):
             Grid(np.array([0.0, 0.5, 0.5]))
-
-
-class TestDerivativeCoeffs:
-    def test_constant_function(self):
-        assert np.array_equal(derivative_coeffs([3.0, 3.0, 3.0, 3.0]), [0.0, 0.0, 0.0])
-
-    def test_linear_function(self):
-        assert np.array_equal(derivative_coeffs([0.0, 1.0]), [1.0])
-
-    def test_quadratic_against_finite_difference(self):
-        beta = np.array([0.0, 1.0, 4.0])
-        gamma = derivative_coeffs(beta)
-        assert np.array_equal(gamma, [2.0, 6.0])
-        spec2 = BasisSpec(2)
-        spec1 = BasisSpec(1)
-
-        def curve(t):
-            return float(eval_basis(t, spec2) @ beta)
-
-        deriv_at_half = float(eval_basis(0.5, spec1) @ gamma)
-        assert deriv_at_half == pytest.approx(4.0, abs=1e-12)
-        assert deriv_at_half == pytest.approx(central_difference(curve, 0.5), abs=1e-6)
-
-    @pytest.mark.parametrize("order", [2, 5, 10])
-    def test_random_coefficients_match_finite_differences(self, order):
-        rng = np.random.default_rng(order)
-        beta = rng.normal(size=order + 1)
-        gamma = derivative_coeffs(beta)
-        spec = BasisSpec(order)
-        lower = BasisSpec(order - 1)
-
-        def curve(t):
-            return float(eval_basis(t, spec) @ beta)
-
-        for t in np.linspace(0.05, 0.95, 20):
-            expected = central_difference(curve, float(t))
-            got = float(eval_basis(float(t), lower) @ gamma)
-            assert got == pytest.approx(expected, abs=1e-5)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            derivative_coeffs([1.0])
 
 
 class TestSofrDesign:

@@ -231,7 +231,8 @@ def test_no_stalls_on_rank_deficient_or_infeasible_problems():
             if infeasible is None:
                 sol = solve(z, y, system)
                 assert sol.ridge > 0
-                assert system.worst_violation(sol.beta) <= 1e-8 * (1.0 + np.abs(system.b).max())
+                worst = system.violations(sol.beta).max(initial=0.0)
+                assert worst <= 1e-8 * (1.0 + np.abs(system.b).max())
             else:
                 with pytest.raises(InfeasibleError) as excinfo:
                     solve(z, y, system)
@@ -250,7 +251,8 @@ def test_tight_problems_solve_cleanly():
         n_ineq = int(rng.integers(1 - min(n_eq, 1), 9 - n_eq))
         z, y, system = small_problem(rng, p, n_eq, n_ineq, p, True, None)
         sol = solve(z, y, system)
-        assert system.worst_violation(sol.beta) <= 1e-8 * (1.0 + np.abs(system.b).max())
+        worst = system.violations(sol.beta).max(initial=0.0)
+        assert worst <= 1e-8 * (1.0 + np.abs(system.b).max())
         assert sol.kkt_residual <= 1e-8 * (1.0 + np.abs(z.T @ y).max())
 
 
@@ -411,4 +413,4 @@ class TestScaleRobustness:
 
         system = build_constraints(combination(NON_DECREASING, CONCAVE, NON_NEGATIVE), BasisSpec(order))
         sol = solve(z, y, system)
-        assert system.worst_violation(sol.beta) <= 1e-8
+        assert system.violations(sol.beta).max(initial=0.0) <= 1e-8

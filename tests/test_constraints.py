@@ -127,7 +127,7 @@ class TestBivariateMatrices:
         increments = rng.uniform(0, 1, size=(order + 1, order + 1))
         coefs = np.cumsum(np.cumsum(increments, axis=0), axis=1)
         system = build_constraints(bivariate_monotone(), tensor)
-        assert system.worst_violation(coefs.ravel()) == 0.0
+        assert system.violations(coefs.ravel()).max(initial=0.0) == 0.0
         pts = np.linspace(0, 1, 25)
         basis = eval_basis_matrix(pts, BasisSpec(order))
         surface = basis @ coefs @ basis.T
@@ -206,7 +206,7 @@ class TestCheckShape:
         accepted = 0
         while accepted < 10:
             beta = rng.normal(size=order + 1)
-            report = check_shape(beta, NON_NEGATIVE, spec=BasisSpec(order), tol=0.0)
+            report = check_shape(beta, NON_NEGATIVE, spec=BasisSpec(order))
             if np.all(beta >= 0):
                 assert report.feasible
                 accepted += 1
@@ -256,7 +256,7 @@ class TestQuantileMonotone:
 
     def test_zero_coefficients_feasible_with_equality(self):
         system = build_quantile_monotone(1, BasisSpec(1))
-        assert system.worst_violation(np.zeros(4)) == 0.0
+        assert system.violations(np.zeros(4)).max(initial=0.0) == 0.0
 
     def test_too_many_predictors_refused(self):
         with pytest.raises(ConfigError, match="prune"):
@@ -284,7 +284,7 @@ class TestQuantileMonotone:
             beta = np.concatenate(
                 [np.concatenate([[0.0], np.cumsum(g) / order]) for g in blocks]
             )
-            assert system.worst_violation(beta) <= 1e-12
+            assert system.violations(beta).max(initial=0.0) <= 1e-12
             vertices = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
             points = [tuple(rng.uniform(0, 1, 2)) for _ in range(100)]
             for x in vertices + points:

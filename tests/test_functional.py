@@ -231,6 +231,16 @@ class TestEstimateCovariance:
         mat = cov.matrix()
         assert np.allclose(mat, 1e-8 * np.eye(10))
 
+    @pytest.mark.parametrize("nugget", [0.0, 0.3, 2.5])
+    def test_zero_components_whiten_by_the_floor_alone(self, nugget):
+        m = 7
+        cov = CovarianceModel(np.linspace(0, 1, m), np.empty(0), np.empty((0, m)), nugget)
+        floor = nugget if nugget > 0 else 1e-8
+        idx = np.array([[0, 2, 5], [1, 3, 6], [0, 1, 2]])
+        expected = np.eye(3) / np.sqrt(floor)
+        assert np.array_equal(cov.inverse_sqrt(idx), np.broadcast_to(expected, (3, 3, 3)))
+        assert np.array_equal(cov.inverse_sqrt(), np.eye(m) / np.sqrt(floor))
+
     def test_eigenfunction_quadrature_orthonormality(self):
         rng = np.random.default_rng(2)
         n, m = 200, 25
@@ -361,7 +371,7 @@ class TestConstrainedGls:
     def test_shape_certificate(self):
         data, spec, _, _ = make_flcm_dataset(beta1=[0.5, 1.0, 1.5, 2.0], noise=0.4, seed=8)
         fit = fit_functional(data, "flcm", spec, NON_DECREASING)
-        report = check_shape(fit.beta1_coefs, NON_DECREASING, spec=spec, tol=1e-8)
+        report = check_shape(fit.beta1_coefs, NON_DECREASING, spec=spec)
         assert report.feasible
 
     def test_whitened_rss_ordering(self):
@@ -400,7 +410,7 @@ class TestConstrainedGls:
         )
         data = FunctionalDataset(grid=grid, ids=list(range(n)), x_curves=x, y_curves=y)
         fit = fit_functional(data, "fofr", tensor, bivariate_monotone())
-        report = check_shape(fit.beta1_coefs, bivariate_monotone(), spec=tensor, tol=1e-8)
+        report = check_shape(fit.beta1_coefs, bivariate_monotone(), spec=tensor)
         assert report.feasible
 
 

@@ -19,6 +19,7 @@ from bernfit import (
     ScenarioSpec,
     TensorBasisSpec,
     bivariate_monotone,
+    eval_basis_matrix,
     generate_scenario,
 )
 from bernfit.dataset import FunctionalDataset
@@ -63,6 +64,21 @@ def test_prediction_is_the_design_row_times_the_coefficients(name):
     rows = design.z @ np.concatenate([fit.beta0_coefs, fit.beta1_coefs])
     pred = fit.predict(data).reshape(data.n_subjects, -1)[design.subject, design.point]
     assert np.abs(pred - rows).max() <= 1e-12 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_intercept_is_the_first_coefficient_block_on_the_response_basis(name):
+    data, model, spec, shape = _CASES[name]
+    fit = fit_functional(data, model, spec, shape, whiten_fit=False)
+    t = np.linspace(*spec.domain, 7)
+    got = fit.beta0_fn(t)
+    if model == "sofr":  # one constant: alpha
+        expected = np.full(t.size, fit.beta0_coefs[0])
+    elif model == "qfosr":  # the intercept quantile curve, first of the stack
+        expected = fit.beta1_fn(t)[0]
+    else:
+        expected = eval_basis_matrix(t, getattr(spec, "spec_t", spec)) @ fit.beta0_coefs
+    assert np.array_equal(got, expected)
 
 
 # per case: prediction data with too many or too few scalar covariates, or without
