@@ -11,7 +11,8 @@ covariate map, so a prediction is its design row times the coefficients.
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
 PCA with a white-noise nugget. Step 2 pre-whitens each subject's rows with
-the inverse square root of that covariance and solves the constrained
+the inverse square root of that covariance (inside ``StackedDesign.gram_parts``,
+a bounded span of subjects at a time) and solves the constrained
 generalized least-squares problem, with the shape acting on the slope
 coefficient block only (on qfosr's whole stack). A one-point design has
 nothing to whiten.
@@ -42,6 +43,8 @@ _SCORE_RIDGE = 1e-8
 # a quantile response may decrease by this much between grid points (roundoff)
 # before it is refused; smaller drops only warn
 _MONOTONE_TOL = 1e-8
+# design values (rows x coefficients) that gram_parts whitens and sums at a time
+_SPAN_VALUES = 2**20
 
 
 @dataclass
@@ -216,6 +219,9 @@ class StackedDesign:
     rest. In a dense design every subject has a row at every grid point.
     ``rescale`` holds the (lo, hi) of each scalar covariate that the rows
     rescale to [0, 1] (qfosr's predictors), one row per covariate.
+    ``cov``, attached by ``whitened``, is the covariance whose inverse square
+    root ``gram_parts`` whitens each subject's rows with; ``z`` and ``y`` stay
+    raw, so no whitened copy of the design is ever stored.
     """
 
     z: np.ndarray
@@ -226,6 +232,7 @@ class StackedDesign:
     n_points: int
     n_free: int
     rescale: np.ndarray | None = None
+    cov: CovarianceModel | None = None
 
     @classmethod
     def assemble(cls, x, basis, mask, responses, n_free: int, rescale=None) -> "StackedDesign":
@@ -266,24 +273,54 @@ class StackedDesign:
         return self.y - self.z @ beta
 
     def gram_parts(self):
-        return self.z.T @ self.z, self.z.T @ self.y, float(self.y @ self.y)
+        """Z'Z, Z'y and y'y of the rows, whitened with ``cov`` when one is attached.
+
+        Each span of consecutive whole subjects, at most ``_SPAN_VALUES`` design
+        values (one subject if it alone has more), is whitened and summed in
+        subject order, so only one span's whitened rows exist at a time; a design
+        within one span takes one product each.
+        """
+        parts = None
+        for z, y in self._spans():
+            span = (z.T @ z, z.T @ y, float(y @ y))
+            parts = span if parts is None else tuple(a + b for a, b in zip(parts, span))
+        return parts
+
+    def _spans(self):
+        """(z, y) of each span of ``gram_parts``, whitened with ``cov`` if attached."""
+        bounds = self.subject_bounds()
+        dense = self.y.size == self.n_subjects * self.n_points
+        if self.cov is not None and dense:
+            s = self.cov.inverse_sqrt()
+        rows_per_span = _SPAN_VALUES // self.n_coefs
+        first = 0
+        while first < self.n_subjects:
+            last = int(np.searchsorted(bounds, bounds[first] + rows_per_span, "right")) - 1
+            last = max(last, first + 1)
+            lo, hi = bounds[first], bounds[last]
+            z, y = self.z[lo:hi], self.y[lo:hi]
+            if self.cov is None:
+                yield z, y
+            elif dense:
+                k = last - first
+                yield (np.matmul(s, z.reshape(k, self.n_points, -1)).reshape(z.shape),
+                       (y.reshape(k, self.n_points) @ s.T).ravel())
+            else:
+                # one batched whitening per group of subjects with the same count of rows
+                out_z, out_y = np.empty_like(z), np.empty_like(y)
+                offsets = bounds[first : last + 1] - lo
+                points = self.point[lo:hi]
+                for k, subjects in _count_groups(np.diff(offsets)):
+                    rows = offsets[subjects, None] + np.arange(k)
+                    s = self.cov.inverse_sqrt(points[rows])
+                    out_z[rows] = s @ z[rows]
+                    out_y[rows] = (s @ y[rows][..., None])[..., 0]
+                yield out_z, out_y
+            first = last
 
     def whitened(self, cov: CovarianceModel) -> "StackedDesign":
-        n, m = self.n_subjects, self.n_points
-        if self.y.size == n * m:
-            s = cov.inverse_sqrt()
-            z = np.matmul(s, self.z.reshape(n, m, -1)).reshape(self.z.shape)
-            y = (self.y.reshape(n, m) @ s.T).ravel()
-        else:
-            # one batched whitening per group of subjects with the same count of rows
-            z, y = np.empty_like(self.z), np.empty_like(self.y)
-            bounds = self.subject_bounds()
-            for k, subjects in _count_groups(np.diff(bounds)):
-                rows = bounds[subjects, None] + np.arange(k)
-                s = cov.inverse_sqrt(self.point[rows])
-                z[rows] = s @ self.z[rows]
-                y[rows] = (s @ self.y[rows][..., None])[..., 0]
-        return replace(self, z=z, y=y)
+        """The design with ``cov`` attached; ``gram_parts`` whitens its rows."""
+        return replace(self, cov=cov)
 
 
 @dataclass
@@ -355,6 +392,8 @@ def build_design(
     first. A quantile response (qfosr) must not decrease, and its predictors
     must not be constant; every coefficient of its stack is constrained.
     """
+    if data.n_subjects == 0:
+        raise DataError("the dataset has no subjects")
     row = MODELS[model]
     if row.response == "scalar":
         x, basis0, rescale = _regressors(data, model, spec)

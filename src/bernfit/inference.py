@@ -242,7 +242,10 @@ def bootstrap_shape_test(
         # over each draw's gathered curves is about twice as fast at n=2000,
         # m=200: the large-n benchmark keeps every pass's dataset until its run
         # ends, so the extra passes raise its peak memory past the bound. That
-        # change waits for the benchmark repair (ROADMAP item 1).
+        # change waits for the benchmark repair (ROADMAP item 1). This loop reads
+        # the whole raw design on every draw, so it is now the one op that needs
+        # the full design held at once: the fits and bands only sum its rows,
+        # whitened span by span in gram_parts.
         zt_list = list(z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
         resid_curves = list(residuals.reshape(n, m))
         fitted_curves = list(fitted_null.reshape(n, m))

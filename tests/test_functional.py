@@ -198,6 +198,14 @@ def test_predict_without_the_covariate_raises_the_fit_data_error(model, spec, co
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("model, spec", [("flcm", BasisSpec(2)), ("fofr", TensorBasisSpec(2))])
+def test_dataset_without_subjects_is_refused(model, spec):
+    data = FunctionalDataset(grid=Grid(np.linspace(0, 1, 5)), ids=[],
+                             x_curves=np.zeros((0, 5)), y_curves=np.zeros((0, 5)))
+    with pytest.raises(DataError, match="the dataset has no subjects"):
+        fit_functional(data, model, spec)
+
+
 class TestEstimateCovariance:
     def test_white_noise_nugget(self):
         rng = np.random.default_rng(0)
@@ -477,14 +485,15 @@ class TestSparse:
         step1 = fit_functional(data, "flcm", BasisSpec(4), whiten_fit=False)
         cov = estimate_covariance(data.y_curves - step1.predict(data), data.grid)
         assert cov.n_components > 0
-        whitened = design.whitened(cov)
         bounds = design.subject_bounds()
         assert np.unique(np.diff(bounds)).size > 1
+        gram, rhs, yty = 0.0, 0.0, 0.0
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             s = cov.inverse_sqrt(design.point[lo:hi])
-            z_ref, y_ref = s @ design.z[lo:hi], s @ design.y[lo:hi]
-            assert np.abs(whitened.z[lo:hi] - z_ref).max() <= 1e-13 * np.abs(z_ref).max()
-            assert np.abs(whitened.y[lo:hi] - y_ref).max() <= 1e-13 * np.abs(y_ref).max()
+            z_i, y_i = s @ design.z[lo:hi], s @ design.y[lo:hi]
+            gram, rhs, yty = gram + z_i.T @ z_i, rhs + z_i.T @ y_i, yty + y_i @ y_i
+        for got, want in zip(design.whitened(cov).gram_parts(), (gram, rhs, yty)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
         completed = reconstruct_sparse(data).x_curves
         mask = np.isfinite(data.x_curves)
