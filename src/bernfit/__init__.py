@@ -3,7 +3,6 @@
 from .basis import (
     BasisSpec,
     Grid,
-    TensorBasisSpec,
     eval_basis_matrix,
     fofr_design,
     sofr_design,
@@ -59,7 +58,6 @@ from .sofr import fit_sofr
 __all__ = [
     "BasisSpec",
     "Grid",
-    "TensorBasisSpec",
     "eval_basis_matrix",
     "sofr_design",
     "fofr_design",

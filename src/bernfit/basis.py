@@ -3,7 +3,9 @@
 All evaluation happens on [0, 1]; inputs on a general interval [a, b] are
 affinely mapped on the way in. Basis values are computed with the de
 Casteljau recurrence, which stays stable for orders well beyond what the
-closed binomial form tolerates.
+closed binomial form tolerates. One ``BasisSpec`` serves every model: a
+coefficient surface (fofr) lives on its tensor square, with ``(order + 1) ** 2``
+coefficients stacked k1-major.
 """
 
 from __future__ import annotations
@@ -32,37 +34,6 @@ class BasisSpec:
     @property
     def n_coefs(self) -> int:
         return self.order + 1
-
-
-@dataclass(frozen=True)
-class TensorBasisSpec:
-    """Tensor product of two univariate Bernstein bases of one order and domain.
-
-    The coefficient vector for a surface is stacked k1-major: the column for
-    the (k1, k2) product basis sits at index ``k1 * (order + 1) + k2``.
-    """
-
-    order: int
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError("tensor basis order must be >= 1")
-        a, b = self.domain
-        if not a < b:
-            raise ConfigError(f"domain must satisfy a < b, got [{a}, {b}]")
-
-    @property
-    def n_coefs(self) -> int:
-        return (self.order + 1) ** 2
-
-    @property
-    def spec_s(self) -> BasisSpec:
-        return BasisSpec(self.order, self.domain)
-
-    @property
-    def spec_t(self) -> BasisSpec:
-        return BasisSpec(self.order, self.domain)
 
 
 @dataclass(frozen=True)
@@ -150,14 +121,14 @@ def sofr_design(curves: np.ndarray, grid: Grid, spec: BasisSpec) -> np.ndarray:
 def fofr_design(
     x_curve: np.ndarray,
     s_grid: Grid,
-    tensor: TensorBasisSpec,
+    spec: BasisSpec,
     t_points: np.ndarray,
 ) -> np.ndarray:
-    """Design matrix for a bivariate coefficient surface, k1-major columns.
+    """Design matrix for a coefficient surface on the tensor square of ``spec``.
 
-    Column (k1, k2) at output row j is
-    ``[trapezoid int X_i(s) b_k1(s) ds] * b_k2(t_j)``.
+    Column (k1, k2) at output row j is ``[trapezoid int X_i(s) b_k1(s) ds] * b_k2(t_j)``,
+    at index ``k1 * (order + 1) + k2`` (k1-major).
     """
-    weights = sofr_design(np.atleast_2d(x_curve), s_grid, tensor.spec_s)[0]
-    basis_t = eval_basis_matrix(np.asarray(t_points, dtype=float), tensor.spec_t)
+    weights = sofr_design(np.atleast_2d(x_curve), s_grid, spec)[0]
+    basis_t = eval_basis_matrix(np.asarray(t_points, dtype=float), spec)
     return np.einsum("k,jl->jkl", weights, basis_t).reshape(basis_t.shape[0], -1)

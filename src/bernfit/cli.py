@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import BasisSpec
 from .constraints import MODELS, ShapeSpec, check_model, check_shape, quantile_monotone
 from .dataset import read_dataset, write_dataset
 from .errors import BernfitError, ConfigError, DataError, NumericalError, config_cast
@@ -144,7 +145,7 @@ def _setup(args):
     model = _FIT_MODELS.get(args.command, config.model)
     if model is None:
         raise ConfigError(f"{args.command} needs 'model' in the config")
-    basis = check_model(model)
+    check_model(model)
     row = MODELS[model]
     # test-shape refuses qfosr itself, with that reason
     if config.shape is not None and row.shape_key != "shape" and args.command != "test-shape":
@@ -161,7 +162,10 @@ def _setup(args):
     if not args.data:
         raise ConfigError("this subcommand needs --data")
     data = read_dataset(args.data, fmt=args.format, scalars_path=args.scalars)
-    spec = None if args.command == "cv-order" else basis(config.order, data.domain)
+    spec = None
+    if args.command != "cv-order":
+        spec = BasisSpec(config.order, data.domain)
+        check_model(model, spec)
     if row.covariate in ("concurrent", "integrated"):
         data = reconstruct_sparse(data, pve=config.pve)
     return config, model, data, spec, shape

@@ -3,7 +3,9 @@
 Each supported shape reduces to rows of ``A beta >= b`` (plus equality rows
 for fixed boundaries) acting on Bernstein coefficients. The matrices depend
 only on the basis order, never on observed time points, which is what makes
-the restriction hold over the whole domain rather than at grid points.
+the restriction hold over the whole domain rather than at grid points. Every
+shape takes a ``BasisSpec``: a curve's coefficients are its ``order + 1``, a
+surface's (fofr) the ``(order + 1) ** 2`` of its tensor square, stacked k1-major.
 
 ``_CATALOG`` holds one row per shape kind: its minimum order, its difference
 operator, its JSON fields and what it constrains. A new kind is one row here
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, TensorBasisSpec
+from .basis import BasisSpec
 from .errors import ConfigError, config_cast
 
 # how far a coefficient vector may violate a constraint row and still count as
@@ -50,15 +52,12 @@ _CATALOG = {
     "quantile_monotone": _Kind(1, "stack", fields=(("n_predictors", int, 0),)),
 }
 
-# per target: its basis and the refusals of another basis and of a shape on another model
+# per target: the refusal of its shapes on a model with another target
 _TARGETS = {
-    "curve": (BasisSpec, "shape {!r} needs a univariate basis",
-              "univariate shapes apply to the sofr, fosr and flcm models; "
-              "the qfosr model takes them per coefficient block in 'extra_shapes'"),
-    "surface": (TensorBasisSpec, "shape {!r} needs a tensor-product basis",
-                "bivariate shapes apply only to the fofr model"),
-    "stack": (BasisSpec, "quantile monotonicity needs a univariate basis",
-              "quantile monotonicity applies only to the qfosr model"),
+    "curve": "univariate shapes apply to the sofr, fosr and flcm models; "
+             "the qfosr model takes them per coefficient block in 'extra_shapes'",
+    "surface": "bivariate shapes apply only to the fofr model",
+    "stack": "quantile monotonicity applies only to the qfosr model",
 }
 
 
@@ -72,6 +71,7 @@ class Model:
     covariate: str  # "scalar", a "concurrent" or "integrated" curve, or qfosr's "scalars"
     band: str = ""
     test: str = ""
+    min_order: int = 0  # the smallest basis order the model takes
 
     @property
     def shape_key(self) -> str:
@@ -79,12 +79,13 @@ class Model:
         return "extra_shapes" if self.target == "stack" else "shape"
 
 
-# per model: its target fixes its basis kind; sofr is the one-point integrated design
+# per model: a "surface" target lives on the tensor square of the model's BasisSpec;
+# sofr is the one-point integrated design
 MODELS = {
     "sofr": Model("curve", "scalar", "integrated"),
     "fosr": Model("curve", "curve", "scalar"),
     "flcm": Model("curve", "curve", "concurrent"),
-    "fofr": Model("surface", "curve", "integrated",
+    "fofr": Model("surface", "curve", "integrated", min_order=1,
                   band="confidence bands for bivariate coefficients are not supported"),
     "qfosr": Model("stack", "quantile", "scalars",
                    test="the functional shape test does not support qfosr"),
@@ -168,17 +169,18 @@ class ShapeSpec:
         return cls(kind, **values)
 
 
-def check_model(model: str, spec=None, shape=None) -> type:
-    """The basis class of ``model``'s coefficient. ``shape`` is the value of the
-    model's ``shape_key``: a ShapeSpec on its target, or for qfosr a mapping of
-    coefficient blocks to extra curve shapes. Refuses an unknown model, a ``spec``
-    of another class, a shape that is neither and one that constrains another target."""
+def check_model(model: str, spec=None, shape=None) -> None:
+    """Refuse an unknown model, a ``spec`` that is not a BasisSpec or is below the
+    model's ``min_order``, and a ``shape`` that is not the value of the model's
+    ``shape_key`` (a ShapeSpec on its target, or for qfosr a mapping of coefficient
+    blocks to extra curve shapes)."""
     if not isinstance(model, str) or model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
     row = MODELS[model]
-    basis = _TARGETS[row.target][0]
-    if spec is not None and not isinstance(spec, basis):
-        raise ConfigError(f"model {model!r} needs a {basis.__name__}, got {type(spec).__name__}")
+    if spec is not None and not isinstance(spec, BasisSpec):
+        raise ConfigError(f"model {model!r} needs a BasisSpec, got {type(spec).__name__}")
+    if spec is not None and spec.order < row.min_order:
+        raise ConfigError(f"model {model!r} needs basis order >= {row.min_order}, got {spec.order}")
     if row.shape_key == "extra_shapes" and isinstance(shape, Mapping):
         for block, extra in shape.items():
             if isinstance(block, bool) or not isinstance(block, (int, np.integer)):
@@ -186,14 +188,13 @@ def check_model(model: str, spec=None, shape=None) -> type:
             if not isinstance(extra, ShapeSpec) or extra.target != "curve":
                 kind = getattr(extra, "kind", type(extra).__name__)
                 raise ConfigError(f"extra shape of block {block} must be univariate, got {kind!r}")
-        return basis
+        return
     if shape is not None and not isinstance(shape, ShapeSpec):
         raise ConfigError(f"a shape must be a ShapeSpec, got {type(shape).__name__}")
     if shape is not None and shape.target != row.target:
-        raise ConfigError(_TARGETS[shape.target][2])
+        raise ConfigError(_TARGETS[shape.target])
     if shape is not None and row.shape_key == "extra_shapes":
         raise ConfigError("for qfosr, shape must map coefficient blocks to extra shapes")
-    return basis
 
 
 NON_NEGATIVE = ShapeSpec("non_negative")
@@ -357,15 +358,15 @@ def qfosr_constraints(spec: BasisSpec, n_predictors: int, extra_shapes=None) -> 
     return ConstraintSystem.vstack(systems).dedup()
 
 
-def build_constraints(shape: ShapeSpec, spec) -> ConstraintSystem:
-    """Constraint system for ``shape`` on the coefficient vector of ``spec``."""
+def build_constraints(shape: ShapeSpec, spec: BasisSpec) -> ConstraintSystem:
+    """Constraint system for ``shape`` on the coefficients of ``spec``, or of its
+    tensor square when the shape constrains a surface."""
     if shape.kind == "combination":
         built = [build_constraints(part, spec) for part in shape.parts]
         return ConstraintSystem.vstack(built).dedup()
     row = _CATALOG[shape.kind]
-    basis, refusal, _ = _TARGETS[row.target]
-    if not isinstance(spec, basis):
-        raise ConfigError(refusal.format(shape.kind))
+    if not isinstance(spec, BasisSpec):
+        raise ConfigError(f"shape {shape.kind!r} needs a BasisSpec, got {type(spec).__name__}")
     if shape.kind == "quantile_monotone":
         return build_quantile_monotone(shape.n_predictors, spec)
     _require_order(shape.kind, spec.order)

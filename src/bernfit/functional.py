@@ -2,11 +2,12 @@
 
 Every model is least squares over a row-stacked design (``StackedDesign``):
 one row kron([1, x], b(t)) per observed (subject, point) pair, with x = x_i
-(FOSR), x_i(t) (FLCM), the integrals of x_i against the s-basis (FOFR, where
-b is the t-basis) or qfosr's scalar predictors min-max rescaled to [0, 1]. SOFR
-is FOFR's row on one point with b = 1, its scalar confounders beside the
-intercept. ``build_design`` and ``FunctionalFit.predict`` take x and b from one
-covariate map, so a prediction is its design row times the coefficients.
+(FOSR), x_i(t) (FLCM), the integrals of x_i against the basis (FOFR, whose
+slope then lives on the basis's tensor square) or qfosr's scalar predictors
+min-max rescaled to [0, 1]. SOFR is FOFR's row on one point with b = 1, its
+scalar confounders beside the intercept. ``build_design`` and
+``FunctionalFit.predict`` take x and b from one covariate map, so a prediction
+is its design row times the coefficients.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
@@ -25,14 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    Grid,
-    TensorBasisSpec,
-    eval_basis_matrix,
-    quadrature_weights,
-    sofr_design,
-)
+from .basis import BasisSpec, Grid, eval_basis_matrix, quadrature_weights, sofr_design
 from .clsq import ClsqSolver, QpSolution
 from .constraints import MODELS, ShapeSpec, build_constraints, check_model, qfosr_constraints
 from .dataset import FunctionalDataset
@@ -330,13 +324,14 @@ class FunctionalFit:
     ``beta0_coefs`` are the free coefficients: the intercept curve (fosr, flcm,
     fofr), sofr's intercept followed by its scalar confounders, none for qfosr.
     ``beta1_coefs`` are those the shape acts on: the slope on ``spec`` (fofr's
-    surface), or qfosr's whole stack of coefficient curves, intercept first.
+    surface on its tensor square, k1-major), or qfosr's whole stack of coefficient
+    curves, intercept first.
     ``shape`` is the value of the model's ``shape_key``; ``rescale`` is qfosr's
     (lo, hi) per predictor, None for the other models.
     """
 
     model: str
-    spec: BasisSpec | TensorBasisSpec
+    spec: BasisSpec
     beta0_coefs: np.ndarray
     beta1_coefs: np.ndarray
     shape: ShapeSpec | dict | None
@@ -356,14 +351,15 @@ class FunctionalFit:
     def beta1_fn(self, t, s=None) -> np.ndarray:
         """Slope at points ``t``: surface values at (s, t) for fofr, and one row per
         coefficient curve of qfosr's stack."""
-        if isinstance(self.spec, TensorBasisSpec):
+        target = MODELS[self.model].target
+        if target == "surface":
             if s is None:
                 raise ValueError("bivariate coefficient needs both s and t")
-            bs = eval_basis_matrix(np.atleast_1d(np.asarray(s, float)), self.spec.spec_s)
-            bt = eval_basis_matrix(np.atleast_1d(np.asarray(t, float)), self.spec.spec_t)
-            return bs @ self.beta1_coefs.reshape(self.spec.order + 1, -1) @ bt.T
+            bs = eval_basis_matrix(np.atleast_1d(np.asarray(s, float)), self.spec)
+            bt = eval_basis_matrix(np.atleast_1d(np.asarray(t, float)), self.spec)
+            return bs @ self.beta1_coefs.reshape(self.spec.n_coefs, -1) @ bt.T
         mat = eval_basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), self.spec)
-        if MODELS[self.model].target == "stack":
+        if target == "stack":
             return np.array([mat @ block for block in self.beta1_coefs.reshape(-1, mat.shape[1])])
         return mat @ self.beta1_coefs
 
@@ -380,13 +376,11 @@ class FunctionalFit:
         return out[:, 0] if MODELS[self.model].response == "scalar" else out
 
 
-def build_design(
-    data: FunctionalDataset, model: str, spec: BasisSpec | TensorBasisSpec
-) -> StackedDesign:
+def build_design(data: FunctionalDataset, model: str, spec: BasisSpec) -> StackedDesign:
     """Row-stacked design of the requested model; rows as in the module docstring.
 
-    ``spec`` is the slope's basis: a TensorBasisSpec for fofr, whose t-basis
-    also carries the intercept, and a BasisSpec otherwise (see ``check_model``).
+    ``spec`` is the slope's basis, in both s and t for fofr's surface; it also
+    carries the intercept curve of a functional response.
     A scalar response (sofr) gives the one-point design of the module docstring.
     An integrated covariate (sofr, fofr) must be complete: ``reconstruct_sparse``
     first. A quantile response (qfosr) must not decrease, and its predictors
@@ -418,12 +412,12 @@ def build_design(
     return StackedDesign.assemble(x, basis0, mask, y, n_free, rescale)
 
 
-def _response_spec(model: str, spec) -> BasisSpec:
+def _response_spec(model: str, spec: BasisSpec) -> BasisSpec:
     """The basis b of the rows kron([1, x], b(t)): one constant for a scalar
-    response, else the slope's t-basis (fofr) or the slope's basis."""
+    response, else ``spec``."""
     if MODELS[model].response == "scalar":
         return BasisSpec(0, spec.domain)
-    return getattr(spec, "spec_t", spec)
+    return spec
 
 
 def _regressors(data: FunctionalDataset, model: str, spec, rescale=None, n_coefs=None):
@@ -458,7 +452,7 @@ def _regressors(data: FunctionalDataset, model: str, spec, rescale=None, n_coefs
         incomplete = ~np.isfinite(data.x_curves).all(axis=1)
         data._refuse(incomplete, f"{model} needs complete covariate curves; "
                      "complete the curves first")
-        x = sofr_design(data.x_curves, data.grid, getattr(spec, "spec_s", spec))
+        x = sofr_design(data.x_curves, data.grid, spec)
     if row.response == "scalar":
         x = np.hstack([data.z_scalars, x]) if data.n_z else x
         points = spec.domain[:1]
@@ -503,8 +497,8 @@ def _refuse_decreasing(data: FunctionalDataset, mask: np.ndarray) -> None:
 def shape_system(model: str, spec, shape, design: StackedDesign):
     """Rows of ``shape`` on the constrained coefficients of ``design``; None without
     a shape. qfosr always constrains its stack to monotone predictions, with the
-    extra curve shapes of its ``shape`` mapping on top (``qfosr_constraints``)."""
-    check_model(model, spec, shape)
+    extra curve shapes of its ``shape`` mapping on top (``qfosr_constraints``).
+    The caller has passed ``model``, ``spec`` and ``shape`` through ``check_model``."""
     if MODELS[model].target == "stack":
         return qfosr_constraints(spec, design.n_coefs // spec.n_coefs - 1, shape)
     if shape is None:
@@ -541,7 +535,7 @@ def _prewhiten(design: StackedDesign, data, pve, whiten_fit: bool = True):
 def fit_functional(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | TensorBasisSpec,
+    spec: BasisSpec,
     shape: ShapeSpec | dict | None = None,
     pve: float = 0.95,
     whiten_fit: bool = True,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, TensorBasisSpec, eval_basis_matrix
+from .basis import BasisSpec, eval_basis_matrix
 from .clsq import ClsqSolver
 from .constraints import MODELS, ShapeSpec, check_model
 from .dataset import FunctionalDataset
@@ -198,7 +198,7 @@ def _statistics(rss_c: np.ndarray, rss_u: np.ndarray) -> np.ndarray:
 def bootstrap_shape_test(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | TensorBasisSpec,
+    spec: BasisSpec,
     shape_null: ShapeSpec,
     draws: int = 200,
     seed: int = 0,
@@ -277,7 +277,7 @@ def bootstrap_shape_test(
 def bootstrap_shape_test_functional(
     data: FunctionalDataset,
     model: str,
-    spec: BasisSpec | TensorBasisSpec,
+    spec: BasisSpec,
     shape_null: ShapeSpec,
     draws: int = 200,
     seed: int = 0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import TensorBasisSpec
+from .basis import BasisSpec
 from .constraints import MODELS, ShapeSpec, check_model, quantile_monotone
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError
@@ -47,8 +47,8 @@ class CvResult:
 
 
 def _holdout_error(train, test, model, order, shape) -> float:
-    spec = check_model(model)(order, train.domain)
-    pred = fit_functional(train, model, spec, shape, whiten_fit=False).predict(test)
+    pred = fit_functional(train, model, BasisSpec(order, train.domain), shape,
+                          whiten_fit=False).predict(test)
     y = test.y_scalar if MODELS[model].response == "scalar" else test.y_curves
     mask = np.isfinite(y)
     return float(np.sum((y[mask] - pred[mask]) ** 2))
@@ -64,15 +64,16 @@ def cv_select_order(
 ) -> CvResult:
     """Pick the basis order minimizing cross-validated held-out error.
 
-    Candidates below the shape's minimum order are skipped with a notice.
+    Candidates below the minimum order of the shape or of the model (fofr's
+    ``min_order``) are skipped with a notice.
     Ties (scores equal up to roundoff) resolve to the smallest order. For
     the qfosr model the monotonicity system is implied and ``shape`` is the
     optional extra-shapes mapping passed through to the fit.
     """
-    basis = check_model(model, shape=shape)
+    check_model(model, shape=shape)
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
-    default = range(2, 7 if basis is TensorBasisSpec else 11)
+    default = range(2, 7 if MODELS[model].target == "surface" else 11)
     candidates = sorted(candidates if candidates is not None else default)
     if not candidates:
         raise ConfigError("no candidate orders supplied")
@@ -92,13 +93,15 @@ def cv_select_order(
         shapes = [quantile_monotone(1), *(shape or {}).values()]
     else:
         shapes = [] if shape is None else [shape]
-    min_order_needed = max((s.min_order() for s in shapes), default=0)
+    shape_floor = max((s.min_order() for s in shapes), default=0)
+    min_order_needed = max(MODELS[model].min_order, shape_floor)
+    floor = "the shape's" if shape_floor == min_order_needed else f"{model}'s"
 
     scores: dict = {}
     skipped: dict = {}
     for order in candidates:
         if order < min_order_needed:
-            skipped[order] = f"order {order} below the shape's minimum ({min_order_needed})"
+            skipped[order] = f"order {order} below {floor} minimum ({min_order_needed})"
             continue
         total = 0.0
         try:

@@ -46,6 +46,8 @@ from .utils import parallel_map, spawn_rng
 _SCORES, _XI, _NOISE, _SPARSITY = 0, 1, 2, 3
 
 SCENARIO_KINDS = ("A", "B", "B_sparse", "C", "S1")
+# the fewest and most grid points a B_sparse subject keeps
+_SPARSE_POINTS = (5, 10)
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,34 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario {self.kind!r}; choose from {SCENARIO_KINDS}")
+        for name in ("n", "seed", "replications", "m"):
+            value = getattr(self, name)
+            if name == "m" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"scenario {name} must be an integer, got {value!r}")
         if self.n < 10:
             raise ConfigError("scenarios need n >= 10")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
+        # the covariate's score functions need as many grid points, and a sparse
+        # subject draws its points from the grid without replacement
+        fewest = max(self.n_scores, _SPARSE_POINTS[1] if self.kind == "B_sparse" else 0)
+        if self.grid_size < fewest:
+            raise ConfigError(
+                f"scenario {self.kind} needs m >= {fewest} grid points, got {self.grid_size}"
+            )
 
     @property
     def grid_size(self) -> int:
         if self.m is not None:
             return self.m
         return 50 if self.kind == "A" else 40
+
+    @property
+    def n_scores(self) -> int:
+        """How many score functions the covariate curves expand in."""
+        return 20 if self.kind == "A" else 5
 
     @property
     def model(self) -> str:
@@ -137,12 +157,12 @@ def generate_scenario(spec: ScenarioSpec, replication: int = 0) -> FunctionalDat
         "shape": spec.shape,
         "default_order": spec.default_order,
     }
+    k = spec.n_scores
+    phis = orthonormal_polynomials(pts, k)
+    sds = np.sqrt(np.arange(k, 0, -1, dtype=float))
+    scores = spawn_rng(spec.seed, replication, _SCORES).standard_normal((spec.n, k)) * sds
+    x = scores @ phis
     if spec.kind == "A":
-        k = 20
-        phis = orthonormal_polynomials(pts, k)
-        sds = np.sqrt(np.arange(k, 0, -1, dtype=float))
-        scores = spawn_rng(spec.seed, replication, _SCORES).standard_normal((spec.n, k)) * sds
-        x = scores @ phis
         w = quadrature_weights(pts)
         signal = (x * w) @ beta1_fn(pts)
         eps = 0.05 * spawn_rng(spec.seed, replication, _NOISE).standard_normal(spec.n)
@@ -151,11 +171,6 @@ def generate_scenario(spec: ScenarioSpec, replication: int = 0) -> FunctionalDat
             grid=Grid(pts), ids=[f"s{i}" for i in range(spec.n)], x_curves=x, y_scalar=y, meta=meta
         )
 
-    k = 5
-    phis = orthonormal_polynomials(pts, k)
-    sds = np.sqrt(np.arange(k, 0, -1, dtype=float))
-    scores = spawn_rng(spec.seed, replication, _SCORES).standard_normal((spec.n, k)) * sds
-    x = scores @ phis
     xi = spawn_rng(spec.seed, replication, _XI).standard_normal((spec.n, 2)) * np.array([0.5, 0.75])
     noise = 0.5 * spawn_rng(spec.seed, replication, _NOISE).standard_normal((spec.n, m))
     errors = xi[:, [0]] * np.cos(pts) + xi[:, [1]] * np.sin(pts) + noise
@@ -164,7 +179,7 @@ def generate_scenario(spec: ScenarioSpec, replication: int = 0) -> FunctionalDat
         rng = spawn_rng(spec.seed, replication, _SPARSITY)
         keep = np.zeros((spec.n, m), dtype=bool)
         for i in range(spec.n):
-            m_i = int(rng.integers(5, 11))
+            m_i = int(rng.integers(_SPARSE_POINTS[0], _SPARSE_POINTS[1] + 1))
             keep[i, np.sort(rng.choice(m, size=m_i, replace=False))] = True
         x = np.where(keep, x, np.nan)
         y = np.where(keep, y, np.nan)

@@ -16,7 +16,6 @@ from bernfit import (
     ClsqSolver,
     ConstraintSystem,
     ScenarioSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     build_constraints,
     check_shape,
@@ -64,7 +63,7 @@ class TestAcceptance:
             sel[1, -1] = 1.0
             ok &= np.array_equal(fb.a, sel) and fb.equality.all()
             ok &= np.linalg.matrix_rank(fb.a) == 2
-            tensor = TensorBasisSpec(order)
+            tensor = BasisSpec(order)
             bm = build_constraints(bivariate_monotone(), tensor)
             ok &= bm.n_rows == 2 * order * (order + 1)
             pc = build_constraints(partial_convex(), tensor)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bernfit import BasisSpec, ConfigError, DataError, Grid, TensorBasisSpec
+from bernfit import BasisSpec, ConfigError, DataError, Grid
 from bernfit.basis import eval_basis_matrix, fofr_design, sofr_design
 
 from helpers import bernstein_direct
@@ -123,13 +123,13 @@ class TestSofrDesign:
 class TestFofrDesign:
     def test_zero_curve(self):
         s_grid = Grid(np.linspace(0, 1, 15))
-        tensor = TensorBasisSpec(2)
+        tensor = BasisSpec(2)
         out = fofr_design(np.zeros(15), s_grid, tensor, np.linspace(0, 1, 4))
         assert np.array_equal(out, np.zeros((4, 9)))
 
     def test_unit_curve_order_one(self):
         s_grid = Grid(np.linspace(0, 1, 60))
-        tensor = TensorBasisSpec(1)
+        tensor = BasisSpec(1)
         t_pts = np.array([0.0, 0.5, 1.0])
         out = fofr_design(np.ones(60), s_grid, tensor, t_pts)
         basis_t = eval_basis_matrix(t_pts, BasisSpec(1))
@@ -139,7 +139,7 @@ class TestFofrDesign:
 
     def test_linear_curve_k1_major_ordering(self):
         s_grid = Grid(np.linspace(0, 1, 200))
-        tensor = TensorBasisSpec(1)
+        tensor = BasisSpec(1)
         out = fofr_design(s_grid.points, s_grid, tensor, np.array([0.5]))
         expected = np.array([1 / 6, 1 / 6, 2 / 6, 2 / 6]) * 0.5
         assert np.abs(out[0] - expected).max() < 1e-3

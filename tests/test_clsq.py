@@ -313,11 +313,11 @@ def test_solve_many_matches_solve_per_row(problem, k, seed):
 
 def test_solve_many_matches_solve_through_the_polish(monkeypatch):
     # a degenerate whitened FOFR bivariate_monotone problem whose duals need the KKT polish
-    from bernfit import ScenarioSpec, TensorBasisSpec, bivariate_monotone, generate_scenario
+    from bernfit import ScenarioSpec, bivariate_monotone, generate_scenario
     from bernfit.functional import _prewhiten, build_design, shape_system
 
     data = generate_scenario(ScenarioSpec("B", n=60, seed=0, m=20), 0)
-    spec = TensorBasisSpec(5)
+    spec = BasisSpec(5)
     design, _ = _prewhiten(build_design(data, "fofr", spec), data, 0.95)
     gram, rhs, yty = design.gram_parts()
     solver = ClsqSolver(gram, shape_system("fofr", spec, bivariate_monotone(), design))

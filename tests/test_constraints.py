@@ -16,7 +16,6 @@ from bernfit import (
     BasisSpec,
     ConfigError,
     ShapeSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     build_constraints,
     build_quantile_monotone,
@@ -87,19 +86,19 @@ class TestCatalogMatrices:
 class TestBivariateMatrices:
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_bimonotone_row_counts(self, order):
-        tensor = TensorBasisSpec(order)
+        tensor = BasisSpec(order)
         system = build_constraints(bivariate_monotone(), tensor)
         assert system.n_rows == 2 * order * (order + 1)
         assert system.coef_len == (order + 1) ** 2
 
     @pytest.mark.parametrize("order", [2, 3, 5])
     def test_partial_convex_row_counts(self, order):
-        tensor = TensorBasisSpec(order)
+        tensor = BasisSpec(order)
         system = build_constraints(partial_convex(), tensor)
         assert system.n_rows == 2 * (order**2 - 1)
 
     def test_single_direction_flags(self):
-        tensor = TensorBasisSpec(2)
+        tensor = BasisSpec(2)
         only_s = build_constraints(bivariate_monotone(in_t=False), tensor)
         only_t = build_constraints(bivariate_monotone(in_s=False), tensor)
         assert only_s.n_rows == only_t.n_rows == 2 * 3
@@ -108,21 +107,21 @@ class TestBivariateMatrices:
 
     def test_monotone_s_rows_difference_along_k1(self):
         # beta_{k1+1,k2} - beta_{k1,k2} >= 0 in k1-major stacking
-        tensor = TensorBasisSpec(1)
+        tensor = BasisSpec(1)
         system = build_constraints(bivariate_monotone(in_t=False), tensor)
         assert np.array_equal(
             system.a, [[-1, 0, 1, 0], [0, -1, 0, 1]]
         )
 
     def test_monotone_t_rows_blockwise(self):
-        tensor = TensorBasisSpec(1)
+        tensor = BasisSpec(1)
         system = build_constraints(bivariate_monotone(in_s=False), tensor)
         assert np.array_equal(system.a, [[-1, 1, 0, 0], [0, 0, -1, 1]])
 
     def test_bivariate_sufficiency(self):
         # feasible coefficients yield a surface monotone in both arguments
         order = 3
-        tensor = TensorBasisSpec(order)
+        tensor = BasisSpec(order)
         rng = np.random.default_rng(7)
         increments = rng.uniform(0, 1, size=(order + 1, order + 1))
         coefs = np.cumsum(np.cumsum(increments, axis=0), axis=1)
@@ -344,18 +343,20 @@ def test_readme_names_every_kind_with_its_minimum_order():
     assert documented == {kind: str(row.min_order) for kind, row in _CATALOG.items()}
 
 
-def test_readme_names_every_model_with_its_basis_spec():
+def test_readme_names_every_model_with_its_shape_key_and_commands():
     """README's "Models" paragraph and ``MODELS`` cannot drift apart: each model's
-    basis spec, shape key and ``ci``/``test-shape`` support."""
-    from bernfit.constraints import MODELS, check_model
+    shape key, ``ci``/``test-shape`` support and minimum basis order (0 unless the
+    entry names one)."""
+    from bernfit.constraints import MODELS
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("Models, each")
     paragraph = readme[start : readme.index("\n\n", start)]
-    entries = re.findall(r"`(\w+)`\s+\(`(\w+)`;\s+`(\w+)`;\s+([^)]*)\)", paragraph)
+    entries = re.findall(r"`(\w+)`\s+\(`(\w+)`;\s+([^)]*)\)", paragraph)
     documented = {
-        model: (basis, key, set(re.findall(r"`([\w-]+)`", commands)))
-        for model, basis, key, commands in entries
+        model: (key, set(re.findall(r"`([\w-]+)`", rest)),
+                int(re.search(r"order >= (\d+)", rest)[1]) if "order >=" in rest else 0)
+        for model, key, rest in entries
     }
     expected = {}
     for model, row in MODELS.items():
@@ -364,5 +365,5 @@ def test_readme_names_every_model_with_its_basis_spec():
             commands.add("ci")
         if not row.test:
             commands.add("test-shape")
-        expected[model] = (check_model(model).__name__, row.shape_key, commands)
+        expected[model] = (row.shape_key, commands, row.min_order)
     assert documented == expected

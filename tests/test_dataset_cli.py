@@ -561,10 +561,10 @@ class TestCli:
         rng = np.random.default_rng(3)
         m, n = 15, 30
         pts = np.linspace(0, 1, m)
-        from bernfit import BasisSpec, FunctionalDataset, Grid, TensorBasisSpec
+        from bernfit import BasisSpec, FunctionalDataset, Grid
         from bernfit.basis import eval_basis_matrix, fofr_design
 
-        tensor = TensorBasisSpec(2)
+        tensor = BasisSpec(2)
         surface = np.cumsum(np.cumsum(np.ones((3, 3)), axis=0), axis=1).ravel()
         x = rng.normal(size=(n, 3)) @ np.vstack([pts**k for k in range(3)])
         basis0 = eval_basis_matrix(pts, BasisSpec(2))
@@ -782,6 +782,8 @@ _MALFORMED_INPUTS = {
         ]
     },
     "config-candidates-fraction": ("cv-order", {"model": "sofr", "candidates": [2, 3.5]}, None),
+    # fofr's surface needs order >= 1 (its MODELS row)
+    "config-order-fofr-zero": ("fit-fofr", {"order": 0}, (_FLCM_DATA.encode(), None)),
     "config-bootstrap-fraction": (
         "test-shape",
         {"model": "sofr", "order": 4, "shape": {"kind": "non_negative"}, "bootstrap": 150.5},

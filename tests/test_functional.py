@@ -14,7 +14,6 @@ from bernfit import (
     DataError,
     Grid,
     ScenarioSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     bootstrap_shape_test,
     check_shape,
@@ -106,7 +105,7 @@ class TestUnconstrainedOls:
         n, m = 35, 20
         pts = np.linspace(0, 1, m)
         grid = Grid(pts)
-        tensor = TensorBasisSpec(2)
+        tensor = BasisSpec(2)
         surface = rng.uniform(0.5, 1.5, size=(3, 3))
         x = rng.normal(size=(n, 3)) @ np.vstack([pts**k for k in range(3)])
         from bernfit.basis import fofr_design
@@ -132,8 +131,7 @@ class TestStackedDesign:
             keep = np.random.default_rng(8).uniform(size=data.y_curves.shape) < 0.5
             keep[:, :2] = True
             data.y_curves = np.where(keep, data.y_curves, np.nan)
-        tensor = TensorBasisSpec(3)
-        design = build_design(data, model.split("-")[0], tensor if model == "fofr" else spec)
+        design = build_design(data, model.split("-")[0], spec)
         basis = eval_basis_matrix(pts, spec)
         blocks, rows = [], []
         for i in range(data.n_subjects):
@@ -141,7 +139,7 @@ class TestStackedDesign:
             if model == "fosr":
                 w = data.x_scalar[i] * basis[idx]
             elif model == "fofr":
-                w = fofr_design(data.x_curves[i], data.grid, tensor, pts[idx])
+                w = fofr_design(data.x_curves[i], data.grid, spec, pts[idx])
             else:
                 w = data.x_curves[i, idx, None] * basis[idx]
             blocks.append(np.hstack([basis[idx], w]))
@@ -156,24 +154,6 @@ class TestStackedDesign:
         assert design.n_free == spec.n_coefs
 
 
-@pytest.mark.parametrize("entry", ["fit_functional", "projection_ci", "bootstrap_shape_test"])
-@pytest.mark.parametrize(
-    "model, spec",
-    [("flcm", TensorBasisSpec(2)), ("fosr", TensorBasisSpec(2)), ("fofr", BasisSpec(2))],
-)
-def test_mismatched_basis_spec_is_config_error(entry, model, spec):
-    # fofr's slope is a surface over a tensor basis; every other model's is a curve
-    data, _, _, _ = make_flcm_dataset(n=15, m=12, noise=0.1)
-    data.x_scalar = np.linspace(-1.0, 1.0, data.n_subjects)
-    with pytest.raises(ConfigError):
-        if entry == "fit_functional":
-            fit_functional(data, model, spec)
-        elif entry == "projection_ci":
-            projection_ci(data, model, spec, draws=100)
-        else:
-            bootstrap_shape_test(data, model, spec, NON_INCREASING, draws=100)
-
-
 @pytest.mark.parametrize(
     "model, spec, covariate, message",
     [
@@ -181,7 +161,7 @@ def test_mismatched_basis_spec_is_config_error(entry, model, spec):
          "scalar-on-function regression needs functional covariates"),
         ("fosr", BasisSpec(2), "x_scalar", "fosr needs a scalar predictor per subject"),
         ("flcm", BasisSpec(2), "x_curves", "flcm needs a functional covariate"),
-        ("fofr", TensorBasisSpec(2), "x_curves", "fofr needs a functional covariate"),
+        ("fofr", BasisSpec(2), "x_curves", "fofr needs a functional covariate"),
     ],
 )
 def test_predict_without_the_covariate_raises_the_fit_data_error(model, spec, covariate, message):
@@ -198,7 +178,7 @@ def test_predict_without_the_covariate_raises_the_fit_data_error(model, spec, co
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("model, spec", [("flcm", BasisSpec(2)), ("fofr", TensorBasisSpec(2))])
+@pytest.mark.parametrize("model, spec", [("flcm", BasisSpec(2)), ("fofr", BasisSpec(2))])
 def test_dataset_without_subjects_is_refused(model, spec):
     data = FunctionalDataset(grid=Grid(np.linspace(0, 1, 5)), ids=[],
                              x_curves=np.zeros((0, 5)), y_curves=np.zeros((0, 5)))
@@ -364,7 +344,7 @@ class TestConstrainedGls:
         # fit must still pass the 1e-8 shape certificate (it used to miss
         # it by 2e-8 to 4e-8 on these seeds)
         data = generate_scenario(ScenarioSpec("B", n=200, seed=seed), 0)
-        tensor = TensorBasisSpec(6)
+        tensor = BasisSpec(6)
         fit = fit_functional(data, "fofr", tensor, bivariate_monotone())
         assert fit.ridge_used > 0
         assert check_shape(fit.beta1_coefs, bivariate_monotone(), spec=tensor).feasible
@@ -402,7 +382,7 @@ class TestConstrainedGls:
         n, m = 30, 15
         pts = np.linspace(0, 1, m)
         grid = Grid(pts)
-        tensor = TensorBasisSpec(2)
+        tensor = BasisSpec(2)
         from bernfit.basis import fofr_design
 
         increasing = np.cumsum(np.cumsum(np.ones((3, 3)), axis=0), axis=1)

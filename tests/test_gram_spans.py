@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernfit import NON_INCREASING, BasisSpec, ScenarioSpec, TensorBasisSpec, generate_scenario
+from bernfit import NON_INCREASING, BasisSpec, ScenarioSpec, generate_scenario
 from bernfit import functional
 from bernfit.functional import build_design, fit_functional
 
@@ -88,7 +88,7 @@ def test_every_golden_design_of_the_benchmark_fits_in_one_span(monkeypatch):
         designs += [
             (b, "flcm", BasisSpec(configs["flcm"]["order"])),
             (b, "flcm", BasisSpec(max(configs["cv"]["candidates"]))),
-            (b, "fofr", TensorBasisSpec(configs["fofr"]["order"])),
+            (b, "fofr", BasisSpec(configs["fofr"]["order"])),
             (q, "qfosr", BasisSpec(configs["qfosr"]["order"])),
             (a, "sofr", BasisSpec(configs["sofr"]["order"])),
         ]

@@ -28,7 +28,6 @@ from bernfit import (
     FunctionalDataset,
     Grid,
     ScenarioSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     bootstrap_shape_test,
     cv_select_order,
@@ -77,7 +76,7 @@ def _cv(result) -> list:
 
 
 def _groups(d: dict) -> dict:
-    tensor = TensorBasisSpec(2)
+    tensor = BasisSpec(2)
     band = dict(draws=100, seed=5)
     fits = {
         "fit-sofr": lambda: fit_sofr(d["A"], BasisSpec(4), NON_NEGATIVE),

@@ -1,7 +1,8 @@
 """Every entry point that takes a model refuses a model it cannot serve.
 
 One case per entry point, model and kind of mistake: an unknown model, a
-basis spec of the wrong kind, a shape that constrains another target than
+basis spec that is not a BasisSpec, a basis order below the model's minimum
+(fofr's surface), a shape that constrains another target than
 the model's coefficient, a mapping of shapes where a shape is due, for qfosr
 a shape where its mapping of extra shapes is due, a mapping with a shape
 that is not a curve's and one with a block key that is not an integer, an
@@ -26,7 +27,6 @@ from bernfit import (
     FunctionalDataset,
     Grid,
     ScenarioSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     bootstrap_shape_test,
     bootstrap_shape_test_functional,
@@ -87,11 +87,9 @@ _ENTRY_POINTS = {
     ),
 }
 
-_SPEC = {model: check_model(model)(2) for model in MODELS}
-_WRONG_SPEC = {
-    model: (BasisSpec if isinstance(spec, TensorBasisSpec) else TensorBasisSpec)(2)
-    for model, spec in _SPEC.items()
-}
+_SPEC = BasisSpec(2)
+# a basis spec that is not a BasisSpec
+_WRONG_SPEC = 2
 # a shape valid in itself whose target is not the model's coefficient
 _OTHER_TARGET = {
     "sofr": (quantile_monotone(1), "quantile monotonicity applies only to the qfosr model"),
@@ -128,13 +126,16 @@ _UNSUPPORTED = {
 def _cases():
     for entry, (models, _, takes_spec, takes_shape, takes_draws) in _ENTRY_POINTS.items():
         if len(models) > 1:
-            yield entry, "spline", "unknown", (_SPEC["flcm"], None), "unknown model 'spline'"
+            yield entry, "spline", "unknown", (_SPEC, None), "unknown model 'spline'"
         for model in models:
-            spec, shape = _SPEC[model], _OWN_SHAPE.get(model, NON_INCREASING)
+            spec, shape = _SPEC, _OWN_SHAPE.get(model, NON_INCREASING)
             if takes_spec:
-                wrong = _WRONG_SPEC[model]
-                message = f"model '{model}' needs a {type(spec).__name__}"
-                yield entry, model, "wrong_spec", (wrong, shape), message
+                message = f"model '{model}' needs a BasisSpec, got int"
+                yield entry, model, "wrong_spec", (_WRONG_SPEC, shape), message
+            floor = MODELS[model].min_order
+            if takes_spec and floor:
+                message = f"model '{model}' needs basis order >= {floor}, got {floor - 1}"
+                yield entry, model, "low_order", (BasisSpec(floor - 1), shape), message
             if takes_shape:
                 other, message = _OTHER_TARGET[model]
                 yield entry, model, "other_target", (spec, other), message
@@ -169,7 +170,8 @@ def test_entry_point_refuses_before_touching_data(entry, model, mistake, args, m
 def test_every_mistake_kind_is_covered():
     kinds = {mistake for _, _, mistake, _, _ in _CASES}
     assert kinds == {
-        "unknown", "wrong_spec", "other_target", "shape_mapping", "unsupported", "few_draws",
+        "unknown", "wrong_spec", "low_order", "other_target", "shape_mapping", "unsupported",
+        "few_draws",
         *_MAPPING_MISTAKES,
     }
     assert {entry for entry, *_ in _CASES} == set(_ENTRY_POINTS)

@@ -1,5 +1,7 @@
 """Tests for cross-validated basis-order selection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from bernfit import (
     generate_scenario,
 )
 from bernfit.basis import sofr_design
-from bernfit.dataset import FunctionalDataset
+from bernfit.cli import run_cli
+from bernfit.dataset import FunctionalDataset, write_dataset
 
 
 def quantile_cv_dataset(n=60, m=30, seed=21):
@@ -133,6 +136,24 @@ class TestFunctionalCv:
         unshaped = cv_select_order(data, "qfosr", {}, candidates=[1, 2], folds=4, seed=3)
         assert not unshaped.skipped
 
+    def test_fofr_order_below_its_minimum_is_skipped(self, tmp_path):
+        # fofr's surface needs order >= 1 (its MODELS row); order 0 is skipped, not fatal
+        data = generate_scenario(ScenarioSpec("B", n=30, seed=2, m=20), 0)
+        result = cv_select_order(data, "fofr", None, candidates=[0, 1, 2], folds=3, seed=1)
+        assert result.skipped == {0: "order 0 below fofr's minimum (1)"}
+        assert set(result.scores) == {1, 2}
+        assert result.chosen in (1, 2)
+        data_path, config, out = tmp_path / "b.csv", tmp_path / "cv.json", tmp_path / "out.json"
+        write_dataset(data, data_path, "long_csv")
+        config.write_text(json.dumps({"model": "fofr", "candidates": [0, 1, 2], "folds": 3,
+                                      "seed": 1}))
+        argv = ["cv-order", "--data", str(data_path), "--format", "long_csv",
+                "--config", str(config), "--out", str(out)]
+        assert run_cli(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["skipped"] == {"0": "order 0 below fofr's minimum (1)"}
+        assert payload["chosen"] == result.chosen
+
     def test_scenario_a_cv_average_near_four(self):
         # selection criterion tracks the magnitude reported for this design:
         # the average chosen order over replications sits near 4
@@ -161,6 +182,6 @@ def test_candidate_bases_sit_on_the_fit_domain(monkeypatch):
         domains.append(domain)
         return BasisSpec(order, domain)
 
-    monkeypatch.setattr(model_selection, "check_model", lambda *args, **kwargs: recording_spec)
+    monkeypatch.setattr(model_selection, "BasisSpec", recording_spec)
     cv_select_order(inner, "flcm", NON_DECREASING, candidates=[2, 3], folds=3, seed=1)
     assert domains and set(domains) == {(0.0, 1.0)}

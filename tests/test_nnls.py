@@ -12,12 +12,12 @@ import pytest
 from scipy.optimize import nnls
 
 from bernfit import (
+    BasisSpec,
     ClsqSolver,
     ConstraintSystem,
     InfeasibleError,
     NumericalError,
     ScenarioSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     check_shape,
     fit_functional,
@@ -209,7 +209,7 @@ def test_degenerate_fofr_dual_matches_scipy_in_beta_and_certificate(monkeypatch)
     # unique (rows tight at every feasible point), so only the fit and its shape
     # certificate are compared
     data = generate_scenario(ScenarioSpec("B", n=40, seed=0, m=20), 0)
-    spec, shape = TensorBasisSpec(3), bivariate_monotone()
+    spec, shape = BasisSpec(3), bivariate_monotone()
     fit = fit_functional(data, "fofr", spec, shape)
     monkeypatch.setattr(clsq, "_nnls", scipy_nnls)
     ref = fit_functional(data, "fofr", spec, shape)

@@ -17,7 +17,6 @@ from bernfit import (
     DataError,
     Grid,
     ScenarioSpec,
-    TensorBasisSpec,
     bivariate_monotone,
     eval_basis_matrix,
     generate_scenario,
@@ -48,7 +47,7 @@ def _cases() -> dict:
         "fosr": (fosr, "fosr", BasisSpec(3), NON_INCREASING),
         "flcm": (b, "flcm", BasisSpec(4), NON_INCREASING),
         "flcm-sparse": (sparse, "flcm", BasisSpec(4), None),
-        "fofr": (reconstruct_sparse(sparse), "fofr", TensorBasisSpec(2), bivariate_monotone()),
+        "fofr": (reconstruct_sparse(sparse), "fofr", BasisSpec(2), bivariate_monotone()),
         "qfosr": (_quantile(), "qfosr", BasisSpec(3), {1: NON_INCREASING}),
     }
 
@@ -77,7 +76,7 @@ def test_intercept_is_the_first_coefficient_block_on_the_response_basis(name):
     elif model == "qfosr":  # the intercept quantile curve, first of the stack
         expected = fit.beta1_fn(t)[0]
     else:
-        expected = eval_basis_matrix(t, getattr(spec, "spec_t", spec)) @ fit.beta0_coefs
+        expected = eval_basis_matrix(t, spec) @ fit.beta0_coefs
     assert np.array_equal(got, expected)
 
 

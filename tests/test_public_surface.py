@@ -38,7 +38,7 @@ def test_all_is_what_the_package_imports():
 
 
 def test_removed_names_stay_removed():
-    for name in ("eval_basis", "derivative_coeffs"):
+    for name in ("eval_basis", "derivative_coeffs", "TensorBasisSpec"):
         assert name not in bernfit.__all__
         assert not hasattr(bernfit, name)
         assert not hasattr(bernfit.basis, name)

@@ -96,6 +96,33 @@ class TestGenerateScenario:
         with pytest.raises(ConfigError):
             ScenarioSpec("A", n=5)
 
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("B", dict(m=4), "scenario B needs m >= 5 grid points, got 4"),
+            ("A", dict(m=19), "scenario A needs m >= 20 grid points, got 19"),
+            ("C", dict(m=0), "scenario C needs m >= 5 grid points, got 0"),
+            ("B_sparse", dict(m=8), "scenario B_sparse needs m >= 10 grid points, got 8"),
+            ("B", dict(n=10.5), "scenario n must be an integer, got 10.5"),
+            ("B", dict(m=50.5), "scenario m must be an integer, got 50.5"),
+            ("B", dict(replications=2.0), "scenario replications must be an integer, got 2.0"),
+            ("B", dict(seed=1.5), "scenario seed must be an integer, got 1.5"),
+            ("S1", dict(seed=True), "scenario seed must be an integer, got True"),
+            ("A", dict(n="40"), "scenario n must be an integer, got '40'"),
+        ],
+    )
+    def test_spec_refuses_what_generate_scenario_cannot_build(self, kind, fields, message):
+        # each of these used to pass validation and fail in generate_scenario or
+        # run_benchmark with a bare ValueError or TypeError
+        with pytest.raises(ConfigError) as info:
+            ScenarioSpec(kind, **{"n": 20, **fields})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, m", [("A", 20), ("B", 5), ("B_sparse", 10), ("S1", 5)])
+    def test_smallest_grid_each_scenario_takes_builds(self, kind, m):
+        data = generate_scenario(ScenarioSpec(kind, n=12, seed=np.int64(3), m=m), 0)
+        assert data.grid.n_points == m
+
 
 class TestImse:
     def test_exact_match_is_zero(self):
