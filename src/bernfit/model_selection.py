@@ -64,8 +64,9 @@ def cv_select_order(
 ) -> CvResult:
     """Pick the basis order minimizing cross-validated held-out error.
 
-    Candidates below the minimum order of the shape or of the model (fofr's
-    ``min_order``) are skipped with a notice.
+    A candidate that is not a non-negative integer (a bool is none) is refused
+    before any fold is fit; candidates below the minimum order of the shape or of
+    the model (fofr's ``min_order``) are skipped with a notice.
     Ties (scores equal up to roundoff) resolve to the smallest order. For
     the qfosr model the monotonicity system is implied and ``shape`` is the
     optional extra-shapes mapping passed through to the fit.
@@ -74,7 +75,12 @@ def cv_select_order(
     if folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
     default = range(2, 7 if MODELS[model].target == "surface" else 11)
-    candidates = sorted(candidates if candidates is not None else default)
+    candidates = list(candidates if candidates is not None else default)
+    for order in candidates:
+        if isinstance(order, (bool, np.bool_)) or not isinstance(order, (int, np.integer)) \
+                or order < 0:
+            raise ConfigError(f"candidate orders must be non-negative integers, got {order!r}")
+    candidates = sorted(candidates)
     if not candidates:
         raise ConfigError("no candidate orders supplied")
     n = data.n_subjects

@@ -213,7 +213,7 @@ EXPECTED = {
     "ci-flcm": "0ab175dd0bcb975f",
     "ci-fosr": "8f4e15e125cb8a20",
     "ci-qfosr-0": "938274c5fcf707fa",
-    "ci-qfosr-1": "f453cb36555f5827",
+    "ci-qfosr-1": "aaee678cc660ae64",
     "ci-sofr": "cf1ec63dc31ddf61",
     "cv-flcm": "2b97d699fd77bf2a",
     "cv-fofr": "7b4879a1f1ce4cc1",
@@ -224,14 +224,14 @@ EXPECTED = {
     "fit-flcm-sparse": "9a5313165e8d0a10",
     "fit-fofr": "ac8e04ddf089c9b6",
     "fit-fosr": "665fde95e34478c2",
-    "fit-qfosr": "d05c91ca6d87c435",
+    "fit-qfosr": "f955a2120583d821",
     "fit-sofr": "46099c6757a42ae9",
     "fit-sofr-z": "3b5782b5529e3b98",
     "simulate-A": "da051c9099a26638",
     "simulate-B": "db84c7414b14171a",
-    "test-flcm": "c794b58847255fae",
+    "test-flcm": "8343e52fb0cfab95",
     "test-fofr": "a983b26ad00f7f36",
-    "test-fosr": "30d83af4fd507fbc",
+    "test-fosr": "2a0526e11648b2e5",
     "test-sofr": "62aee61a8449cb04",
 }
 

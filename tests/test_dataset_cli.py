@@ -782,6 +782,8 @@ _MALFORMED_INPUTS = {
         ]
     },
     "config-candidates-fraction": ("cv-order", {"model": "sofr", "candidates": [2, 3.5]}, None),
+    # a negative candidate order is refused like a negative fit order, before any fold
+    "config-candidates-negative": ("cv-order", {"model": "sofr", "candidates": [-1, 2]}, None),
     # fofr's surface needs order >= 1 (its MODELS row)
     "config-order-fofr-zero": ("fit-fofr", {"order": 0}, (_FLCM_DATA.encode(), None)),
     "config-bootstrap-fraction": (

@@ -145,12 +145,13 @@ class TestStackedDesign:
             blocks.append(np.hstack([basis[idx], w]))
             rows.extend((i, j) for j in idx)
         expected = np.vstack(blocks)
+        z = design.rows()
         if model == "fofr":  # its weights come from one batched quadrature
-            assert np.abs(design.z - expected).max() <= 1e-14 * np.abs(expected).max()
+            assert np.abs(z - expected).max() <= 1e-14 * np.abs(expected).max()
         else:
-            assert np.array_equal(design.z, expected)
-        assert np.array_equal(np.column_stack([design.subject, design.point]), rows)
-        assert np.array_equal(design.y, data.y_curves[design.subject, design.point])
+            assert np.array_equal(z, expected)
+        assert np.array_equal(np.column_stack(np.nonzero(design.mask)), rows)
+        assert np.array_equal(design.y, data.y_curves[design.mask])
         assert design.n_free == spec.n_coefs
 
 
@@ -466,11 +467,12 @@ class TestSparse:
         cov = estimate_covariance(data.y_curves - step1.predict(data), data.grid)
         assert cov.n_components > 0
         bounds = design.subject_bounds()
+        points = np.nonzero(design.mask)[1]
         assert np.unique(np.diff(bounds)).size > 1
         gram, rhs, yty = 0.0, 0.0, 0.0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            s = cov.inverse_sqrt(design.point[lo:hi])
-            z_i, y_i = s @ design.z[lo:hi], s @ design.y[lo:hi]
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            s = cov.inverse_sqrt(points[lo:hi])
+            z_i, y_i = s @ design.rows(i, i + 1), s @ design.y[lo:hi]
             gram, rhs, yty = gram + z_i.T @ z_i, rhs + z_i.T @ y_i, yty + y_i @ y_i
         for got, want in zip(design.whitened(cov).gram_parts(), (gram, rhs, yty)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -290,7 +290,7 @@ class TestBatchedLoops:
         sign = -1.0 if negative else 1.0
         y = sign * np.linspace(1.0, 2.0, p)
         design = SimpleNamespace(
-            n_subjects=p, n_points=1, n_free=0, n_coefs=p, z=np.eye(p),
+            n_subjects=p, n_points=1, n_free=0, n_coefs=p, rows=lambda: np.eye(p),
             gram_parts=lambda: (np.eye(p), y, float(y @ y)), residuals=lambda beta: y[::-1],
         )
         monkeypatch.setattr(inference, "build_design", lambda data, model, spec: design)

@@ -131,7 +131,7 @@ def digests() -> dict[str, str]:
 
 EXPECTED = {
     "ci-flcm": "02cc36c1fdbbafd6",
-    "ci-qfosr": "a7eefcfdd4ccc39e",
+    "ci-qfosr": "e6fbe734b02a4714",
     "ci-sofr": "92d69edc9c6f68df",
     "cv-flcm": "2922b3df81058193",
     "cv-fofr": "f6854433083d39da",
@@ -144,7 +144,7 @@ EXPECTED = {
     "fit-fosr": "11b996ff012e7284",
     "fit-qfosr": "2e1ec19381735534",
     "fit-sofr": "a163700008bc90e3",
-    "test-flcm": "602a4c08732ec705",
+    "test-flcm": "291969c93fe49e37",
     "test-fofr": "ebb55ca4d883338b",
     "test-sofr": "813ce15ba46f8c9c",
 }

@@ -93,6 +93,18 @@ class TestScoreSemantics:
         with pytest.raises(ConfigError):
             cv_select_order(data, "sofr", CONVEX, candidates=[0, 1], folds=5, seed=4)
 
+    @pytest.mark.parametrize("candidates", [[-1, 2], [2, 3.5], [True, 2], [2, np.True_]])
+    @pytest.mark.parametrize("shape", [None, NON_DECREASING])
+    def test_bad_candidate_orders_are_refused_before_any_fold(self, monkeypatch, candidates, shape):
+        from bernfit import model_selection
+
+        def no_fold(*args):
+            raise AssertionError("a fold was fit")
+
+        monkeypatch.setattr(model_selection, "_holdout_error", no_fold)
+        with pytest.raises(ConfigError, match="candidate orders must be non-negative integers"):
+            cv_select_order(sieve_sofr_dataset(), "sofr", shape, candidates, folds=3, seed=1)
+
     def test_too_small_training_folds(self):
         data = sieve_sofr_dataset(n=12)
         with pytest.raises(ConfigError):

@@ -60,8 +60,8 @@ def test_prediction_is_the_design_row_times_the_coefficients(name):
     data, model, spec, shape = _CASES[name]
     fit = fit_functional(data, model, spec, shape)
     design = build_design(data, model, spec)
-    rows = design.z @ np.concatenate([fit.beta0_coefs, fit.beta1_coefs])
-    pred = fit.predict(data).reshape(data.n_subjects, -1)[design.subject, design.point]
+    rows = design.rows() @ np.concatenate([fit.beta0_coefs, fit.beta1_coefs])
+    pred = fit.predict(data).reshape(data.n_subjects, -1)[design.mask]
     assert np.abs(pred - rows).max() <= 1e-12 * np.abs(rows).max()
 
 

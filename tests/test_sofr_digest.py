@@ -61,8 +61,9 @@ def _groups(d: dict) -> dict:
     groups = {}
     for name in ("dense", "dense-z", "completed", "completed-z"):
         design = sofr_design_matrix(d[name], spec)
-        shape = json.dumps([list(design.z.shape), design.n_free]).encode()
-        groups[f"design-{name}"] = shape + _bytes(design.z, design.y)
+        rows = design.rows()
+        shape = json.dumps([list(rows.shape), design.n_free]).encode()
+        groups[f"design-{name}"] = shape + _bytes(rows, design.y)
     for name, shape in (("ci-plain", None), ("ci-non_negative", NON_NEGATIVE)):
         band = projection_ci(d["dense"], "sofr", spec, shape, draws=100, seed=5)
         groups[name] = _bytes(band.grid, band.lower, band.upper)
