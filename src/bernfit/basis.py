@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_integer
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class BasisSpec:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 0:
-            raise ConfigError(f"basis order must be a non-negative integer, got {self.order}")
+        if not is_integer(self.order) or self.order < 0:
+            raise ConfigError(f"basis order must be a non-negative integer, got {self.order!r}")
         a, b = self.domain
         if not a < b:
             raise ConfigError(f"domain must satisfy a < b, got [{a}, {b}]")

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: DataError -> 1, ConfigError -> 2,
 NumericalError -> 3.
 """
 
+from numbers import Integral
+
 
 class BernfitError(Exception):
     """Base class for all package errors."""
@@ -35,6 +37,11 @@ class InfeasibleError(ConfigError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate if certificate is not None else []
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or NumPy's; a bool is none."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def config_cast(value, cast, name: str):

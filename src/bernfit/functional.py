@@ -8,8 +8,11 @@ min-max rescaled to [0, 1]. SOFR is FOFR's row on one point with b = 1, its
 scalar confounders beside the intercept. ``build_design`` and
 ``FunctionalFit.predict`` take x and b from one covariate map, so a prediction
 is its design row times the coefficients. The design keeps that map, not its
-rows, and builds rows only for a row product (residuals, a sparse design's
-moments), a bounded span of subjects at a time.
+rows: its fitted values Z beta come from the map by the function that
+``predict`` runs, so residuals build no rows. Rows are built, a bounded span of
+subjects at a time, only for a sparse or one-point design's moments; the
+inference module also takes them whole for the sandwich's scores and the
+bootstrap's draws.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
@@ -223,13 +226,14 @@ class StackedDesign:
     (subject i, point t), a True entry of ``mask`` (subjects x points), is
     kron([1, x_it], b_t), with x_it = ``x[i]`` (per subject) or ``x[i, t]`` (per
     subject and point, flcm) and b_t = ``basis[t]``; ``y`` holds the observed
-    responses in row order (subject-major) and ``rows`` builds the rows of a span
-    of subjects. The first ``n_free`` coefficients are unconstrained; a shape acts
-    on the rest. In a dense design every subject has a row at every grid point.
-    ``rescale`` holds the (lo, hi) of each scalar covariate that the rows rescale
-    to [0, 1] (qfosr's predictors), one row per covariate. ``cov``, attached by
-    ``whitened``, is the covariance whose inverse weights the moments of
-    ``gram_parts`` within each subject.
+    responses in row order (subject-major), ``fitted`` gives Z beta from the map
+    and ``rows`` builds the rows of a span of subjects. The first ``n_free``
+    coefficients are unconstrained; a shape acts on the rest. In a dense design
+    every subject has a row at every grid point. ``rescale`` holds the (lo, hi)
+    of each scalar covariate that the rows rescale to [0, 1] (qfosr's
+    predictors), one row per covariate. ``cov``, attached by ``whitened``, is the
+    covariance whose inverse weights the moments of ``gram_parts`` within each
+    subject.
     """
 
     x: np.ndarray
@@ -291,13 +295,14 @@ class StackedDesign:
             self._rows = out
         return out
 
+    def fitted(self, beta: np.ndarray) -> np.ndarray:
+        """Z beta in row order, from the covariate map (``_fitted_values``): no rows built."""
+        out = _fitted_values(self.x, self.basis, beta)
+        return out.ravel() if self.dense else out[self.mask]
+
     def residuals(self, beta: np.ndarray) -> np.ndarray:
-        """y - Z beta, the rows Z built one span of subjects at a time."""
-        if self._rows is not None:
-            return self.y - self._rows @ beta
-        parts = [self.y[lo:hi] - self.rows(first, last) @ beta
-                 for first, last, lo, hi in self._spans()]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """y - Z beta in row order."""
+        return self.y - self.fitted(beta)
 
     def gram_parts(self):
         """Z'WZ, Z'Wy and y'Wy of the rows, with W the inverse of ``cov`` on each
@@ -448,11 +453,19 @@ class FunctionalFit:
         the dataset's grid (subjects x grid). ``data`` has the training covariates."""
         coefs = np.concatenate([self.beta0_coefs, self.beta1_coefs])
         x, basis, _ = _regressors(data, self.model, self.spec, self.rescale, coefs.size)
-        curves = coefs.reshape(-1, basis.shape[1]) @ basis.T
-        # x is per subject, or per subject and point (flcm)
-        slope = x @ curves[1:] if x.ndim == 2 else np.einsum("ijq,qj->ij", x, curves[1:])
-        out = curves[0] + slope
+        out = _fitted_values(x, basis, coefs)
         return out[:, 0] if MODELS[self.model].response == "scalar" else out
+
+
+def _fitted_values(x: np.ndarray, basis: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """The rows kron([1, x_it], b_t) times ``coefs`` at every (subject i, point t)
+    of a covariate map (subjects x points): the coefficient curves on the basis,
+    then the intercept curve plus x times the slope curves. O(n m q + p m), against
+    O(n m p) for building the rows."""
+    curves = coefs.reshape(-1, basis.shape[1]) @ basis.T
+    # x is per subject, or per subject and point (flcm)
+    slope = x @ curves[1:] if x.ndim == 2 else np.einsum("ijq,qj->ij", x, curves[1:])
+    return curves[0] + slope
 
 
 def build_design(data: FunctionalDataset, model: str, spec: BasisSpec) -> StackedDesign:
@@ -592,10 +605,7 @@ def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
 
 def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     """Residuals as a (subjects x grid) matrix, NaN where unobserved."""
-    shape = (design.n_subjects, design.n_points)
-    if design.dense:  # dense rows run subject-major
-        return design.residuals(beta).reshape(shape)
-    out = np.full(shape, np.nan)
+    out = np.full(design.mask.shape, np.nan)
     out[design.mask] = design.residuals(beta)
     return out
 

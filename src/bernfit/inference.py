@@ -30,7 +30,7 @@ from .basis import BasisSpec, eval_basis_matrix
 from .clsq import ClsqSolver
 from .constraints import MODELS, ShapeSpec, check_model
 from .dataset import FunctionalDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_integer
 from .functional import StackedDesign, _prewhiten, build_design, shape_system
 from .utils import spawn_rng
 
@@ -69,6 +69,15 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
     if evals.min() < floor:
         warnings.warn("draw covariance has negative eigenvalues; clipping to zero")
     return evecs * np.sqrt(np.maximum(evals, 0.0))
+
+
+def _check_draws(draws, seed, what: str) -> None:
+    """Refuse a ``draws`` or ``seed`` that is not an integer, and fewer than 100 ``what``."""
+    for name, value in (("draws", draws), ("seed", seed)):
+        if not is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if draws < 100:
+        raise ConfigError(f"use at least 100 {what}")
 
 
 def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, whiten_fit):
@@ -139,8 +148,7 @@ def projection_ci(
         raise ConfigError(MODELS[model].band)
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be in (0, 1)")
-    if draws < 100:
-        raise ConfigError("use at least 100 draws")
+    _check_draws(draws, seed, "draws")
     design = build_design(data, model, spec)
     n_blocks = (design.n_coefs - design.n_free) // spec.n_coefs
     if not 0 <= block < n_blocks:
@@ -217,8 +225,7 @@ def bootstrap_shape_test(
     check_model(model, spec, shape_null)
     if MODELS[model].test:
         raise ConfigError(MODELS[model].test)
-    if draws < 100:
-        raise ConfigError("use at least 100 bootstrap draws")
+    _check_draws(draws, seed, "bootstrap draws")
     if MODELS[model].response != "scalar" and not data.is_dense("y"):
         raise DataError("the functional shape test needs densely observed responses")
     design = build_design(data, model, spec)
@@ -230,8 +237,8 @@ def bootstrap_shape_test(
     sol_c = solver_c.solve(rhs, yty)
     n, m = design.n_subjects, design.n_points
     residuals = design.residuals(sol_u.beta)
+    fitted_null = design.fitted(sol_c.beta)
     z = design.rows()
-    fitted_null = z @ sol_c.beta
     rhs_star = np.empty((draws, rhs.size))
     yty_star = np.empty(draws)
     if m == 1:  # a one-point design: one product per draw
@@ -246,8 +253,8 @@ def bootstrap_shape_test(
         # p50, and every pass keeps its dataset until the run ends, raising its
         # peak memory. Batching waits for the benchmark repair (ROADMAP item 1).
         # This loop reads the whole raw design on every draw, so it is the one op
-        # that builds all the rows at once; the fits and bands build none beyond
-        # one span of the residuals.
+        # that builds all the rows at once; the fits and bands of a dense design
+        # build none, as its moments and residuals come from its covariate map.
         zt_list = list(z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
         resid_curves = list(residuals.reshape(n, m))
         fitted_curves = list(fitted_null.reshape(n, m))

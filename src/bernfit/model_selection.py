@@ -16,7 +16,7 @@ import numpy as np
 from .basis import BasisSpec
 from .constraints import MODELS, ShapeSpec, check_model, quantile_monotone
 from .dataset import FunctionalDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_integer
 from .functional import fit_functional
 from .utils import spawn_rng
 
@@ -77,8 +77,7 @@ def cv_select_order(
     default = range(2, 7 if MODELS[model].target == "surface" else 11)
     candidates = list(candidates if candidates is not None else default)
     for order in candidates:
-        if isinstance(order, (bool, np.bool_)) or not isinstance(order, (int, np.integer)) \
-                or order < 0:
+        if not is_integer(order) or order < 0:
             raise ConfigError(f"candidate orders must be non-negative integers, got {order!r}")
     candidates = sorted(candidates)
     if not candidates:

@@ -39,7 +39,7 @@ from .constraints import (
     combination,
 )
 from .dataset import FunctionalDataset
-from .errors import BernfitError, ConfigError, InfeasibleError
+from .errors import BernfitError, ConfigError, InfeasibleError, is_integer
 from .utils import parallel_map, spawn_rng
 
 # stream roles within one replication
@@ -65,7 +65,7 @@ class ScenarioSpec:
             value = getattr(self, name)
             if name == "m" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ConfigError(f"scenario {name} must be an integer, got {value!r}")
         if self.n < 10:
             raise ConfigError("scenarios need n >= 10")

@@ -1,5 +1,7 @@
 """Tests for Bernstein basis evaluation and design-matrix construction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ class TestEvalBasis:
             BasisSpec(-1)
         with pytest.raises(ConfigError):
             BasisSpec(2, domain=(1.0, 1.0))
+
+    @pytest.mark.parametrize("order", [3.0, 2.5, True, np.True_, "3", np.float64(3)],
+                             ids=repr)
+    def test_order_that_is_no_integer_is_refused(self, order):
+        # a float order once passed and ended the fit in a bare TypeError; True fit as 1
+        message = f"basis order must be a non-negative integer, got {order!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            BasisSpec(order)
+
+    def test_numpy_integer_order_is_accepted(self):
+        assert BasisSpec(np.int64(3)).n_coefs == 4
 
 
 class TestBasisMatrix:

@@ -213,7 +213,7 @@ EXPECTED = {
     "ci-flcm": "0ab175dd0bcb975f",
     "ci-fosr": "8f4e15e125cb8a20",
     "ci-qfosr-0": "938274c5fcf707fa",
-    "ci-qfosr-1": "aaee678cc660ae64",
+    "ci-qfosr-1": "b9944fb08983b183",
     "ci-sofr": "cf1ec63dc31ddf61",
     "cv-flcm": "2b97d699fd77bf2a",
     "cv-fofr": "7b4879a1f1ce4cc1",
@@ -224,15 +224,15 @@ EXPECTED = {
     "fit-flcm-sparse": "9a5313165e8d0a10",
     "fit-fofr": "ac8e04ddf089c9b6",
     "fit-fosr": "665fde95e34478c2",
-    "fit-qfosr": "f955a2120583d821",
+    "fit-qfosr": "9ffb6c036711d009",
     "fit-sofr": "46099c6757a42ae9",
     "fit-sofr-z": "3b5782b5529e3b98",
     "simulate-A": "da051c9099a26638",
     "simulate-B": "db84c7414b14171a",
-    "test-flcm": "8343e52fb0cfab95",
+    "test-flcm": "5eac2edc3c446bec",
     "test-fofr": "a983b26ad00f7f36",
     "test-fosr": "2a0526e11648b2e5",
-    "test-sofr": "62aee61a8449cb04",
+    "test-sofr": "d06d56a6503e8c80",
 }
 
 

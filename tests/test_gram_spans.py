@@ -2,10 +2,11 @@
 
 ``StackedDesign.gram_parts`` takes a dense design's moments from x, the basis and
 the whitening weight, with no rows built; a sparse or one-point design sums its
-rows' products span by span, and the residuals y - Z beta are row products of
-one span at a time for every design. Many spans give the one-span sums and
-residuals up to rounding. The moments match per-subject sums over whitened rows
-for every model, raw and whitened.
+rows' products span by span. The residuals y - Z beta of every design come from
+the covariate map (``StackedDesign.fitted``), with no rows built. Many spans give
+the one-span sums up to rounding and the same residuals bit for bit. The moments
+match per-subject sums over whitened rows, and the residuals y minus the rows
+times the coefficients, for every model, raw and whitened.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from bernfit import (
     FunctionalDataset,
     Grid,
     ScenarioSpec,
+    bivariate_monotone,
     generate_scenario,
     projection_ci,
     reconstruct_sparse,
@@ -58,7 +60,7 @@ def test_many_spans_give_the_one_span_sums(monkeypatch, kind, span_values):
     assert all((lo, hi) == (bounds[first], bounds[last]) for first, last, lo, hi in spans)
     rows = np.vstack([design.rows(first, last) for first, last, _, _ in spans])
     assert np.array_equal(rows, design.rows())
-    assert _relative_gap(design.residuals(beta), one_residuals) <= 1e-12
+    assert np.array_equal(design.residuals(beta), one_residuals)
     for d, want in zip(designs, one_span):
         for got_part, want_part in zip(d.gram_parts(), want):
             assert _relative_gap(got_part, want_part) <= 1e-12
@@ -119,6 +121,35 @@ def test_moments_are_per_subject_sums_of_whitened_rows(model, whiten):
         assert _relative_gap(got_part, want_part) <= 1e-12
 
 
+_RESIDUAL_CASES = {
+    **_DENSE,
+    "flcm-B_sparse": (
+        reconstruct_sparse(generate_scenario(ScenarioSpec("B_sparse", n=30, seed=3), 0)),
+        BasisSpec(4),
+    ),
+}
+
+
+@pytest.mark.parametrize("whiten", [False, True], ids=["raw", "whitened"])
+@pytest.mark.parametrize("name", sorted(_RESIDUAL_CASES))
+def test_residuals_are_the_response_less_the_rows_times_the_coefficients(name, whiten):
+    # the residuals are raw on a whitened design too: its covariance only weights
+    # the moments
+    data, spec = _RESIDUAL_CASES[name]
+    model = name.split("-")[0]
+    fit = fit_functional(data, model, spec)
+    beta = np.concatenate([fit.beta0_coefs, fit.beta1_coefs])
+    design = build_design(data, model, spec)
+    if whiten:
+        cov = fit.covariance
+        if cov is None:  # one point: the covariance is a variance
+            cov = CovarianceModel(np.asarray(spec.domain[:1]), np.empty(0), np.empty((0, 1)),
+                                  nugget=2.5)
+        design = design.whitened(cov)
+    want = design.y - design.rows() @ beta
+    assert _relative_gap(design.residuals(beta), want) <= 1e-13
+
+
 def test_sparse_moments_are_the_products_of_the_whole_rows():
     # a sparse design keeps the span walk over its rows: within one span its raw
     # moments are the products of the row-stacked matrix, bit for bit, as they were
@@ -132,12 +163,34 @@ def test_sparse_moments_are_the_products_of_the_whole_rows():
         assert np.array_equal(got, want)
 
 
+# the dense designs of the models with curves, each under a shape it takes
+_SHAPES = {"fosr": NON_INCREASING, "flcm": NON_INCREASING, "fofr": bivariate_monotone(),
+           "qfosr": {1: NON_INCREASING}}
+
+
+@pytest.mark.parametrize("model", sorted(_SHAPES))
+def test_dense_fit_and_band_never_build_design_rows(monkeypatch, model):
+    # moments, step-1 residuals and rss_raw of a dense design all come from its
+    # covariate map; fofr has no band
+    data, spec = _DENSE[model]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("design rows built")
+
+    monkeypatch.setattr(functional.StackedDesign, "rows", refuse)
+    fit = fit_functional(data, model, spec, _SHAPES[model])
+    assert fit.covariance is not None and np.isfinite(fit.rss_raw)
+    if model != "fofr":
+        band = projection_ci(data, model, spec, _SHAPES[model], draws=100, seed=1)
+        assert np.isfinite(band.lower).all()
+
+
 def test_fit_and_band_hold_no_design_rows(monkeypatch):
-    # a dense design's moments need no rows, and its residuals need one span's rows
-    # at a time: with spans of 20000 values, so that the design spans many (a design
-    # within one span keeps its rows), the fit and the band peak far below the
-    # n*m*p*8 bytes of its rows. The band is unconstrained, as the projection's
-    # working set scales with the draws and the constraint rows, not the design.
+    # a dense design's moments and residuals need no rows: with spans of 20000
+    # values, so that the design spans many (a design within one span keeps its
+    # rows once built), the fit and the band peak far below the n*m*p*8 bytes of
+    # its rows. The band is unconstrained, as the projection's working set
+    # scales with the draws and the constraint rows, not the design.
     n, m, spec = 400, 50, BasisSpec(10)
     data = generate_scenario(ScenarioSpec("B", n=n, seed=1, m=m), 0)
     rows_bytes = n * m * 2 * spec.n_coefs * 8

@@ -292,6 +292,7 @@ class TestBatchedLoops:
         design = SimpleNamespace(
             n_subjects=p, n_points=1, n_free=0, n_coefs=p, rows=lambda: np.eye(p),
             gram_parts=lambda: (np.eye(p), y, float(y @ y)), residuals=lambda beta: y[::-1],
+            fitted=lambda beta: beta,
         )
         monkeypatch.setattr(inference, "build_design", lambda data, model, spec: design)
         with warnings.catch_warnings(record=True) as caught:

@@ -7,14 +7,16 @@ the model's coefficient, a mapping of shapes where a shape is due, for qfosr
 a shape where its mapping of extra shapes is due, a mapping with a shape
 that is not a curve's and one with a block key that is not an integer, an
 operation the entry point does not offer for the model, and fewer than 100
-band or bootstrap draws. Each must raise
-ConfigError with the message of ``check_model``, of the operation's refusal
-or of the draw count. The data is None throughout, so every refusal must come
+band or bootstrap draws (or a draw count or seed that is not an integer). Each
+must raise ConfigError with the message of ``check_model``, of the operation's
+refusal or of the draw count. The data is None throughout, so every refusal must come
 before the data is touched. The entry points that serve a model it once
 refused are run on data at the end.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +177,22 @@ def test_every_mistake_kind_is_covered():
         *_MAPPING_MISTAKES,
     }
     assert {entry for entry, *_ in _CASES} == set(_ENTRY_POINTS)
+
+
+# (keyword, value): a draw count or seed that is not an integer; either once ended
+# in a bare TypeError, and a bool seed was echoed in the record
+_NOT_INTEGERS = [("draws", 150.0), ("draws", True), ("seed", 1.5), ("seed", np.float64(2)),
+                 ("seed", True)]
+
+
+@pytest.mark.parametrize("entry", [projection_ci, bootstrap_shape_test],
+                         ids=["projection_ci", "bootstrap_shape_test"])
+@pytest.mark.parametrize("keyword, value", _NOT_INTEGERS,
+                         ids=[f"{k}={v!r}" for k, v in _NOT_INTEGERS])
+def test_draws_and_seed_must_be_integers(entry, keyword, value):
+    message = f"{keyword} must be an integer, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        entry(None, "flcm", _SPEC, NON_INCREASING, **{keyword: value})
 
 
 def _quantile_data():

@@ -128,3 +128,14 @@ def test_incomplete_curves_refused_as_build_design_refuses_them(name):
         with pytest.raises(DataError) as info:
             call(holed)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_prediction_is_the_designs_fitted_values(name):
+    # predict and StackedDesign.fitted run one function on one covariate map
+    data, model, spec, shape = _CASES[name]
+    fit = fit_functional(data, model, spec, shape)
+    design = build_design(data, model, spec)
+    fitted = design.fitted(np.concatenate([fit.beta0_coefs, fit.beta1_coefs]))
+    pred = fit.predict(data).reshape(data.n_subjects, -1)[design.mask]
+    assert np.array_equal(pred, fitted)

@@ -80,9 +80,9 @@ def digests() -> dict[str, str]:
 
 
 EXPECTED = {
-    "ci-completed-z": "2f3b8fcf27a56475",
-    "ci-non_negative": "7dc6a924eb1056a9",
-    "ci-plain": "86421af22852a92c",
+    "ci-completed-z": "81ec3f6d5281ee41",
+    "ci-non_negative": "19343d430978df6c",
+    "ci-plain": "e151cb74d4e3ecbc",
     "design-completed": "a23475169b97d069",
     "design-completed-z": "937cd1097f4b5b69",
     "design-dense": "5abb01f15f189a1c",
