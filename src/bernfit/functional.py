@@ -22,7 +22,10 @@ generalized least-squares problem, with the shape acting on the slope
 coefficient block only (on qfosr's whole stack). Only the moments of the
 whitened rows are needed: a dense design takes them from its covariate map and
 W = S'S (``StackedDesign.gram_parts``), a sparse design whitens its rows
-subject by subject. A one-point design has nothing to whiten.
+subject by subject. A one-point design has nothing to whiten. A dense design
+makes its data-sized covariate cross moments once, in step 1, and its whitened
+copy reuses them, so step 2 adds only the product y W and O(m^2 k) per
+coefficient block.
 """
 
 from __future__ import annotations
@@ -233,7 +236,8 @@ class StackedDesign:
     of each scalar covariate that the rows rescale to [0, 1] (qfosr's
     predictors), one row per covariate. ``cov``, attached by ``whitened``, is the
     covariance whose inverse weights the moments of ``gram_parts`` within each
-    subject.
+    subject. A dense design keeps the covariate cross moments that ``gram_parts``
+    makes, whatever the weight, and shares them with its ``whitened`` copies.
     """
 
     x: np.ndarray
@@ -245,6 +249,9 @@ class StackedDesign:
     cov: CovarianceModel | None = None
     # the rows of a design within one span, kept once built
     _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # a dense design's cross moments M_jl by (j, l), kept once made (``_dense_moments``)
+    _moments: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_subjects(self) -> int:
@@ -331,18 +338,20 @@ class StackedDesign:
         Block (j, l) of Z'WZ is B'(W o M_jl)B with M_jl = sum_i u_ij u_il' and u_i0 = 1,
         where u_ij is x_ij along the grid (flcm) or the constant x_ij, which makes
         the Gram (U'U) kron (B'WB) with U = [1, x]. Block j of Z'Wy is
-        B' sum_i u_ij o (W y_i), and y'Wy = sum_i y_i' W y_i. Each block costs
-        O(n m^2), against O(n m^2 p) for whitening every subject's rows.
+        B' sum_i u_ij o (W y_i), and y'Wy = sum_i y_i' W y_i. Each M_jl costs
+        O(n m^2) once per design, kept in ``_moments`` and shared by ``whitened``;
+        a weighting then adds the product y W (none for W = I) and O(m^2 k) per
+        block, against O(n m^2 p) for whitening every subject's rows.
         """
         n, m = self.n_subjects, self.n_points
+        y = self.y.reshape(n, m)
         if self.cov is None:
-            w = np.eye(m)
+            w, wy = np.eye(m), y  # y @ I is y, bit for bit
         else:
             s = self.cov.inverse_sqrt()
             w = s.T @ s
+            wy = y @ w  # row i is W y_i; W is symmetric
         b = self.basis
-        y = self.y.reshape(n, m)
-        wy = y @ w  # row i is W y_i; W is symmetric
         yty = float(np.vdot(y, wy))
         if self.x.ndim == 2:
             u = np.hstack([np.ones((n, 1)), self.x])
@@ -357,7 +366,9 @@ class StackedDesign:
             block_j = slice(j * k, (j + 1) * k)
             rhs[block_j] = b.T @ (wy if u_j is None else u_j * wy).sum(axis=0)
             for l in range(j, len(u)):
-                block = b.T @ (w * _cross_moment(u_j, u[l], n, m)) @ b
+                if (j, l) not in self._moments:
+                    self._moments[j, l] = _cross_moment(u_j, u[l], n, m)
+                block = b.T @ (w * self._moments[j, l]) @ b
                 gram[block_j, l * k : (l + 1) * k] = block
                 gram[l * k : (l + 1) * k, block_j] = block.T
         return gram, rhs, yty
@@ -395,9 +406,10 @@ class StackedDesign:
 
     def whitened(self, cov: CovarianceModel) -> "StackedDesign":
         """The design with ``cov`` attached; ``gram_parts`` weights its moments.
-        It shares the rows this design keeps."""
+        It shares the rows and the covariate cross moments this design keeps,
+        those made before or after, so they are made once for both."""
         out = replace(self, cov=cov)
-        out._rows = self._rows
+        out._rows, out._moments = self._rows, self._moments
         return out
 
 
@@ -605,6 +617,8 @@ def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
 
 def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     """Residuals as a (subjects x grid) matrix, NaN where unobserved."""
+    if design.dense:
+        return design.residuals(beta).reshape(design.mask.shape)
     out = np.full(design.mask.shape, np.nan)
     out[design.mask] = design.residuals(beta)
     return out

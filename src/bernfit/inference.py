@@ -107,7 +107,8 @@ def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndar
     Feasible rows come back unchanged, which makes the projection idempotent;
     the others are argmin_{A beta >= b} (beta - z)' omega (beta - z), the
     constrained least-squares solutions with Gram omega and rhs omega z, all
-    solved in one ``solve_many`` call.
+    solved in one block, the solutions ``solve_many`` gives without its residual
+    sums of squares.
     """
     rows = np.flatnonzero(projector.constraints.violations(z).max(axis=1, initial=0.0) > 0.0)
     if rows.size == 0:
@@ -115,7 +116,7 @@ def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndar
     out = z.copy()
     # omega @ z row by row: the block product rounds differently, and an
     # ill-conditioned omega amplifies that in the projection
-    out[rows] = projector.solve_many([omega @ z[j] for j in rows])[0]
+    out[rows] = projector._solve_rows(np.array([omega @ z[j] for j in rows]))[0]
     return out
 
 
@@ -165,10 +166,11 @@ def projection_ci(
     offset = design.n_free + block * spec.n_coefs
     curves = z[:, offset : offset + spec.n_coefs] @ eval_basis_matrix(grid, spec).T
     alpha = 1.0 - level
+    lower, upper = np.quantile(curves, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     return CiBand(
         grid=grid,
-        lower=np.quantile(curves, alpha / 2.0, axis=0),
-        upper=np.quantile(curves, 1.0 - alpha / 2.0, axis=0),
+        lower=lower,
+        upper=upper,
         level=level,
         draws=draws,
         seed=seed,

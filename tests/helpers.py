@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.optimize import nnls
 
+from bernfit import FunctionalDataset, Grid
+
 
 def bernstein_direct(t: float, k: int, order: int) -> float:
     """Closed binomial form C(N,k) t^k (1-t)^(N-k)."""
@@ -85,3 +87,55 @@ def grid_search_projection_2d(
     values = np.einsum("ij,jk,ik->i", diffs, omega, diffs)
     return points[int(np.argmin(values))]
 
+
+
+def _cross_moment_oracle(u_j, u_l, n: int, m: int) -> np.ndarray:
+    """M_jl = sum_i u_ij u_il' as the library made it before it kept these moments."""
+    if u_j is None:
+        return np.full((m, m), float(n)) if u_l is None else np.broadcast_to(
+            u_l.sum(axis=0), (m, m))
+    return u_j.T @ u_l
+
+
+def dense_moments_oracle(design) -> tuple:
+    """Z'WZ, Z'Wy and y'Wy of a dense design with curves, made as the library made
+    them when every call recomputed every product: y times an identity weight on
+    a raw design, and every cross moment M_jl afresh. The library's
+    ``gram_parts`` must equal this bit for bit."""
+    n, m = design.n_subjects, design.n_points
+    if design.cov is None:
+        w = np.eye(m)
+    else:
+        s = design.cov.inverse_sqrt()
+        w = s.T @ s
+    b = design.basis
+    y = design.y.reshape(n, m)
+    wy = y @ w
+    yty = float(np.vdot(y, wy))
+    if design.x.ndim == 2:
+        u = np.hstack([np.ones((n, 1)), design.x])
+        gram = np.kron(u.T @ u, b.T @ w @ b)
+        rhs = (b.T @ (wy.T @ u)).T.ravel()
+        return gram, rhs, yty
+    u = [None, *np.moveaxis(design.x, -1, 0)]
+    k = b.shape[1]
+    gram = np.empty((len(u) * k, len(u) * k))
+    rhs = np.empty(len(u) * k)
+    for j, u_j in enumerate(u):
+        block_j = slice(j * k, (j + 1) * k)
+        rhs[block_j] = b.T @ (wy if u_j is None else u_j * wy).sum(axis=0)
+        for l in range(j, len(u)):
+            block = b.T @ (w * _cross_moment_oracle(u_j, u[l], n, m)) @ b
+            gram[block_j, l * k : (l + 1) * k] = block
+            gram[l * k : (l + 1) * k, block_j] = block.T
+    return gram, rhs, yty
+
+
+def quantile_data() -> FunctionalDataset:
+    """40 nondecreasing quantile curves on 15 points with two scalar predictors."""
+    rng = np.random.default_rng(4)
+    pts = np.linspace(0.0, 1.0, 15)
+    z = rng.uniform(0.0, 1.0, size=(40, 2))
+    q = pts * (1.0 - 0.2 * z[:, [0]]) + 0.3 * z[:, [1]] * pts**2
+    q = q + 0.02 * np.abs(rng.standard_normal(q.shape)).cumsum(axis=1) / pts.size
+    return FunctionalDataset(grid=Grid(pts), ids=list(range(40)), y_curves=q, z_scalars=z)

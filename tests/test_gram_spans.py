@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import quantile_data
 
 from bernfit import (
     NON_INCREASING,
     BasisSpec,
     FunctionalDataset,
-    Grid,
     ScenarioSpec,
     bivariate_monotone,
     generate_scenario,
@@ -69,15 +69,6 @@ def test_many_spans_give_the_one_span_sums(monkeypatch, kind, span_values):
         assert _relative_gap(got, want) <= 1e-10
 
 
-def _quantile_data() -> FunctionalDataset:
-    rng = np.random.default_rng(4)
-    pts = np.linspace(0.0, 1.0, 15)
-    z = rng.uniform(0.0, 1.0, size=(40, 2))
-    q = pts * (1.0 - 0.2 * z[:, [0]]) + 0.3 * z[:, [1]] * pts**2
-    q = q + 0.02 * np.abs(rng.standard_normal(q.shape)).cumsum(axis=1) / pts.size
-    return FunctionalDataset(grid=Grid(pts), ids=list(range(40)), y_curves=q, z_scalars=z)
-
-
 def _dense_cases() -> dict:
     b = generate_scenario(ScenarioSpec("B", n=30, seed=2, m=20), 0)
     fosr = FunctionalDataset(grid=b.grid, ids=b.ids, x_scalar=b.x_curves.mean(axis=1),
@@ -87,7 +78,7 @@ def _dense_cases() -> dict:
         "fosr": (fosr, BasisSpec(3)),
         "flcm": (b, BasisSpec(4)),
         "fofr": (b, BasisSpec(2)),
-        "qfosr": (_quantile_data(), BasisSpec(3)),
+        "qfosr": (quantile_data(), BasisSpec(3)),
     }
 
 
