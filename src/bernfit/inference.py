@@ -32,7 +32,7 @@ from .constraints import MODELS, ShapeSpec, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError, is_integer
 from .functional import StackedDesign, _prewhiten, build_design, shape_system
-from .utils import spawn_rng
+from .utils import spawn_rngs
 
 
 class _Record:
@@ -72,12 +72,15 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _check_draws(draws, seed, what: str) -> None:
-    """Refuse a ``draws`` or ``seed`` that is not an integer, and fewer than 100 ``what``."""
+    """Refuse a ``draws`` or ``seed`` that is not an integer, fewer than 100 ``what``,
+    and 2**32 or more: a draw's stream key is one 32-bit word."""
     for name, value in (("draws", draws), ("seed", seed)):
         if not is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if draws < 100:
         raise ConfigError(f"use at least 100 {what}")
+    if draws >= 2**32:
+        raise ConfigError(f"use fewer than 2**32 {what}")
 
 
 def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, whiten_fit):
@@ -114,9 +117,10 @@ def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndar
     if rows.size == 0:
         return z
     out = z.copy()
-    # omega @ z row by row: the block product rounds differently, and an
-    # ill-conditioned omega amplifies that in the projection
-    out[rows] = projector._solve_rows(np.array([omega @ z[j] for j in rows]))[0]
+    # omega @ z as one gemv per row through a stacked product, the bits of a
+    # row-by-row loop: a block gemm rounds differently, and an ill-conditioned
+    # omega amplifies that in the projection
+    out[rows] = projector._solve_rows((omega @ z[rows][:, :, None])[..., 0])[0]
     return out
 
 
@@ -157,9 +161,9 @@ def projection_ci(
     constraints = shape_system(model, spec, shape, design)
     beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
     factor = _normal_factor(delta_n)
-    z = np.empty((draws, beta_ur.size))
-    for b in range(draws):
-        z[b] = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
+    normals = np.array([rng.standard_normal(beta_ur.size) for rng in spawn_rngs(seed, draws)])
+    # one gemv per draw, as a stacked product: a block gemm rounds differently
+    z = beta_ur + (factor @ normals[:, :, None])[..., 0]
     if constraints is not None:
         z = _project(z, omega, ClsqSolver(omega, constraints))
     grid = np.asarray(data.grid.points if eval_grid is None else eval_grid, dtype=float)
@@ -244,8 +248,8 @@ def bootstrap_shape_test(
     rhs_star = np.empty((draws, rhs.size))
     yty_star = np.empty(draws)
     if m == 1:  # a one-point design: one product per draw
-        for b in range(draws):
-            y_star = fitted_null + residuals[spawn_rng(seed, b).integers(0, n, size=n)]
+        for b, rng in enumerate(spawn_rngs(seed, draws)):
+            y_star = fitted_null + residuals[rng.integers(0, n, size=n)]
             rhs_star[b], yty_star[b] = z.T @ y_star, float(y_star @ y_star)
     else:
         # The per-subject loop over views made once stays, although one product
@@ -260,8 +264,8 @@ def bootstrap_shape_test(
         zt_list = list(z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
         resid_curves = list(residuals.reshape(n, m))
         fitted_curves = list(fitted_null.reshape(n, m))
-        for b in range(draws):
-            pick = spawn_rng(seed, b).integers(0, n, size=n)
+        for b, rng in enumerate(spawn_rngs(seed, draws)):
+            pick = rng.integers(0, n, size=n)
             rhs_b = np.zeros(design.n_coefs)
             yty_b = 0.0
             for i in range(n):

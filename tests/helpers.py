@@ -139,3 +139,61 @@ def quantile_data() -> FunctionalDataset:
     q = pts * (1.0 - 0.2 * z[:, [0]]) + 0.3 * z[:, [1]] * pts**2
     q = q + 0.02 * np.abs(rng.standard_normal(q.shape)).cumsum(axis=1) / pts.size
     return FunctionalDataset(grid=Grid(pts), ids=list(range(40)), y_curves=q, z_scalars=z)
+
+
+def band_draws_oracle(data, model, spec, shape, draws, seed, pve=0.95, whiten_fit=True):
+    """A band's projected draws as the library made them with one generator per
+    draw: ``spawn_rng(seed, b)``'s normals through ``factor @`` one draw at a
+    time, and ``omega @ z[j]`` row by row for the rows the projection moves."""
+    from bernfit.clsq import ClsqSolver
+    from bernfit.functional import build_design, shape_system
+    from bernfit.inference import _normal_factor, _stacked_ingredients
+    from bernfit.utils import spawn_rng
+
+    design = build_design(data, model, spec)
+    constraints = shape_system(model, spec, shape, design)
+    beta_ur, omega, delta_n = _stacked_ingredients(design, data, pve, whiten_fit)
+    factor = _normal_factor(delta_n)
+    z = np.empty((draws, beta_ur.size))
+    for b in range(draws):
+        z[b] = beta_ur + factor @ spawn_rng(seed, b).standard_normal(beta_ur.size)
+    if constraints is None:
+        return design, z
+    projector = ClsqSolver(omega, constraints)
+    rows = np.flatnonzero(constraints.violations(z).max(axis=1, initial=0.0) > 0.0)
+    if rows.size:
+        z[rows] = projector._solve_rows(np.array([omega @ z[j] for j in rows]))[0]
+    return design, z
+
+
+def bootstrap_moments_oracle(data, model, spec, shape_null, draws, seed):
+    """Every resample's (Z'y*, y*'y*) with the picks of ``spawn_rng(seed, b)``,
+    one generator per draw, and the two solvers the test factors."""
+    from bernfit.clsq import ClsqSolver
+    from bernfit.functional import build_design, shape_system
+    from bernfit.utils import spawn_rng
+
+    design = build_design(data, model, spec)
+    constraints = shape_system(model, spec, shape_null, design)
+    gram, rhs, yty = design.gram_parts()
+    solver_u, solver_c = ClsqSolver(gram, None), ClsqSolver(gram, constraints)
+    n, m = design.n_subjects, design.n_points
+    residuals = design.residuals(solver_u.solve(rhs, yty).beta).reshape(n, m)
+    fitted = design.fitted(solver_c.solve(rhs, yty).beta).reshape(n, m)
+    zt = design.rows().reshape(n, m, design.n_coefs)
+    rhs_star = np.empty((draws, rhs.size))
+    yty_star = np.empty(draws)
+    for b in range(draws):
+        pick = spawn_rng(seed, b).integers(0, n, size=n)
+        if m == 1:
+            y_star = fitted[:, 0] + residuals[pick, 0]
+            rhs_star[b], yty_star[b] = zt[:, 0].T @ y_star, float(y_star @ y_star)
+            continue
+        rhs_b = np.zeros(design.n_coefs)
+        yty_b = 0.0
+        for i in range(n):
+            y_star = fitted[i] + residuals[pick[i]]
+            rhs_b += zt[i].T @ y_star
+            yty_b += float(y_star @ y_star)
+        rhs_star[b], yty_star[b] = rhs_b, yty_b
+    return rhs_star, yty_star, solver_u, solver_c
