@@ -9,10 +9,8 @@ scalar confounders beside the intercept. ``build_design`` and
 ``FunctionalFit.predict`` take x and b from one covariate map, so a prediction
 is its design row times the coefficients. The design keeps that map, not its
 rows: its fitted values Z beta come from the map by the function that
-``predict`` runs, so residuals build no rows. Rows are built, a bounded span of
-subjects at a time, only for a sparse or one-point design's moments; the
-inference module also takes them whole for the sandwich's scores and the
-bootstrap's draws.
+``predict`` runs, so residuals build no rows. Rows are built only for a sparse
+design's moments and, in the inference module, for the bootstrap's draws.
 
 Fitting is a two-step procedure. Step 1 solves the unconstrained stacked
 least-squares problem and estimates the residual covariance by functional
@@ -22,7 +20,7 @@ generalized least-squares problem, with the shape acting on the slope
 coefficient block only (on qfosr's whole stack). Only the moments of the
 whitened rows are needed: a dense design takes them from its covariate map and
 W = S'S (``StackedDesign.gram_parts``), a sparse design whitens its rows
-subject by subject. A one-point design has nothing to whiten. A dense design
+subject by subject. A one-point design (sofr) is never whitened. A dense design
 makes its data-sized covariate cross moments once, in step 1, and its whitened
 copy reuses them, so step 2 adds only the product y W and O(m^2 k) per
 coefficient block.
@@ -46,8 +44,6 @@ _SCORE_RIDGE = 1e-8
 # a quantile response may decrease by this much between grid points (roundoff)
 # before it is refused; smaller drops only warn
 _MONOTONE_TOL = 1e-8
-# design values (rows x coefficients) that gram_parts whitens and sums at a time
-_SPAN_VALUES = 2**20
 
 
 @dataclass
@@ -230,7 +226,7 @@ class StackedDesign:
     kron([1, x_it], b_t), with x_it = ``x[i]`` (per subject) or ``x[i, t]`` (per
     subject and point, flcm) and b_t = ``basis[t]``; ``y`` holds the observed
     responses in row order (subject-major), ``fitted`` gives Z beta from the map
-    and ``rows`` builds the rows of a span of subjects. The first ``n_free``
+    and ``rows`` builds the rows, kept nowhere. The first ``n_free``
     coefficients are unconstrained; a shape acts on the rest. In a dense design
     every subject has a row at every grid point. ``rescale`` holds the (lo, hi)
     of each scalar covariate that the rows rescale to [0, 1] (qfosr's
@@ -247,9 +243,7 @@ class StackedDesign:
     n_free: int
     rescale: np.ndarray | None = None
     cov: CovarianceModel | None = None
-    # the rows of a design within one span, kept once built
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # a dense design's cross moments M_jl by (j, l), kept once made (``_dense_moments``)
+    # a dense design's cross moments M_jl by (j, l), kept once made (``gram_parts``)
     _moments: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -269,38 +263,23 @@ class StackedDesign:
     def dense(self) -> bool:
         return self.y.size == self.mask.size
 
-    def subject_bounds(self) -> np.ndarray:
-        """Row offsets: subject i owns rows bounds[i]:bounds[i + 1]."""
-        return np.concatenate([[0], np.cumsum(self.mask.sum(axis=1))])
-
-    def rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The design rows of subjects lo:hi (all by default), in row order.
-
-        A design within one span keeps its rows once built and returns them for
-        every later call on all its subjects; do not write to them.
-        """
-        hi = self.n_subjects if hi is None else hi
-        whole = lo == 0 and hi == self.n_subjects
-        if whole and self._rows is not None:
-            return self._rows
+    def rows(self) -> np.ndarray:
+        """The design rows in row order (observations x coefficients), built afresh."""
         q, k = self.x.shape[-1], self.basis.shape[1]
         # a dense design broadcasts the basis over subjects; gathering basis[point]
         # would add an (N, K) temporary next to the rows
         if self.dense:
-            out = np.empty((hi - lo, self.n_points, q + 1, k))
-            x_rows = self.x[lo:hi, None] if self.x.ndim == 2 else self.x[lo:hi]
+            out = np.empty((self.n_subjects, self.n_points, q + 1, k))
+            x_rows = self.x[:, None] if self.x.ndim == 2 else self.x
             b_rows = self.basis
         else:
-            subject, point = np.nonzero(self.mask[lo:hi])
+            subject, point = np.nonzero(self.mask)
             out = np.empty((subject.size, q + 1, k))
-            x_rows = self.x[lo:hi][subject] if self.x.ndim == 2 else self.x[lo:hi][subject, point]
+            x_rows = self.x[subject] if self.x.ndim == 2 else self.x[subject, point]
             b_rows = self.basis[point]
         out[..., 0, :] = b_rows
         np.multiply(x_rows[..., None], b_rows[..., None, :], out=out[..., 1:, :])
-        out = out.reshape(-1, (q + 1) * k)
-        if whole and out.size <= _SPAN_VALUES:
-            self._rows = out
-        return out
+        return out.reshape(-1, (q + 1) * k)
 
     def fitted(self, beta: np.ndarray) -> np.ndarray:
         """Z beta in row order, from the covariate map (``_fitted_values``): no rows built."""
@@ -315,34 +294,22 @@ class StackedDesign:
         """Z'WZ, Z'Wy and y'Wy of the rows, with W the inverse of ``cov`` on each
         subject's points when one is attached, else the identity.
 
-        A dense design with curves takes them from its covariate map
-        (``_dense_moments``), with no rows built. A sparse or one-point design
-        sums its rows' products over spans of whole subjects (``_spans``), each
-        sparse subject whitened on its own points.
-        """
-        if self.dense and self.n_points > 1:
-            return self._dense_moments()
-        parts = None
-        for first, last, lo, hi in self._spans():
-            z, y = self.rows(first, last), self.y[lo:hi]
-            if self.cov is not None:
-                z, y = self._whiten(z, y, self.mask[first:last])
-            span = (z.T @ z, z.T @ y, float(y @ y))
-            parts = span if parts is None else tuple(a + b for a, b in zip(parts, span))
-        return parts
-
-    def _dense_moments(self):
-        """``gram_parts`` of a dense design from x, the basis B and W = S'S (S the
-        inverse square root of ``cov``; W = I when none is attached).
-
-        Block (j, l) of Z'WZ is B'(W o M_jl)B with M_jl = sum_i u_ij u_il' and u_i0 = 1,
-        where u_ij is x_ij along the grid (flcm) or the constant x_ij, which makes
-        the Gram (U'U) kron (B'WB) with U = [1, x]. Block j of Z'Wy is
+        A dense design, sofr's one-point design included, takes them from x, the
+        basis B and W = S'S (S the inverse square root of ``cov``), with no rows
+        built. Block (j, l) of Z'WZ is B'(W o M_jl)B with M_jl = sum_i u_ij u_il' and
+        u_i0 = 1, where u_ij is x_ij along the grid (flcm) or the constant x_ij, which
+        makes the Gram (U'U) kron (B'WB) with U = [1, x]. Block j of Z'Wy is
         B' sum_i u_ij o (W y_i), and y'Wy = sum_i y_i' W y_i. Each M_jl costs
         O(n m^2) once per design, kept in ``_moments`` and shared by ``whitened``;
         a weighting then adds the product y W (none for W = I) and O(m^2 k) per
-        block, against O(n m^2 p) for whitening every subject's rows.
+        block, against O(n m^2 p) for whitening every subject's rows. A sparse
+        design builds its rows and whitens each subject's on its own points.
         """
+        if not self.dense:
+            z, y = self.rows(), self.y
+            if self.cov is not None:
+                z, y = self._whiten(z, y)
+            return z.T @ z, z.T @ y, float(y @ y)
         n, m = self.n_subjects, self.n_points
         y = self.y.reshape(n, m)
         if self.cov is None:
@@ -373,12 +340,11 @@ class StackedDesign:
                 gram[l * k : (l + 1) * k, block_j] = block.T
         return gram, rhs, yty
 
-    def _whiten(self, z, y, mask):
-        """Rows ``z`` and responses ``y`` of the consecutive subjects whose observed
-        points are the rows of ``mask``, each subject's whitened with the inverse
-        square root of ``cov`` on its own points."""
-        offsets = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
-        points = np.nonzero(mask)[1]
+    def _whiten(self, z, y):
+        """Rows ``z`` and responses ``y`` of a sparse design, each subject's whitened
+        with the inverse square root of ``cov`` on its own points."""
+        offsets = np.concatenate([[0], np.cumsum(self.mask.sum(axis=1))])
+        points = np.nonzero(self.mask)[1]
         # one batched whitening per group of subjects with the same count of rows
         out_z, out_y = np.empty_like(z), np.empty_like(y)
         for k, subjects in _count_groups(np.diff(offsets)):
@@ -388,28 +354,12 @@ class StackedDesign:
             out_y[rows] = (s @ y[rows][..., None])[..., 0]
         return out_z, out_y
 
-    def _spans(self):
-        """(first, last, lo, hi) of each span: subjects first:last, consecutive and
-        whole, and their rows lo:hi, at most ``_SPAN_VALUES`` design values (one
-        subject if it alone has more)."""
-        rows_per_span = _SPAN_VALUES // self.n_coefs
-        if self.y.size <= rows_per_span:
-            yield 0, self.n_subjects, 0, self.y.size
-            return
-        bounds = self.subject_bounds()
-        first = 0
-        while first < self.n_subjects:
-            last = int(np.searchsorted(bounds, bounds[first] + rows_per_span, "right")) - 1
-            last = max(last, first + 1)
-            yield first, last, bounds[first], bounds[last]
-            first = last
-
     def whitened(self, cov: CovarianceModel) -> "StackedDesign":
         """The design with ``cov`` attached; ``gram_parts`` weights its moments.
-        It shares the rows and the covariate cross moments this design keeps,
-        those made before or after, so they are made once for both."""
+        It shares the covariate cross moments this design keeps, those made before
+        or after, so they are made once for both."""
         out = replace(self, cov=cov)
-        out._rows, out._moments = self._rows, self._moments
+        out._moments = self._moments
         return out
 
 

@@ -6,8 +6,9 @@ in the Gram-weighted norm, and reads off pointwise quantiles of the
 projected coefficient functions. Whitening follows the stacked design: the
 estimator covariance is the model-based generalized-least-squares one after
 pre-whitening a design with curves (whitened errors have unit covariance by
-construction), and the subject-level heteroskedasticity-robust sandwich on
-the raw rows of a one-point design (SOFR) or with ``whiten_fit=False``.
+construction), and the subject-level heteroskedasticity-robust sandwich of
+the raw design for a one-point design (SOFR) or with ``whiten_fit=False``, each
+subject's score Z_i' r_i taken from the covariate map (``_scores``).
 
 One test, ``bootstrap_shape_test``, serves every model but qfosr. It
 compares constrained (null) and unconstrained residual sums of squares
@@ -31,7 +32,7 @@ from .clsq import ClsqSolver
 from .constraints import MODELS, ShapeSpec, check_model
 from .dataset import FunctionalDataset
 from .errors import ConfigError, DataError, is_integer
-from .functional import StackedDesign, _prewhiten, build_design, shape_system
+from .functional import StackedDesign, _prewhiten, _raw_residuals, build_design, shape_system
 from .utils import spawn_rngs
 
 
@@ -73,7 +74,7 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
 
 def _check_draws(draws, seed, what: str) -> None:
     """Refuse a ``draws`` or ``seed`` that is not an integer, fewer than 100 ``what``,
-    and 2**32 or more: a draw's stream key is one 32-bit word."""
+    2**32 or more (a draw's stream key is one 32-bit word), and a negative seed."""
     for name, value in (("draws", draws), ("seed", seed)):
         if not is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -81,6 +82,8 @@ def _check_draws(draws, seed, what: str) -> None:
         raise ConfigError(f"use at least 100 {what}")
     if draws >= 2**32:
         raise ConfigError(f"use fewer than 2**32 {what}")
+    if seed < 0:
+        raise ConfigError(f"seeds and replications must be non-negative: seed {seed}")
 
 
 def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, whiten_fit):
@@ -98,10 +101,21 @@ def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, wh
     omega = gram / n
     if cov is not None:
         return beta_ur, omega, np.linalg.inv(gram)
-    scores = design.rows() * design.residuals(beta_ur)[:, None]
-    scores = np.add.reduceat(scores, design.subject_bounds()[:-1], axis=0)
+    scores = _scores(design, beta_ur)
     omega_inv = np.linalg.inv(omega)
     return beta_ur, omega, omega_inv @ (scores.T @ scores / n) @ omega_inv / n
+
+
+def _scores(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
+    """Each subject's score Z_i' r_i (subjects x coefficients) from the covariate
+    map, with no rows built: block j is B'(u_ij o r_i), u_i0 = 1 and u_ij as in
+    ``StackedDesign.gram_parts``, with the residuals r_i zero where unobserved."""
+    n, m = design.mask.shape
+    r = _raw_residuals(design, beta)
+    x = design.x if design.x.ndim == 3 else design.x[:, None]  # (subjects, points or 1, q)
+    # u_ij o r_i only where observed: r, and flcm's x, may be NaN elsewhere
+    return np.hstack([np.multiply(u, r, out=np.zeros((n, m)), where=design.mask) @ design.basis
+                      for u in (1.0, *np.moveaxis(x, -1, 0))])
 
 
 def _project(z: np.ndarray, omega: np.ndarray, projector: ClsqSolver) -> np.ndarray:
@@ -258,9 +272,9 @@ def bootstrap_shape_test(
         # run: from 14 passes its op_tail_s is the bootstrap op's p75, not the
         # p50, and every pass keeps its dataset until the run ends, raising its
         # peak memory. Batching waits for the benchmark repair (ROADMAP item 1).
-        # This loop reads the whole raw design on every draw, so it is the one op
-        # that builds all the rows at once; the fits and bands of a dense design
-        # build none, as its moments and residuals come from its covariate map.
+        # This loop reads the whole raw design on every draw: rows are built only
+        # here and for a sparse design's moments; the fits and bands of a dense
+        # design build none, as everything they need comes from its covariate map.
         zt_list = list(z.reshape(n, m, design.n_coefs).transpose(0, 2, 1))
         resid_curves = list(residuals.reshape(n, m))
         fitted_curves = list(fitted_null.reshape(n, m))

@@ -131,6 +131,16 @@ def dense_moments_oracle(design) -> tuple:
     return gram, rhs, yty
 
 
+def subject_rows(design, i: int) -> np.ndarray:
+    """Subject i's design rows, one kron([1, x_it], b_t) per observed point t in
+    order, built point by point from the design's x, basis and mask: the rows
+    ``StackedDesign.rows`` stacks for that subject, bit for bit."""
+    points = np.flatnonzero(design.mask[i])
+    x = [design.x[i] if design.x.ndim == 2 else design.x[i, t] for t in points]
+    return np.array([np.kron(np.concatenate([[1.0], x_t]), design.basis[t])
+                     for x_t, t in zip(x, points)])
+
+
 def quantile_data() -> FunctionalDataset:
     """40 nondecreasing quantile curves on 15 points with two scalar predictors."""
     rng = np.random.default_rng(4)

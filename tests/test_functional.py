@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import subject_rows
 
 from bernfit import (
     NON_DECREASING,
@@ -466,13 +467,13 @@ class TestSparse:
         step1 = fit_functional(data, "flcm", BasisSpec(4), whiten_fit=False)
         cov = estimate_covariance(data.y_curves - step1.predict(data), data.grid)
         assert cov.n_components > 0
-        bounds = design.subject_bounds()
+        bounds = np.concatenate([[0], np.cumsum(design.mask.sum(axis=1))])
         points = np.nonzero(design.mask)[1]
         assert np.unique(np.diff(bounds)).size > 1
         gram, rhs, yty = 0.0, 0.0, 0.0
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             s = cov.inverse_sqrt(points[lo:hi])
-            z_i, y_i = s @ design.rows(i, i + 1), s @ design.y[lo:hi]
+            z_i, y_i = s @ subject_rows(design, i), s @ design.y[lo:hi]
             gram, rhs, yty = gram + z_i.T @ z_i, rhs + z_i.T @ y_i, yty + y_i @ y_i
         for got, want in zip(design.whitened(cov).gram_parts(), (gram, rhs, yty)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -55,13 +55,19 @@ def test_a_negative_seed_or_an_out_of_word_count_is_refused_at_the_call(seed, co
         spawn_rngs(seed, count)
 
 
+@pytest.mark.parametrize(
+    "draws, seed, message",
+    [(2**32, 0, "2\\*\\*32"), (100, -1, "non-negative: seed -1")],
+    ids=["draws-2**32", "seed-negative"],
+)
 @pytest.mark.parametrize("call", ["band", "test"])
-def test_draws_beyond_one_key_word_are_refused_before_the_data(call):
-    # the data is None: the refusal comes before the data is touched or any
-    # draw array is allocated
+def test_draws_beyond_one_key_word_or_a_negative_seed_are_refused_before_the_data(
+        call, draws, seed, message):
+    # the data is None: the refusal comes before the data is touched, the design
+    # is built or fit, or any draw array is allocated
     run = projection_ci if call == "band" else bootstrap_shape_test
-    with pytest.raises(ConfigError, match="2\\*\\*32"):
-        run(None, "sofr", BasisSpec(4), NON_NEGATIVE, draws=2**32, seed=0)
+    with pytest.raises(ConfigError, match=message):
+        run(None, "sofr", BasisSpec(4), NON_NEGATIVE, draws=draws, seed=seed)
 
 
 def _sofr_csv(path):
