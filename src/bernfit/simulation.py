@@ -10,7 +10,8 @@ S1        scenario B design with the constant coefficient 2.5 on the
           boundary of the decreasing constraint set
 
 Covariate processes are score expansions in polynomials orthonormalized in
-the empirical inner product on the scenario grid; every draw is keyed by
+the empirical inner product on the scenario grid, made once per grid size and
+score count and shared read-only; every draw is keyed by
 (seed, replication, role) so replications regenerate bit-identically in any
 execution order.
 
@@ -25,6 +26,7 @@ so a bare import loads neither it nor ``scipy.stats``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ import numpy as np
 from .basis import Grid, quadrature_weights
 from .constraints import (
     CONCAVE,
+    MODELS,
     NON_DECREASING,
     NON_INCREASING,
     NON_NEGATIVE,
@@ -123,6 +126,15 @@ def orthonormal_polynomials(points: np.ndarray, count: int) -> np.ndarray:
     return (q * signs).T
 
 
+@functools.lru_cache(maxsize=16)
+def _covariate_basis(m: int, count: int) -> np.ndarray:
+    """``orthonormal_polynomials`` on the scenario grid of ``m`` points, made once
+    per (m, count) and shared, so it is read-only."""
+    phis = orthonormal_polynomials(np.linspace(0.0, 1.0, m), count)
+    phis.flags.writeable = False
+    return phis
+
+
 def _true_coefficients(kind: str):
     if kind == "A":
         return None, lambda t: 0.1 * np.sin(np.pi * np.asarray(t, dtype=float))
@@ -158,7 +170,7 @@ def generate_scenario(spec: ScenarioSpec, replication: int = 0) -> FunctionalDat
         "default_order": spec.default_order,
     }
     k = spec.n_scores
-    phis = orthonormal_polynomials(pts, k)
+    phis = _covariate_basis(m, k)
     sds = np.sqrt(np.arange(k, 0, -1, dtype=float))
     scores = spawn_rng(spec.seed, replication, _SCORES).standard_normal((spec.n, k)) * sds
     x = scores @ phis
@@ -310,11 +322,16 @@ def run_benchmark(
     ``mode`` selects the protocol: paired constrained/unconstrained IMSE under
     the scenario's shape, 95% pointwise interval coverage of the true
     coefficient, or bootstrap shape-test rejections of ``test_shape`` at the
-    5% level. Replications run serially; ``threads`` is accepted and has no
-    effect.
+    5% level. Each imse replication is fitted once: its unconstrained arm is
+    the constrained fit's step-1 solve (sofr: the unconstrained solve of the same
+    design and Gram), with the bits of ``fit_functional(data, model, spec, None,
+    whiten_fit=False)``. A setting that would fail every replication alike (a
+    sofr scenario with fewer subjects than coefficients, among others) is a
+    ConfigError before the first replication. Replications run serially;
+    ``threads`` is accepted and has no effect.
     """
     from .inference import bootstrap_shape_test, projection_ci
-    from .functional import fit_functional, reconstruct_sparse
+    from .functional import _two_step, reconstruct_sparse
     from .basis import BasisSpec
 
     if mode not in ("imse", "coverage", "test"):
@@ -329,6 +346,10 @@ def run_benchmark(
     order = order if order is not None else spec.default_order
     shape = spec.shape
     basis = BasisSpec(order)
+    if MODELS[spec.model].response == "scalar" and spec.n < basis.n_coefs + 1:
+        # every replication would fail the one-point design's subject count alike
+        raise ConfigError(f"scenario {spec.kind} needs n >= {basis.n_coefs + 1} subjects "
+                          f"for order {order}, got {spec.n}")
 
     def one_replication(rep: int) -> dict | None:
         """The replication's record, or None when it fails on its own data.
@@ -345,9 +366,9 @@ def run_benchmark(
             beta_true = data.meta["beta_true"]
             if mode == "imse":
                 # the unconstrained arm is the plain stacked least-squares fit,
-                # mirroring the off-the-shelf baselines it stands in for
-                con = fit_functional(data, spec.model, basis, shape)
-                unc = fit_functional(data, spec.model, basis, None, whiten_fit=False)
+                # mirroring the off-the-shelf baselines it stands in for; it is the
+                # constrained fit's step 1 (sofr: its design's unconstrained solve)
+                con, unc = _two_step(data, spec.model, basis, shape, unconstrained=True)
                 values = {
                     "imse_constrained": imse(con.beta1_fn, beta_true),
                     "imse_unconstrained": imse(unc.beta1_fn, beta_true),

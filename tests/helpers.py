@@ -207,3 +207,26 @@ def bootstrap_moments_oracle(data, model, spec, shape_null, draws, seed):
             yty_b += float(y_star @ y_star)
         rhs_star[b], yty_star[b] = rhs_b, yty_b
     return rhs_star, yty_star, solver_u, solver_c
+
+
+def imse_arms_oracle(spec, order=None) -> list[dict]:
+    """``run_benchmark``'s imse records as two separate fits made them: the
+    constrained fit, then the unconstrained fit without whitening from a design
+    and Gram of its own. A replication that fails on its own data leaves no
+    record, as in ``run_benchmark``."""
+    from bernfit import BasisSpec, BernfitError, fit_functional, generate_scenario, reconstruct_sparse
+    from bernfit.simulation import imse
+
+    basis = BasisSpec(order if order is not None else spec.default_order)
+    records = []
+    for rep in range(spec.replications):
+        try:
+            data = reconstruct_sparse(generate_scenario(spec, rep))
+            con = fit_functional(data, spec.model, basis, spec.shape)
+            unc = fit_functional(data, spec.model, basis, None, whiten_fit=False)
+        except (BernfitError, np.linalg.LinAlgError):
+            continue
+        truth = data.meta["beta_true"]
+        records.append({"replication": rep, "imse_constrained": imse(con.beta1_fn, truth),
+                        "imse_unconstrained": imse(unc.beta1_fn, truth)})
+    return records

@@ -27,7 +27,7 @@ from bernfit import (
 )
 from bernfit.basis import eval_basis_matrix
 from bernfit.constraints import NON_INCREASING
-from bernfit.functional import CovarianceModel, _solve_stacked, build_design
+from bernfit.functional import CovarianceModel, build_design
 from bernfit.inference import _project
 
 from helpers import enumerate_clsq
@@ -283,7 +283,8 @@ class TestAcceptance:
         design = build_design(fdata, "flcm", BasisSpec(5))
         system = build_constraints(NON_INCREASING, BasisSpec(5))
         system = system.padded(design.n_free, design.n_coefs)
-        w_beta = _solve_stacked(design.whitened(identity), system).beta
+        gram, rhs, yty = design.whitened(identity).gram_parts()
+        w_beta = ClsqSolver(gram, system).solve(rhs, yty).beta
         r_fit = fit_functional(fdata, "flcm", BasisSpec(5), NON_INCREASING, whiten_fit=False)
         ok &= w_beta[design.n_free :].tobytes() == r_fit.beta1_coefs.tobytes()
 

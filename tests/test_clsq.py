@@ -318,8 +318,7 @@ def test_solve_many_matches_solve_through_the_polish(monkeypatch):
 
     data = generate_scenario(ScenarioSpec("B", n=60, seed=0, m=20), 0)
     spec = BasisSpec(5)
-    design, _ = _prewhiten(build_design(data, "fofr", spec), data, 0.95)
-    gram, rhs, yty = design.gram_parts()
+    design, (gram, rhs, yty), _, _ = _prewhiten(build_design(data, "fofr", spec), data, 0.95)
     solver = ClsqSolver(gram, shape_system("fofr", spec, bivariate_monotone(), design))
     polished = []
     polish = ClsqSolver._polish

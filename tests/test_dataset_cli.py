@@ -936,6 +936,11 @@ _REFUSALS = {
         lambda tmp: [*_BENCH, "--mode", "test", "--test-shape", json.dumps(_QUANTILE)],
         "quantile monotonicity applies only to the qfosr model",
     ),
+    # sofr at order 12 has 14 coefficients: every replication would fail alike
+    "bench-sofr-few-subjects": (
+        lambda tmp: ["bench", "--scenario", "A", "--n", "10", "--reps", "2", "--order", "12"],
+        "scenario A needs n >= 14 subjects for order 12, got 10",
+    ),
     **{
         f"{command}-seed-option": (
             lambda tmp, c=command: [*_config_argv(tmp, c, _SOFR_CONFIGS[c]), "--seed", "-2"],
@@ -977,6 +982,22 @@ def test_refusal_exits_2_with_its_message(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("fit-sofr", {"order": 12}),
+    ("ci", {"model": "sofr", "order": 12}),
+    ("test-shape", {"model": "sofr", "order": 12, "shape": {"kind": "non_negative"}}),
+])
+def test_sofr_with_fewer_subjects_than_coefficients_exits_1(tmp_path, capsys, command, config):
+    """The fit, the band and the test refuse a one-point design alike: the band once
+    ran on an auto-ridged singular Gram and the test ran as well."""
+    out = tmp_path / "out.json"
+    argv = [*_config_argv(tmp_path, command, config, _SOFR_DATA), "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "data error: need at least 14 subjects for order 12, got 12\n"
     assert not out.exists()
 
 

@@ -22,13 +22,13 @@ from bernfit import (
     projection_ci,
 )
 from bernfit.basis import eval_basis_matrix, fofr_design
+from bernfit.clsq import ClsqSolver
 from bernfit.constraints import build_constraints
 from bernfit.dataset import FunctionalDataset
 from bernfit.functional import (
     CovarianceModel,
     _dense_covariance,
     _pairwise_covariance,
-    _solve_stacked,
     build_design,
     estimate_covariance,
     fit_functional,
@@ -48,7 +48,8 @@ def gls_fit(data, model, spec, shape, cov):
     system = None
     if shape is not None:
         system = build_constraints(shape, spec).padded(design.n_free, design.n_coefs)
-    sol = _solve_stacked(design, system)
+    gram, rhs, yty = design.gram_parts()
+    sol = ClsqSolver(gram, system).solve(rhs, yty)
     return SimpleNamespace(
         beta0_coefs=sol.beta[: design.n_free],
         beta1_coefs=sol.beta[design.n_free :],

@@ -117,3 +117,25 @@ def test_fit_sofr_is_fit_functional_on_sofr():
     assert wrapped.beta0_coefs.tobytes() == direct.beta0_coefs.tobytes()
     assert wrapped.beta1_coefs.tobytes() == direct.beta1_coefs.tobytes()
     assert wrapped.predict(data).shape == (data.n_subjects,)
+
+
+@pytest.mark.parametrize("entry", ["build_design", "fit_functional", "projection_ci",
+                                   "bootstrap_shape_test"])
+def test_fewer_subjects_than_coefficients_refused_by_every_entry(entry):
+    """The one-point design refuses itself, so the fit, the band and the test
+    share one refusal; two confounders and order 4 make 8 coefficients."""
+    import bernfit
+    from bernfit.functional import build_design
+
+    data, spec, _ = make_dataset(n=7, n_z=2)
+    call = {
+        "build_design": lambda: build_design(data, "sofr", spec),
+        "fit_functional": lambda: fit_functional(data, "sofr", spec, NON_NEGATIVE),
+        "projection_ci": lambda: bernfit.projection_ci(data, "sofr", spec, NON_NEGATIVE, draws=100),
+        "bootstrap_shape_test": lambda: bernfit.bootstrap_shape_test(
+            data, "sofr", spec, NON_NEGATIVE, draws=100),
+    }[entry]
+    with pytest.raises(DataError, match="need at least 8 subjects for order 4, got 7"):
+        call()
+    data, spec, _ = make_dataset(n=8, n_z=2)
+    assert build_design(data, "sofr", spec).n_coefs == 8
